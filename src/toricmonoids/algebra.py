@@ -2,34 +2,24 @@
 
 Elements are finite sums of character monomials ``chi^u`` with ``u`` ranging
 over the rank-2 exponent lattice; tensor elements are sums of monomial pairs
-``chi^u (x) chi^v``.  Exponent keys are plain integer pairs, coefficients are
-:class:`fractions.Fraction`, and terms are kept in the fixed lexicographic
-order so structural equality is semantic equality.  Homogeneous derivations
-of monomial type (shift by a fixed degree, scaled by a pairing) round out the
-toolbox.
+``chi^u (x) chi^v``.  Both share one sparse core: exponent keys are plain
+integer pairs (or pairs of pairs), coefficients are exact rationals stored as
+``int`` when integral and :class:`fractions.Fraction` otherwise, and terms are
+kept in the fixed lexicographic order so structural equality is semantic
+equality.  Homogeneous derivations of monomial type (shift by a fixed degree,
+scaled by a pairing) round out the toolbox.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticePoint, M, N, as_int, as_xy, box_lattice_points
+from .lattice import LatticePoint, M, N, as_int, as_xy, box_lattice_points, parse_rational
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a Laurent element at a zero of one of its denominators."""
-
-
-def parse_rational(v) -> Fraction:
-    """Exact rational from an int, string, or Fraction; floats are refused."""
-    if isinstance(v, float):
-        raise TypeError(f"exact rational required, got float {v!r}")
-    return Fraction(v)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def _exponent(u) -> tuple[int, int]:
@@ -38,6 +28,10 @@ def _exponent(u) -> tuple[int, int]:
 
 
 def _merge(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs into a sorted dict without zero terms.
+
+    Integral sums are stored as ``int``.
+    """
     acc: dict = {}
     for key, coef in pairs:
         c = acc.get(key, 0) + coef
@@ -45,15 +39,16 @@ def _merge(pairs) -> dict:
             acc[key] = c
         elif key in acc:
             del acc[key]
-    return {k: acc[k] for k in sorted(acc)}
+    return {k: c.numerator if c.denominator == 1 else c for k, c in sorted(acc.items())}
 
 
-class LaurentElement:
-    """A sparse exact-rational sum of monomials ``chi^(a,b)``.
+class _Sparse:
+    """A finite sum of keyed terms with exact rational coefficients.
 
-    Supports ring arithmetic, exponent substitution, and exact evaluation.
-    The coordinate algebra is commutative even when the monoid carried by it
-    is not.
+    Subclasses fix the key shape: ``_key`` checks a key from outside,
+    ``_add`` adds two keys, ``_UNIT`` is the key of the unit element,
+    ``_key_json``/``_json_key`` map a key to its JSON fields and back, and
+    ``_show`` prints a key.
     """
 
     __slots__ = ("_terms",)
@@ -61,80 +56,70 @@ class LaurentElement:
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        self._terms = _merge((_exponent(e), parse_rational(c)) for e, c in terms)
+        self._terms = _merge((self._key(k), parse_rational(c)) for k, c in terms)
 
     @classmethod
-    def zero(cls) -> "LaurentElement":
-        return cls()
+    def _of(cls, terms: dict):
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
-    def one(cls) -> "LaurentElement":
-        return cls.monomial((0, 0))
+    def zero(cls):
+        return cls._of({})
 
     @classmethod
-    def monomial(cls, exponent, coefficient=1) -> "LaurentElement":
-        return cls([(exponent, coefficient)])
+    def one(cls):
+        return cls._of({cls._UNIT: 1})
 
-    def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
+    def terms(self) -> list[tuple[tuple, int | Fraction]]:
         return list(self._terms.items())
 
-    def support(self) -> list[tuple[int, int]]:
+    def support(self) -> list[tuple]:
         return list(self._terms)
-
-    def coefficient(self, exponent) -> Fraction:
-        return self._terms.get(_exponent(exponent), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms
 
     __hash__ = None
 
-    def __add__(self, other: "LaurentElement") -> "LaurentElement":
-        out = LaurentElement.zero()
-        out._terms = _merge(list(self._terms.items()) + list(other._terms.items()))
-        return out
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._of(_merge([*self._terms.items(), *other._terms.items()]))
 
-    def __neg__(self) -> "LaurentElement":
-        out = LaurentElement.zero()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+    def __neg__(self):
+        return self._scaled(-1)
 
-    def __sub__(self, other: "LaurentElement") -> "LaurentElement":
+    def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(parse_rational(other))
-        if not isinstance(other, LaurentElement):
+            return self._scaled(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
-        pairs = []
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                pairs.append(((a1 + a2, b1 + b2), c1 * c2))
-        out = LaurentElement.zero()
-        out._terms = _merge(pairs)
-        return out
+        add, right = self._add, other._terms.items()
+        return self._of(
+            _merge((add(k1, k2), c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in right)
+        )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(parse_rational(other))
-        return NotImplemented
+    __rmul__ = __mul__  # both products are commutative
 
-    def _scaled(self, c: Fraction) -> "LaurentElement":
-        out = LaurentElement.zero()
-        if c:
-            out._terms = {k: c * v for k, v in self._terms.items()}
-        return out
+    def _scaled(self, c):
+        c = parse_rational(c)
+        return self._of(_merge((k, c * v) for k, v in self._terms.items()))
 
-    def __pow__(self, k: int) -> "LaurentElement":
-        if not isinstance(k, int) or k < 0:
+    def __pow__(self, k: int):
+        k = as_int(k)
+        if k < 0:
             raise ValueError("powers must be nonnegative integers")
-        result = LaurentElement.one()
+        result = self.one()
         base = self
         while k:  # repeated squaring
             if k & 1:
@@ -142,6 +127,56 @@ class LaurentElement:
             base = base * base
             k >>= 1
         return result
+
+    def to_json(self) -> list[dict]:
+        return [{**self._key_json(k), "coef": str(c)} for k, c in self._terms.items()]
+
+    @classmethod
+    def from_json(cls, data):
+        return cls([(cls._json_key(item), item["coef"]) for item in data])
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        return " + ".join(_fmt_coef(c, self._show(k)) for k, c in self._terms.items())
+
+    __repr__ = __str__
+
+
+class LaurentElement(_Sparse):
+    """A sparse exact-rational sum of monomials ``chi^(a,b)``.
+
+    Supports ring arithmetic, exponent substitution, and exact evaluation.
+    The coordinate algebra is commutative even when the monoid carried by it
+    is not.
+    """
+
+    __slots__ = ()
+    _UNIT = (0, 0)
+    _key = staticmethod(_exponent)
+
+    @staticmethod
+    def _add(k1, k2):
+        return (k1[0] + k2[0], k1[1] + k2[1])
+
+    @staticmethod
+    def _key_json(k) -> dict:
+        return {"exp": list(k)}
+
+    @staticmethod
+    def _json_key(item):
+        return tuple(item["exp"])
+
+    @staticmethod
+    def _show(k) -> str:
+        return _fmt_monomial(*k)
+
+    @classmethod
+    def monomial(cls, exponent, coefficient=1) -> "LaurentElement":
+        return cls([(exponent, coefficient)])
+
+    def coefficient(self, exponent) -> int | Fraction:
+        return self._terms.get(_exponent(exponent), 0)
 
     def map_exponents(self, fn) -> "LaurentElement":
         """Apply an exponent substitution ``(a, b) -> (a', b')`` to every term."""
@@ -153,7 +188,8 @@ class LaurentElement:
         Raises :class:`PoleError` when a negative exponent meets a zero
         coordinate.
         """
-        px, py = (parse_rational(v) for v in as_xy(point))
+        # Fraction before powering: a negative power of an int is a float.
+        px, py = (Fraction(parse_rational(v)) for v in as_xy(point))
         total = Fraction(0)
         for (a, b), coef in self._terms.items():
             try:
@@ -161,25 +197,6 @@ class LaurentElement:
             except ZeroDivisionError:
                 raise PoleError(f"monomial x^{a} y^{b} has a pole at ({px}, {py})") from None
         return total
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exp": [a, b], "coef": format_rational(c)}
-            for (a, b), c in self._terms.items()
-        ]
-
-    @classmethod
-    def from_json(cls, data) -> "LaurentElement":
-        return cls([(tuple(item["exp"]), parse_rational(item["coef"])) for item in data])
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            _fmt_coef(c, _fmt_monomial(a, b)) for (a, b), c in self._terms.items()
-        )
-
-    __repr__ = __str__
 
 
 def _fmt_monomial(a: int, b: int) -> str:
@@ -191,7 +208,7 @@ def _fmt_monomial(a: int, b: int) -> str:
     return "*".join(parts)
 
 
-def _fmt_coef(c: Fraction, monomial: str) -> str:
+def _fmt_coef(c, monomial: str) -> str:
     if not monomial:
         return str(c)
     if c == 1:
@@ -201,88 +218,43 @@ def _fmt_coef(c: Fraction, monomial: str) -> str:
     return f"{c}*{monomial}"
 
 
-_TensorKey = tuple[tuple[int, int], tuple[int, int]]
-
-
-class TensorElement:
+class TensorElement(_Sparse):
     """A sparse exact-rational sum of monomial pairs ``chi^u (x) chi^v``.
 
     Carries the componentwise product ring structure of the tensor square of
     the Laurent algebra; houses comultiplication outputs.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = ((0, 0), (0, 0))
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            terms = terms.items()
-        self._terms = _merge(
-            ((_exponent(k[0]), _exponent(k[1])), parse_rational(c)) for k, c in terms
-        )
+    @staticmethod
+    def _key(k):
+        return (_exponent(k[0]), _exponent(k[1]))
 
-    @classmethod
-    def one(cls) -> "TensorElement":
-        return cls.monomial((0, 0), (0, 0))
+    @staticmethod
+    def _add(k1, k2):
+        (l1, r1), (l2, r2) = k1, k2
+        return ((l1[0] + l2[0], l1[1] + l2[1]), (r1[0] + r2[0], r1[1] + r2[1]))
+
+    @staticmethod
+    def _key_json(k) -> dict:
+        return {"left": list(k[0]), "right": list(k[1])}
+
+    @staticmethod
+    def _json_key(item):
+        return (tuple(item["left"]), tuple(item["right"]))
+
+    @staticmethod
+    def _show(k) -> str:
+        return " (x) ".join(_fmt_monomial(*e) or "1" for e in k)
 
     @classmethod
     def monomial(cls, left, right, coefficient=1) -> "TensorElement":
         return cls([((left, right), coefficient)])
 
-    def terms(self) -> list[tuple[_TensorKey, Fraction]]:
-        return list(self._terms.items())
-
-    def support(self) -> list[_TensorKey]:
-        return list(self._terms)
-
-    def coefficient(self, left, right) -> Fraction:
-        return self._terms.get((_exponent(left), _exponent(right)), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = TensorElement()
-        out._terms = _merge(list(self._terms.items()) + list(other._terms.items()))
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = parse_rational(other)
-            out = TensorElement()
-            if c:
-                out._terms = {k: c * v for k, v in self._terms.items()}
-            return out
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        pairs = []
-        for ((l1, r1), c1) in self._terms.items():
-            for ((l2, r2), c2) in other._terms.items():
-                key = ((l1[0] + l2[0], l1[1] + l2[1]), (r1[0] + r2[0], r1[1] + r2[1]))
-                pairs.append((key, c1 * c2))
-        out = TensorElement()
-        out._terms = _merge(pairs)
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TensorElement":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("tensor powers must be nonnegative integers")
-        result = TensorElement.one()
-        base = self
-        while k:  # repeated squaring
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    def coefficient(self, left, right) -> int | Fraction:
+        return self._terms.get((_exponent(left), _exponent(right)), 0)
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor legs."""
@@ -291,34 +263,6 @@ class TensorElement:
     def map_exponents(self, fn) -> "TensorElement":
         """Apply an exponent substitution to both legs of every term."""
         return TensorElement([((fn(l), fn(r)), c) for (l, r), c in self._terms.items()])
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"left": list(l), "right": list(r), "coef": format_rational(c)}
-            for (l, r), c in self._terms.items()
-        ]
-
-    @classmethod
-    def from_json(cls, data) -> "TensorElement":
-        return cls(
-            [
-                ((tuple(item["left"]), tuple(item["right"])), parse_rational(item["coef"]))
-                for item in data
-            ]
-        )
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-
-        def leg(e):
-            return _fmt_monomial(*e) or "1"
-
-        return " + ".join(
-            _fmt_coef(c, f"{leg(l)} (x) {leg(r)}") for (l, r), c in self._terms.items()
-        )
-
-    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -333,7 +277,7 @@ class DerivationRule:
 
     root: LatticePoint
     ray: LatticePoint
-    scale: Fraction = field(default=Fraction(1))
+    scale: int | Fraction = 1
 
     def __post_init__(self):
         if self.root.ambient != M:

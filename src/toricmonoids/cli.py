@@ -19,9 +19,8 @@ import sys
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import format_rational, parse_rational
 from .demazure import DemazureRoot, RootPair, roots_up_to
-from .lattice import Cone2, LatticePoint, as_int, hilbert_basis
+from .lattice import Cone2, LatticePoint, as_int, hilbert_basis, parse_rational
 from .monoids import (
     BoundaryInfo,
     Family,
@@ -153,6 +152,17 @@ def _parse_point(text: str, what: str) -> tuple:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and weights: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _emit(args, obj, *, trailing_newline: bool = True) -> None:
     text = json.dumps(obj)
     if trailing_newline:
@@ -212,9 +222,9 @@ def _cmd_comult(args) -> int:
             raise UsageError("a root pair is a JSON list of two roots")
         try:
             roots = [DemazureRoot.from_json(item) for item in pair_data]
-            for r in roots:
-                if not (0 <= r.ray_index <= 1):
-                    raise ValueError("ray_index out of range")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"not a root pair: {exc}") from None
+        try:
             pair = RootPair(roots[0], roots[1])
             tensor = comult_from_root_pair(cone, pair, monomial)
         except ValueError as exc:
@@ -279,7 +289,7 @@ def _cmd_multiply(args) -> int:
     except (UnsupportedChartError, ValueError) as exc:
         _emit(args, {"error": str(exc)})
         return EXIT_DOMAIN
-    _emit(args, [format_rational(c) for c in product])
+    _emit(args, [str(c) for c in product])
     return EXIT_OK
 
 
@@ -316,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("classify", _cmd_classify, "classify an exponent cone as a monoid spec")
-    p.add_argument("--n", type=int, required=True, help="weight of the unit group")
+    p.add_argument("--n", type=_positive_int, required=True, help="weight of the unit group")
 
     p = add("roots", _cmd_roots, "enumerate Demazure roots of a cone in N")
     p.add_argument("--ray", type=int, choices=(0, 1), required=True, help="distinguished ray index")
-    p.add_argument("--bound", type=int, default=10, help="coordinate bound (default 10)")
+    p.add_argument("--bound", type=_positive_int, default=10, help="coordinate bound (default 10)")
 
     p = add("comult", _cmd_comult, "expand the comultiplication of a monomial")
     p.add_argument("--monomial", required=True, help="JSON pair [a, b] of lattice exponents")
@@ -330,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("invariants", _cmd_invariants, "image-ideal codimension invariants of a spec")
-    p.add_argument("--k-max", type=int, default=8, help="compute for k = 1..k-max (default 8)")
+    p.add_argument("--k-max", type=_positive_int, default=8, help="compute for k = 1..k-max (default 8)")
 
     p = add("quotient", _cmd_quotient, "quotient by a central subgroup of order m")
-    p.add_argument("--m", type=int, required=True, help="order of the central subgroup")
+    p.add_argument("--m", type=_positive_int, required=True, help="order of the central subgroup")
 
     add("opposite", _cmd_opposite, "spec of the opposite monoid")
     add("boundary", _cmd_boundary, "boundary-divisor data of a spec")
@@ -343,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="second point, JSON list of rationals")
 
     p = add("verify", _cmd_verify, "check the bialgebra axioms on a box of monomials")
-    p.add_argument("--box", type=int, default=4, help="coordinate box (default 4)")
+    p.add_argument("--box", type=_positive_int, default=4, help="coordinate box (default 4)")
 
     p = add("catalog", _cmd_catalog, "newline-delimited catalog of all specs in bounds", payload=False)
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--a-max", type=int, default=2)
     p.add_argument("--b-max", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-max", type=_positive_int, default=4)
     p.set_defaults(json_in=None)
 
     return parser

@@ -52,11 +52,29 @@ def as_xy(v: PointLike) -> tuple:
 
 
 def as_int(v) -> int:
-    """Exact integer coercion; anything with a fractional part is refused."""
+    """Exact integer coercion; bools and anything with a fractional part are refused."""
     try:
-        return operator.index(v)
+        if not isinstance(v, bool):
+            return operator.index(v)
     except TypeError:
-        raise ValueError(f"exact integer required, got {v!r}") from None
+        pass
+    raise ValueError(f"exact integer required, got {v!r}")
+
+
+def parse_rational(v) -> int | Fraction:
+    """Exact rational from an int, string, or Fraction: an int when integral.
+
+    Floats and bools are refused, so no rounding or truth value can sneak in.
+    """
+    if type(v) is int:
+        return v
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"exact rational required, got {type(v).__name__} {v!r}")
+    try:
+        q = Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True, order=True)
@@ -72,7 +90,7 @@ class LatticePoint:
     ambient: str = M
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if type(self.x) is not int or type(self.y) is not int:
             raise ValueError(
                 f"lattice point coordinates must be integers, got {(self.x, self.y)!r}"
             )
@@ -111,25 +129,18 @@ class LatticePoint:
 class RationalPoint:
     """An exact rational point of ``M_Q`` or ``N_Q``."""
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
     ambient: str = M
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _exact(self.x))
-        object.__setattr__(self, "y", _exact(self.y))
+        object.__setattr__(self, "x", parse_rational(self.x))
+        object.__setattr__(self, "y", parse_rational(self.y))
         _check_ambient(self.ambient)
 
     @property
-    def xy(self) -> tuple[Fraction, Fraction]:
+    def xy(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.x, self.y)
-
-
-def _exact(v) -> Fraction:
-    """Coerce to Fraction, refusing floats so no rounding can sneak in."""
-    if isinstance(v, float):
-        raise TypeError(f"exact rational required, got float {v!r}")
-    return Fraction(v)
 
 
 def pairing(u: LatticePoint, p: LatticePoint) -> int:
@@ -292,7 +303,7 @@ class LatticeMap:
 
     def __post_init__(self):
         for entry in (self.a, self.b, self.c, self.d):
-            if not isinstance(entry, int):
+            if type(entry) is not int:
                 raise ValueError(f"lattice map entries must be integers, got {entry!r}")
 
     @classmethod

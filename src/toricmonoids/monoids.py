@@ -33,9 +33,18 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd
 
-from .algebra import LaurentElement, TensorElement, parse_rational
+from .algebra import LaurentElement, TensorElement, _merge
 from .demazure import RootPair
-from .lattice import Cone2, LatticeMap, LatticePoint, M, as_int, as_xy, box_lattice_points
+from .lattice import (
+    Cone2,
+    LatticeMap,
+    LatticePoint,
+    M,
+    as_int,
+    as_xy,
+    box_lattice_points,
+    parse_rational,
+)
 
 
 class NotAMonoidError(ValueError):
@@ -79,15 +88,15 @@ class MonoidSpec:
     b: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.family is Family.GROUP:
             if self.a is not None or self.b is not None:
                 raise ValueError("the group family carries no (a, b) parameters")
             return
-        if not isinstance(self.a, int) or self.a < 1:
+        if type(self.a) is not int or self.a < 1:
             raise ValueError(f"a must be a positive integer, got {self.a!r}")
-        if not isinstance(self.b, int) or self.b < 0:
+        if type(self.b) is not int or self.b < 0:
             raise ValueError(f"b must be a nonnegative integer, got {self.b!r}")
         if gcd(self.a, self.b) != 1:
             raise ValueError(f"(a, b) = ({self.a}, {self.b}) must be coprime")
@@ -173,7 +182,7 @@ class ComultRule:
     orientation: Orientation = Orientation.PLUS
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"the comultiplication weight must be a positive integer, got {self.n!r}")
 
 
@@ -246,7 +255,7 @@ def restriction_failure(
     the two ray generators, which is what this finite certificate does.
     Returns ``(generator, missing axis point)`` or None.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if cone.ambient != M:
         raise ValueError("the restriction condition applies to exponent cones in M")
@@ -273,7 +282,7 @@ def classify_cone(cone: Cone2 | HalfPlane, n: int) -> MonoidSpec:
     comultiplication does not restrict.
     """
     if isinstance(cone, HalfPlane):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return MonoidSpec.group(n)
     failure = restriction_failure(cone, n)
@@ -308,7 +317,7 @@ def image_ideal_codim(spec: MonoidSpec, k: int) -> int:
     non-isomorphic structures.
     """
     _require_surface_family(spec, "the image-ideal codimension")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     base = -((-k * spec.b) // spec.a)  # exact ceiling of k*b/a
     if spec.family is Family.X:
@@ -324,7 +333,7 @@ def image_ideal_codim_search(spec: MonoidSpec, k: int) -> int:
     reached by the k-th iterate of the left derivation.
     """
     _require_surface_family(spec, "the image-ideal codimension")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     cone = cone_of_spec(spec)
     sign = 1 if spec.family is Family.X else -1
@@ -378,7 +387,7 @@ def quotient_by_center(spec: MonoidSpec, m: int) -> MonoidSpec:
     ``X(n/m, a*m/g, b/g)`` with ``g = gcd(m, b)``; the Y family goes through
     the opposite, and the group quotients to the group of weight ``n/m``.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if spec.n % m != 0:
         raise ValueError(f"m = {m} does not divide the central order {spec.n}")
@@ -439,7 +448,7 @@ def boundary(spec: MonoidSpec) -> BoundaryInfo:
     )
 
 
-def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[Fraction, ...]:
+def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[int | Fraction, ...]:
     coords = tuple(parse_rational(v) for v in p)
     if len(coords) != arity:
         raise ValueError(f"{spec} chart points have {arity} coordinates, got {len(coords)}")
@@ -451,7 +460,7 @@ def _quadric_k(spec: MonoidSpec) -> int:
     return (spec.b - 1) // 2
 
 
-def multiply_points(spec: MonoidSpec, p, q) -> tuple[Fraction, ...]:
+def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
     """Exact chart-level product of two points.
 
     Supported charts: the affine-plane charts ``X(n, 1, b)`` and
@@ -628,18 +637,12 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
 
     witness = None
     for u, t in expansions.items():
-        lhs: dict = {}
-        rhs: dict = {}
+        lhs = []
+        rhs = []
         for (left, right), coef in t.terms():
-            for (l2, r2), c2 in comult(rule, left).terms():
-                key = (l2, r2, right)
-                lhs[key] = lhs.get(key, 0) + coef * c2
-            for (l2, r2), c2 in comult(rule, right).terms():
-                key = (left, l2, r2)
-                rhs[key] = rhs.get(key, 0) + coef * c2
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
+            lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in comult(rule, left).terms()]
+            rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in comult(rule, right).terms()]
+        if _merge(lhs) != _merge(rhs):
             witness = {"monomial": list(u)}
             break
     checks.append(_result("coassociativity", witness))

@@ -85,3 +85,42 @@ def rand_nonzero_fraction(rng, lo: int = -9, hi: int = 9, dmax: int = 7) -> Frac
         q = rand_fraction(rng, lo, hi, dmax)
         if q:
             return q
+
+
+def add_laurent_keys(k1, k2):
+    return (k1[0] + k2[0], k1[1] + k2[1])
+
+
+def add_tensor_keys(k1, k2):
+    return (add_laurent_keys(k1[0], k2[0]), add_laurent_keys(k1[1], k2[1]))
+
+
+def sparse_sum(*terms_lists) -> dict:
+    """Sum of ``(key, coefficient)`` lists as ``{key: Fraction}``, zero terms dropped."""
+    out: dict = {}
+    for terms in terms_lists:
+        for key, c in terms:
+            out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def sparse_product(f: dict, g: dict, add) -> dict:
+    """Product of two ``{key: Fraction}`` sums by a literal double loop."""
+    return sparse_sum([(add(k1, k2), c1 * c2) for k1, c1 in f.items() for k2, c2 in g.items()])
+
+
+def sparse_power(f: dict, k: int, unit, add) -> dict:
+    """``f`` multiplied into the unit ``k`` times, one factor at a time."""
+    out = {unit: Fraction(1)}
+    for _ in range(k):
+        out = sparse_product(out, f, add)
+    return out
+
+
+def sparse_json(f: dict, fields: tuple[str, ...]) -> list[dict]:
+    """Canonical JSON of ``{key: Fraction}``: keys sorted, coefficients as ``str``."""
+    rows = []
+    for key in sorted(f):
+        legs = (key,) if len(fields) == 1 else key
+        rows.append({**{name: list(leg) for name, leg in zip(fields, legs)}, "coef": str(f[key])})
+    return rows

@@ -4,6 +4,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    add_laurent_keys,
+    add_tensor_keys,
+    sparse_json,
+    sparse_power,
+    sparse_product,
+    sparse_sum,
+)
 from toricmonoids import (
     Cone2,
     DerivationRule,
@@ -25,6 +33,14 @@ coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9).filt
 laurents = st.lists(st.tuples(exponents, coefficients), max_size=4).map(LaurentElement)
 tensor_keys = st.tuples(exponents, exponents)
 tensors = st.lists(st.tuples(tensor_keys, coefficients), max_size=3).map(TensorElement)
+# Integral and non-integral coefficients mixed, as ints, Fractions and strings.
+mixed_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4).map(str),
+)
+laurent_terms = st.lists(st.tuples(exponents, mixed_coefficients), max_size=4)
+tensor_terms = st.lists(st.tuples(tensor_keys, mixed_coefficients), max_size=3)
 
 
 class TestLaurent:
@@ -90,6 +106,36 @@ class TestLaurent:
     @settings(max_examples=60)
     def test_distributive(self, f, g, h):
         assert f * (g + h) == f * g + f * h
+
+
+class TestCoreAgainstOracle:
+    """The shared sparse core against plain-Fraction double loops."""
+
+    CASES = [
+        (LaurentElement, laurent_terms, add_laurent_keys, (0, 0), ("exp",)),
+        (TensorElement, tensor_terms, add_tensor_keys, ((0, 0), (0, 0)), ("left", "right")),
+    ]
+
+    @pytest.mark.parametrize("cls, terms, add, unit, fields", CASES, ids=["laurent", "tensor"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_ring_operations(self, cls, terms, add, unit, fields, data):
+        f_terms, g_terms = data.draw(terms), data.draw(terms)
+        k = data.draw(st.integers(0, 3))
+        f, g = sparse_sum(f_terms), sparse_sum(g_terms)
+        assert (cls(f_terms) * cls(g_terms)).to_json() == sparse_json(sparse_product(f, g, add), fields)
+        assert (cls(f_terms) + cls(g_terms)).to_json() == sparse_json(sparse_sum(f.items(), g.items()), fields)
+        assert (cls(f_terms) ** k).to_json() == sparse_json(sparse_power(f, k, unit, add), fields)
+
+    def test_integral_coefficients_are_ints(self):
+        f = LaurentElement.monomial((1, 0), Fraction(1, 2)) * LaurentElement.monomial((0, 1), "2")
+        assert f.terms() == [((1, 1), 1)]
+        assert type(f.coefficient((1, 1))) is int
+        assert type((f * Fraction(1, 3)).coefficient((1, 1))) is Fraction
+
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentElement.monomial((1, 0), True)
 
 
 class TestTensor:
@@ -218,6 +264,11 @@ class TestEvaluate:
         f = LaurentElement.monomial((0, -1))
         with pytest.raises(PoleError):
             f.evaluate((1, 0))
+
+    def test_negative_exponents_stay_exact(self):
+        value = LaurentElement.monomial((-1, -2)).evaluate((2, 3))
+        assert value == Fraction(1, 18)
+        assert type(value) is Fraction
 
     def test_float_point_rejected(self):
         with pytest.raises(TypeError):

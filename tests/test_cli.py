@@ -262,6 +262,56 @@ class TestCatalog:
         assert code == 2
 
 
+QUADRANT_N = '{"rays":[[1,0],[0,1]],"ambient":"N"}'
+ROOT_1 = '{"e":[-1,1],"ray_index":1}'
+
+
+class TestRejectedInput:
+    """Malformed input exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", '{"family":"X","n":true,"a":1,"b":0}'),
+            ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[true,0]"),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", "[true,2]", "--q", "[1,2]"),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '["1/0",2]', "--q", "[1,2]"),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0]}},{ROOT_1}]'),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"ray_index":1}},{ROOT_1}]'),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":5,"ray_index":1}},{ROOT_1}]'),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0],"ray_index":"1"}},{ROOT_1}]'),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[7,{ROOT_1}]"),
+        ],
+        ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
+             "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object"],
+    )
+    def test_payload_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "0"),
+            ("roots", QUADRANT_N, "--ray", "1", "--bound", "0"),
+            ("classify", '{"rays":[[0,1],[2,3]],"ambient":"M"}', "--n", "0"),
+            ("invariants", '{"family":"X","n":2,"a":3,"b":2}', "--k-max", "0"),
+            ("quotient", '{"family":"X","n":2,"a":1,"b":2}', "--m", "0"),
+            ("catalog", "--k-max", "0"),
+            ("verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "-3"),
+        ],
+        ids=["box", "bound", "n", "invariants-k-max", "m", "catalog-k-max", "negative-box"],
+    )
+    def test_size_below_one_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a positive integer" in err.splitlines()[-1]
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,14 +12,46 @@ from toricmonoids import (
     box_lattice_points,
     hilbert_basis,
     pairing,
+    parse_rational,
     primitive,
 )
+from toricmonoids.lattice import as_int
 
 from oracles import can_represent, dual_rays_by_scan
 
 
 def mk(x, y, ambient=M):
     return LatticePoint(x, y, ambient)
+
+
+class TestExactCoercion:
+    def test_parse_rational_normalises(self):
+        assert type(parse_rational("6/3")) is int and parse_rational("6/3") == 2
+        assert type(parse_rational(Fraction(4))) is int
+        assert parse_rational("-1/2") == Fraction(-1, 2)
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError):
+            parse_rational("1/0")
+
+    @pytest.mark.parametrize("value", [0.5, True, False])
+    def test_float_and_bool_refused(self, value):
+        with pytest.raises(TypeError):
+            parse_rational(value)
+
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(ValueError):
+            as_int(True)
+        with pytest.raises(ValueError):
+            LatticePoint(True, 0)
+        with pytest.raises(ValueError):
+            LatticeMap(1, 0, 0, True)
+
+    def test_rational_point_coordinates(self):
+        p = RationalPoint("3/1", "1/2")
+        assert type(p.x) is int and p.y == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            RationalPoint(0.5, 1)
 
 
 class TestPairing:

@@ -73,6 +73,15 @@ class TestMonoidSpec:
         with pytest.raises(ValueError):
             MonoidSpec(Family.GROUP, 1, 1, 1)
 
+    def test_bool_is_not_an_integer(self):
+        for args in [(True, 1, 0), (1, True, 0), (1, 1, False)]:
+            with pytest.raises(ValueError):
+                MonoidSpec.x(*args)
+        with pytest.raises(ValueError):
+            MonoidSpec.group(True)
+        with pytest.raises(ValueError):
+            ComultRule(True)
+
     def test_json_round_trip(self):
         for s in [MonoidSpec.x(1, 2, 3), MonoidSpec.y(4, 1, 0), MonoidSpec.group(5)]:
             assert MonoidSpec.from_json(s.to_json()) == s
