@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
 
 from .demazure import DemazureRoot, RootPair, roots_up_to
-from .lattice import Cone2, LatticePoint, as_int, hilbert_basis, parse_rational
+from .lattice import M, N, Cone2, LatticePoint, as_int, hilbert_basis, parse_rational
 from .monoids import (
     BoundaryInfo,
+    ConeClosureError,
     Family,
     HalfPlane,
     MonoidSpec,
@@ -73,10 +76,15 @@ def iter_catalog(n_max: int, a_max: int, b_max: int, k_max: int):
     """All X/Y specs with coprime (a, b) within the bounds, each exactly once.
 
     Canonical enumeration order: n, then a, then b, then family (X before Y);
-    the entries are pairwise non-isomorphic.
+    the entries are pairwise non-isomorphic.  The bounds are checked when this
+    is called; the entries are computed lazily, one per step of the iterator.
     """
     if min(n_max, a_max, k_max) < 1 or b_max < 0:
         raise ValueError("catalog bounds must be at least 1 (b may reach 0)")
+    return _catalog_entries(n_max, a_max, b_max, k_max)
+
+
+def _catalog_entries(n_max: int, a_max: int, b_max: int, k_max: int):
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):
             for b in range(0, b_max + 1):
@@ -98,8 +106,13 @@ def _load_payload(args) -> object:
     if getattr(args, "payload", None) is not None:
         text = args.payload
     elif args.json_in is not None:
-        with open(args.json_in, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.json_in, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.json_in}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read {args.json_in}: not UTF-8 text") from None
     else:
         text = sys.stdin.read()
     try:
@@ -117,8 +130,10 @@ def _parse_obj(text: str, what: str) -> object:
 
 def _payload_cone(args) -> Cone2 | HalfPlane:
     data = _load_payload(args)
+    if not isinstance(data, dict):
+        raise UsageError("not a cone payload: expected a JSON object")
     try:
-        if isinstance(data, dict) and data.get("halfplane"):
+        if data.get("halfplane"):
             return HalfPlane()
         return Cone2.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -163,28 +178,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, obj, *, trailing_newline: bool = True) -> None:
-    text = json.dumps(obj)
-    if trailing_newline:
-        text += "\n"
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(args):
+    """The output stream: standard output, or the ``--json-out`` file."""
+    if args.json_out is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(args.json_out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.json_out}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
-def _emit_lines(args, lines) -> None:
-    text = "".join(json.dumps(obj) + "\n" for obj in lines)
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, obj) -> None:
+    with _output(args) as out:
+        out.write(json.dumps(obj) + "\n")
 
 
 def _cmd_classify(args) -> int:
     cone = _payload_cone(args)
+    if isinstance(cone, Cone2) and cone.ambient != M:
+        raise UsageError("classification needs an exponent cone in M")
     try:
         spec = classify_cone(cone, args.n)
     except NotAMonoidError as exc:
@@ -198,13 +214,16 @@ def _cmd_classify(args) -> int:
             },
         )
         return EXIT_DOMAIN
+    except ValueError as exc:
+        _emit(args, {"error": str(exc)})
+        return EXIT_DOMAIN
     _emit(args, spec.to_json())
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
     cone = _payload_cone(args)
-    if isinstance(cone, HalfPlane):
+    if isinstance(cone, HalfPlane) or cone.ambient != N:
         raise UsageError("root enumeration needs a strongly convex cone in N")
     roots = roots_up_to(cone, args.ray, args.bound)
     _emit(args, [r.to_json() for r in roots])
@@ -227,7 +246,7 @@ def _cmd_comult(args) -> int:
         try:
             pair = RootPair(roots[0], roots[1])
             tensor = comult_from_root_pair(cone, pair, monomial)
-        except ValueError as exc:
+        except (ValueError, ConeClosureError) as exc:
             _emit(args, {"error": str(exc)})
             return EXIT_DOMAIN
     else:
@@ -302,10 +321,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_catalog(args) -> int:
     try:
-        entries = list(iter_catalog(args.n_max, args.a_max, args.b_max, args.k_max))
+        entries = iter_catalog(args.n_max, args.a_max, args.b_max, args.k_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit_lines(args, (entry.to_json() for entry in entries))
+    with _output(args) as out:
+        for entry in entries:
+            out.write(json.dumps(entry.to_json()) + "\n")
+            out.flush()
     return EXIT_OK
 
 
@@ -376,7 +398,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``catalog | head``).  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN
+    sys.exit(code)
 
 
 if __name__ == "__main__":

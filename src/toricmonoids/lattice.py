@@ -360,32 +360,52 @@ def box_lattice_points(region, bound: int) -> list[tuple[int, int]]:
     return points
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``a*s + b*t == g == gcd(a, b) >= 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def hilbert_basis(cone: Cone2) -> list[LatticePoint]:
     """The unique minimal generating set of the semigroup of lattice points of a cone.
 
-    Every irreducible semigroup element lies in the fundamental parallelogram
-    spanned by the two ray generators (anything beyond it has a ray generator
-    as a summand), so the candidates are enumerated from a bounding box of the
-    parallelogram and points that split as a sum of two nonzero cone points
-    are sieved out.  Output is sorted in the fixed total order.
+    Computed by the Hirzebruch–Jung recurrence (Cox–Little–Schenck, *Toric
+    Varieties*, Ch. 10; Oda, *Convex Bodies and Algebraic Geometry*, Ch. 1).
+    With the rays ordered so that ``D = det(r1, r2) > 0``, the generators in
+    angular order are ``u_0 = r1, u_1, ..., u_s = r2``: consecutive ones form
+    a lattice basis, ``u_1 = c*r1 + w`` where ``det(r1, w) = 1`` and
+    ``c = ceil(det(r2, w) / D)``, and ``u_{i+1} = b_i*u_i - u_{i-1}`` with
+    ``b_i = ceil(det(u_{i-1}, r2) / det(u_i, r2))`` until ``u_i = r2``.
+    Cost: one extended gcd and then one integer step per generator, so
+    O(s + log max|r1|) for ``s`` generators, with no box scan and no
+    ``Fraction``; ``s`` is at most ``D + 1``.  Output is sorted in the fixed
+    total order.
     """
     r1, r2 = (r.xy for r in cone.rays)
-    corners = [(0, 0), r1, r2, (r1[0] + r2[0], r1[1] + r2[1])]
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    candidates = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0):
-                continue
-            alpha, beta = cone.ray_coefficients((x, y))
-            if 0 <= alpha <= 1 and 0 <= beta <= 1:
-                candidates.append((x, y))
-    generators = []
-    for u in candidates:
-        decomposable = any(
-            v != u and cone.contains((u[0] - v[0], u[1] - v[1])) for v in candidates
-        )
-        if not decomposable:
-            generators.append(u)
+    d = cone._det
+    if d < 0:
+        r1, r2, d = r2, r1, -d
+    _, s, t = _ext_gcd(*r1)
+    w = (-t, s)
+    c = -(-_det(r2, w) // d)
+    prev, cur = r1, (c * r1[0] + w[0], c * r1[1] + w[1])
+    d_prev, d_cur = d, _det(cur, r2)
+    generators = [prev]
+    while d_cur:
+        b = -(-d_prev // d_cur)
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        d_prev, d_cur = d_cur, b * d_cur - d_prev
+        generators.append(prev)
+    generators.append(cur)
     return [LatticePoint(x, y, cone.ambient) for (x, y) in sorted(generators)]

@@ -8,7 +8,7 @@ are checked against a second, unrelated route.
 from fractions import Fraction
 from math import gcd
 
-from toricmonoids import Cone2, box_lattice_points
+from toricmonoids import Cone2, LatticePoint, box_lattice_points
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -74,6 +74,37 @@ def roots_by_double_loop(sigma: Cone2, ray_index: int, bound: int) -> list[tuple
             if ex * p[0] + ey * p[1] == -1 and ex * q[0] + ey * q[1] >= 0:
                 out.append((ex, ey))
     return sorted(out)
+
+
+def hilbert_basis_by_sieve(cone: Cone2) -> list[LatticePoint]:
+    """Minimal generators of the cone's lattice points by an O(det^2) sieve.
+
+    Every irreducible semigroup element lies in the fundamental parallelogram
+    spanned by the two ray generators (anything beyond it has a ray generator
+    as a summand), so the candidates are enumerated from a bounding box of the
+    parallelogram and points that split as a sum of two nonzero cone points
+    are sieved out.  Output is sorted in the fixed total order.
+    """
+    r1, r2 = (r.xy for r in cone.rays)
+    corners = [(0, 0), r1, r2, (r1[0] + r2[0], r1[1] + r2[1])]
+    xs = [p[0] for p in corners]
+    ys = [p[1] for p in corners]
+    candidates = []
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if (x, y) == (0, 0):
+                continue
+            alpha, beta = cone.ray_coefficients((x, y))
+            if 0 <= alpha <= 1 and 0 <= beta <= 1:
+                candidates.append((x, y))
+    generators = []
+    for u in candidates:
+        decomposable = any(
+            v != u and cone.contains((u[0] - v[0], u[1] - v[1])) for v in candidates
+        )
+        if not decomposable:
+            generators.append(u)
+    return [LatticePoint(x, y, cone.ambient) for (x, y) in sorted(generators)]
 
 
 def rand_fraction(rng, lo: int = -9, hi: int = 9, dmax: int = 7) -> Fraction:

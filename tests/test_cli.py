@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricmonoids
 from toricmonoids import MonoidSpec, boundary, distinguish, image_ideal_codim
 from toricmonoids.cli import main
 
@@ -281,9 +286,17 @@ class TestRejectedInput:
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":5,"ray_index":1}},{ROOT_1}]'),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0],"ray_index":"1"}},{ROOT_1}]'),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[7,{ROOT_1}]"),
+            ("roots", '{"rays":[[0,1],[1,0]],"ambient":"M"}', "--ray", "0"),
+            ("classify", '{"rays":[[0,1],[1,0]],"ambient":"N"}', "--n", "1"),
+            ("catalog", "--n-max", "0"),
+            ("catalog", "--b-max", "-1"),
+            ("classify", "[1,2]", "--n", "1"),
+            ("roots", "5", "--ray", "0"),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
-             "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object"],
+             "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
+             "roots-of-m-cone", "classify-n-cone", "catalog-n-max", "catalog-b-max",
+             "cone-payload-list", "cone-payload-number"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -311,6 +324,109 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert "expected a positive integer" in err.splitlines()[-1]
 
+
+
+class TestErrorContract:
+    """Domain failures exit 1 with JSON; unusable files exit 2 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", '{"rays":[[0,1],[-1,0]],"ambient":"M"}', "--n", "1"),
+            (
+                "comult", QUADRANT_N, "--monomial", "[1,1]",
+                "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-3,0],"ray_index":1}]',
+            ),
+        ],
+        ids=["classify-left-half-plane", "comult-leaves-cone"],
+    )
+    def test_domain_error_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        assert list(json.loads(out)) == ["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", '{"rays":[[0,1],[2,3]],"ambient":"M"}', "--n", "1"),
+            ("roots", QUADRANT_N, "--ray", "1"),
+            ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[1,0]"),
+            ("invariants", '{"family":"X","n":2,"a":3,"b":2}'),
+            ("quotient", '{"family":"X","n":6,"a":1,"b":2}', "--m", "3"),
+            ("opposite", '{"family":"X","n":3,"a":2,"b":1}'),
+            ("boundary", '{"family":"X","n":1,"a":1,"b":1}'),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", "[1,2]", "--q", "[3,4]"),
+            ("verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "1"),
+            ("catalog", "--n-max", "1", "--a-max", "1", "--b-max", "1"),
+            ("classify", '{"rays":[[1,1],[1,-1]],"ambient":"M"}', "--n", "1"),
+        ],
+        ids=["classify", "roots", "comult", "invariants", "quotient", "opposite", "boundary",
+             "multiply", "verify", "catalog", "domain-failure"],
+    )
+    def test_unwritable_json_out_exit_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *argv, "--json-out", str(target))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
+        assert not target.parent.exists()
+
+    def test_unreadable_json_in_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "classify", "--n", "1", "--json-in", str(tmp_path / "missing.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
+
+
+class TestCatalogStreaming:
+    def test_lines_written_as_produced(self, capsys, monkeypatch):
+        """A failure at the second entry leaves the first line already written."""
+        import toricmonoids.cli as cli
+
+        real = cli.boundary
+        calls = []
+
+        def failing_boundary(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise RuntimeError("stop after the first entry")
+            return real(spec)
+
+        monkeypatch.setattr(cli, "boundary", failing_boundary)
+        with pytest.raises(RuntimeError):
+            main(["catalog", "--n-max", "1", "--a-max", "1", "--b-max", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["spec"] == {"family": "X", "n": 1, "a": 1, "b": 0}
+
+    def test_json_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["catalog", "--n-max", "2", "--a-max", "3", "--b-max", "2", "--k-max", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        dst = tmp_path / "catalog.ndjson"
+        code_file, out_file, _ = run_cli(capsys, *argv, "--json-out", str(dst))
+        assert code == code_file == 0
+        assert out_file == ""
+        assert dst.read_text() == out
+
+    def test_reader_closing_early_is_quiet(self):
+        """``catalog | head -1``: no traceback once the reader is gone."""
+        src = str(Path(toricmonoids.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["catalog", "--n-max", "3", "--a-max", "12", "--b-max", "12"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "toricmonoids.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert json.loads(first)["spec"]["a"] == 1
+        assert err == b""
+        assert code == 1
 
 class TestUsage:
     def test_unknown_command(self, capsys):

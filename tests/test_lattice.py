@@ -1,5 +1,8 @@
-import pytest
+import random
 from fractions import Fraction
+from functools import cmp_to_key
+
+import pytest
 
 from toricmonoids import (
     Cone2,
@@ -17,7 +20,7 @@ from toricmonoids import (
 )
 from toricmonoids.lattice import as_int
 
-from oracles import can_represent, dual_rays_by_scan
+from oracles import can_represent, dual_rays_by_scan, hilbert_basis_by_sieve
 
 
 def mk(x, y, ambient=M):
@@ -285,6 +288,45 @@ class TestHilbertBasis:
         gens = {g.xy for g in hilbert_basis(c)}
         assert {(0, 1), (7, 5)} <= gens
 
+
+    @pytest.mark.parametrize("ambient", [M, N])
+    def test_matches_sieve_on_random_cones(self, ambient):
+        rng = random.Random(11 if ambient == M else 12)
+        cones = [Cone2.from_rays((1, 0), (0, 1), ambient), Cone2.from_rays((0, 1), (1, 0), ambient)]
+        while len(cones) < 500:
+            coords = [rng.randint(-12, 12) for _ in range(4)]
+            if coords[:2] == [0, 0] or coords[2:] == [0, 0]:
+                continue
+            try:
+                cones.append(Cone2.from_rays(coords[:2], coords[2:], ambient))
+            except DegenerateConeError:
+                continue
+        dets = [c._det for c in cones]
+        assert any(d > 0 for d in dets) and any(d < 0 for d in dets)
+        assert any(abs(d) == 1 for d in dets)
+        for cone in cones:
+            assert hilbert_basis(cone) == hilbert_basis_by_sieve(cone), cone
+
+    @pytest.mark.parametrize(
+        "rays, ambient",
+        [(((1, 0), (1234567, 1000003)), M), (((-999999, 7), (5, -1000001)), N)],
+    )
+    def test_huge_determinant(self, rays, ambient):
+        cone = Cone2.from_rays(*rays, ambient=ambient)
+        assert abs(cone._det) >= 10**6
+        gens = hilbert_basis(cone)
+        assert set(cone.rays) <= set(gens)
+        assert all(g.ambient == ambient and cone.contains(g) for g in gens)
+        assert gens == sorted(gens)
+        r1, r2 = (r.xy for r in cone.rays)
+        sign = 1 if cone._det > 0 else -1
+
+        def det(u, v):
+            return u[0] * v[1] - u[1] * v[0]
+
+        angular = sorted((g.xy for g in gens), key=cmp_to_key(lambda u, v: -sign * det(u, v)))
+        assert angular[0] == r1 and angular[-1] == r2
+        assert all(abs(det(u, v)) == 1 for u, v in zip(angular, angular[1:]))
 
 def test_box_lattice_points():
     q = Cone2.from_rays((1, 0), (0, 1), M)
