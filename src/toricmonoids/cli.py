@@ -234,7 +234,7 @@ def _cmd_comult(args) -> int:
     monomial = _parse_monomial(args.monomial)
     if args.pair is not None:
         cone = _payload_cone(args)
-        if isinstance(cone, HalfPlane):
+        if isinstance(cone, HalfPlane) or cone.ambient != N:
             raise UsageError("the root-pair mode needs a strongly convex cone in N")
         pair_data = _parse_obj(args.pair, "root pair")
         if not isinstance(pair_data, list) or len(pair_data) != 2:

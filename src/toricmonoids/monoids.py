@@ -31,7 +31,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import gcd
 
 from .algebra import LaurentElement, TensorElement, _merge
 from .demazure import RootPair
@@ -40,6 +40,7 @@ from .lattice import (
     LatticeMap,
     LatticePoint,
     M,
+    N,
     as_int,
     as_xy,
     box_lattice_points,
@@ -186,11 +187,29 @@ class ComultRule:
             raise ValueError(f"the comultiplication weight must be a positive integer, got {self.n!r}")
 
 
+def _binomials(d: int) -> list[int]:
+    """The binomial row ``[C(d, 0), ..., C(d, d)]``.
+
+    Each entry is one exact big-int step from the one before,
+    ``C(d, i+1) = C(d, i) * (d-i) // (i+1)``; the second half mirrors the first.
+    """
+    row = [1] * (d + 1)
+    c = 1
+    for i in range(d // 2):
+        c = c * (d - i) // (i + 1)
+        row[i + 1] = row[d - i - 1] = c
+    return row
+
+
 def comult(rule: ComultRule, u) -> TensorElement:
     """Comultiplication of the monomial ``u``.
 
     ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b`` for the
     PLUS orientation; MINUS first flips the sign of the ``y``-exponent.
+    Costs at most one big-int step per term: the binomials come from one
+    row recurrence, and the terms are built already sorted (the left
+    x-exponent ``a-i`` ascends, so no two keys coincide) and skip the
+    checking constructor.
     """
     a, b = (as_int(v) for v in as_xy(u))
     if a < 0:
@@ -198,9 +217,8 @@ def comult(rule: ComultRule, u) -> TensorElement:
     if rule.orientation is Orientation.MINUS:
         b = -b
     n = rule.n
-    return TensorElement(
-        [(((a - i, b + n * i), (i, b)), comb(a, i)) for i in range(a + 1)]
-    )
+    row = _binomials(a)
+    return TensorElement._of({((a - i, b + n * i), (i, b)): row[i] for i in range(a, -1, -1)})
 
 
 def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
@@ -219,10 +237,14 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     """Comultiplication induced by an ordered pair of Demazure roots.
 
     Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d`` with
-    ``d = <p_i, u>``.  Every exponent of the result must stay in the dual
-    cone; escape signals an invalid root pair and raises
-    :class:`ConeClosureError`.
+    ``d = <p_i, u>``.  The cone must lie in N.  Every exponent of the result
+    must stay in the dual cone; escape signals an invalid root pair and
+    raises :class:`ConeClosureError`.  Costs at most one big-int step per
+    term (one binomial row recurrence) plus one sort of the ``d + 1`` terms
+    into the canonical key order.
     """
+    if sigma.ambient != N:
+        raise ValueError("the root-pair comultiplication needs a cone in N")
     dual = sigma.dual()
     ux, uy = (as_int(v) for v in as_xy(u))
     if not dual.contains((ux, uy)):
@@ -231,6 +253,7 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     d = ux * p.x + uy * p.y
     e1 = pair.e1.e.xy
     e2 = pair.e2.e.xy
+    row = _binomials(d)
     terms = []
     for j in range(d + 1):
         left = (ux + j * e2[0], uy + j * e2[1])
@@ -241,8 +264,8 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
                     f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
                     f"the root pair is not valid for {sigma}"
                 )
-        terms.append(((left, right), comb(d, j)))
-    return TensorElement(terms)
+        terms.append(((left, right), row[j]))
+    return TensorElement._of(_merge(terms))
 
 
 def restriction_failure(
@@ -602,11 +625,21 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     Checks, in order: closure of every expansion exponent in the region, both
     counit identities, coassociativity, and multiplicativity on all monomial
     pairs.  Failures are reported with the first counterexample, never raised.
+    Each distinct exponent is expanded once per call: the box monomials, the
+    legs in coassociativity and the sums in multiplicativity share one table.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
+    expanded: dict[tuple[int, int], TensorElement] = {}
+
+    def expand(u: tuple[int, int]) -> TensorElement:
+        t = expanded.get(u)
+        if t is None:
+            t = expanded[u] = comult(rule, u)
+        return t
+
     points = box_lattice_points(region, box)
-    expansions = {u: comult(rule, u) for u in points}
+    expansions = {u: expand(u) for u in points}
     checks = []
 
     witness = None
@@ -640,8 +673,8 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
         lhs = []
         rhs = []
         for (left, right), coef in t.terms():
-            lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in comult(rule, left).terms()]
-            rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in comult(rule, right).terms()]
+            lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in expand(left).terms()]
+            rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in expand(right).terms()]
         if _merge(lhs) != _merge(rhs):
             witness = {"monomial": list(u)}
             break
@@ -649,7 +682,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
 
     witness = None
     for u, v in combinations_with_replacement(points, 2):
-        product = comult(rule, (u[0] + v[0], u[1] + v[1]))
+        product = expand((u[0] + v[0], u[1] + v[1]))
         if product != expansions[u] * expansions[v]:
             witness = {"pair": [list(u), list(v)]}
             break

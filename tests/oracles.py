@@ -6,9 +6,25 @@ are checked against a second, unrelated route.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations_with_replacement
+from math import comb, gcd
 
-from toricmonoids import Cone2, LatticePoint, box_lattice_points
+from toricmonoids import (
+    CheckResult,
+    ComultRule,
+    Cone2,
+    ConeClosureError,
+    LatticePoint,
+    LaurentElement,
+    Orientation,
+    RootPair,
+    TensorElement,
+    VerificationReport,
+    box_lattice_points,
+    monoids,
+)
+from toricmonoids.algebra import _merge
+from toricmonoids.lattice import as_int, as_xy
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -105,6 +121,107 @@ def hilbert_basis_by_sieve(cone: Cone2) -> list[LatticePoint]:
         if not decomposable:
             generators.append(u)
     return [LatticePoint(x, y, cone.ambient) for (x, y) in sorted(generators)]
+
+
+def comult_by_comb(rule: ComultRule, u) -> TensorElement:
+    """The weight-``n`` comultiplication with every binomial from ``math.comb``,
+    built through the checking ``TensorElement`` constructor."""
+    a, b = (as_int(v) for v in as_xy(u))
+    if a < 0:
+        raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
+    if rule.orientation is Orientation.MINUS:
+        b = -b
+    n = rule.n
+    return TensorElement(
+        [(((a - i, b + n * i), (i, b)), comb(a, i)) for i in range(a + 1)]
+    )
+
+
+def comult_from_root_pair_by_comb(sigma: Cone2, pair: RootPair, u) -> TensorElement:
+    """The root-pair comultiplication with every binomial from ``math.comb``,
+    built through the checking ``TensorElement`` constructor."""
+    dual = sigma.dual()
+    ux, uy = (as_int(v) for v in as_xy(u))
+    if not dual.contains((ux, uy)):
+        raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
+    p = sigma.rays[pair.ray_index]
+    d = ux * p.x + uy * p.y
+    e1 = pair.e1.e.xy
+    e2 = pair.e2.e.xy
+    terms = []
+    for j in range(d + 1):
+        left = (ux + j * e2[0], uy + j * e2[1])
+        right = (ux + (d - j) * e1[0], uy + (d - j) * e1[1])
+        for exponent in (left, right):
+            if not dual.contains(exponent):
+                raise ConeClosureError(
+                    f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
+                    f"the root pair is not valid for {sigma}"
+                )
+        terms.append(((left, right), comb(d, j)))
+    return TensorElement(terms)
+
+
+def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationReport:
+    """The bialgebra axiom checks with a fresh ``monoids.comult`` call for every
+    expansion they need, so a monomial met k times is expanded k times."""
+    if box < 1:
+        raise ValueError("box must be at least 1")
+    points = box_lattice_points(region, box)
+    expansions = {u: monoids.comult(rule, u) for u in points}
+    checks = []
+
+    witness = None
+    for u, t in expansions.items():
+        for (left, right) in t.support():
+            if not (region.contains(left) and region.contains(right)):
+                escaped = left if not region.contains(left) else right
+                witness = {"monomial": list(u), "escaped": list(escaped)}
+                break
+        if witness:
+            break
+    checks.append(_result("cone-closure", witness))
+
+    for name, keep in (("counit-left", "right"), ("counit-right", "left")):
+        witness = None
+        for u, t in expansions.items():
+            collapsed = LaurentElement(
+                [
+                    (right if keep == "right" else left, coef)
+                    for (left, right), coef in t.terms()
+                    if (left if keep == "right" else right)[0] == 0
+                ]
+            )
+            if collapsed != LaurentElement.monomial(u):
+                witness = {"monomial": list(u)}
+                break
+        checks.append(_result(name, witness))
+
+    witness = None
+    for u, t in expansions.items():
+        lhs = []
+        rhs = []
+        for (left, right), coef in t.terms():
+            lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in monoids.comult(rule, left).terms()]
+            rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in monoids.comult(rule, right).terms()]
+        if _merge(lhs) != _merge(rhs):
+            witness = {"monomial": list(u)}
+            break
+    checks.append(_result("coassociativity", witness))
+
+    witness = None
+    for u, v in combinations_with_replacement(points, 2):
+        product = monoids.comult(rule, (u[0] + v[0], u[1] + v[1]))
+        if product != expansions[u] * expansions[v]:
+            witness = {"pair": [list(u), list(v)]}
+            break
+    checks.append(_result("multiplicativity", witness))
+
+    return VerificationReport(tuple(checks))
+
+
+def _result(name: str, witness: dict | None) -> CheckResult:
+    return CheckResult(name, "fail" if witness else "pass", witness)
 
 
 def rand_fraction(rng, lo: int = -9, hi: int = 9, dmax: int = 7) -> Fraction:

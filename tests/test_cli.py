@@ -292,11 +292,15 @@ class TestRejectedInput:
             ("catalog", "--b-max", "-1"),
             ("classify", "[1,2]", "--n", "1"),
             ("roots", "5", "--ray", "0"),
+            (
+                "comult", '{"rays":[[1,0],[0,1]],"ambient":"M"}', "--monomial", "[1,1]",
+                "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
+            ),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
              "roots-of-m-cone", "classify-n-cone", "catalog-n-max", "catalog-b-max",
-             "cone-payload-list", "cone-payload-number"],
+             "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -1,13 +1,17 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricmonoids import (
     ComultRule,
     Cone2,
     ConeClosureError,
+    DegenerateConeError,
     DemazureRoot,
     Family,
     HalfPlane,
@@ -36,18 +40,29 @@ from toricmonoids import (
     hilbert_basis,
     image_ideal_codim,
     image_ideal_codim_search,
+    monoids,
     multiply_points,
     opposite,
     opposite_witness,
     quotient_by_center,
     restriction_condition,
     restriction_failure,
+    roots_up_to,
     tensor_chart_value,
     verify_bialgebra,
     verify_comultiplication,
 )
 
-from oracles import rand_fraction, rand_nonzero_fraction, restriction_scan
+from toricmonoids.monoids import _binomials
+
+from oracles import (
+    comult_by_comb,
+    comult_from_root_pair_by_comb,
+    rand_fraction,
+    rand_nonzero_fraction,
+    restriction_scan,
+    verify_by_reexpansion,
+)
 
 
 def small_xy_specs(n_max, ab_max, b_min=0):
@@ -213,6 +228,14 @@ class TestComultFromRootPair:
         with pytest.raises(ValueError):
             comult_from_root_pair(self.QUADRANT, pair, (-1, 2))
 
+    def test_cone_in_m_rejected(self):
+        sigma = Cone2.from_rays((1, 0), (0, 1), M)
+        pair = RootPair(
+            DemazureRoot(LatticePoint(-1, 0, M), 1), DemazureRoot(LatticePoint(-1, 1, M), 1)
+        )
+        with pytest.raises(ValueError, match="cone in N"):
+            comult_from_root_pair(sigma, pair, (1, 1))
+
     def test_invalid_pair_escapes_cone(self):
         # raw-constructed non-root: expansion must leave the cone and say so
         bogus = RootPair(
@@ -220,6 +243,45 @@ class TestComultFromRootPair:
         )
         with pytest.raises(ConeClosureError):
             comult_from_root_pair(self.QUADRANT, bogus, (1, 0))
+
+
+def canonical(t: TensorElement) -> str:
+    return json.dumps(t.to_json())
+
+
+class TestExpansionOracles:
+    """The recurrence-built expansions against the per-term ``math.comb`` routes."""
+
+    def test_binomial_rows(self):
+        for d in range(301):
+            assert _binomials(d) == [comb(d, i) for i in range(d + 1)]
+
+    @given(
+        st.integers(0, 60),
+        st.integers(-50, 50),
+        st.integers(1, 6),
+        st.sampled_from(list(Orientation)),
+    )
+    def test_comult(self, a, b, n, orientation):
+        rule = ComultRule(n, orientation)
+        assert canonical(comult(rule, (a, b))) == canonical(comult_by_comb(rule, (a, b)))
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_root_pair_on_random_cones(self, data):
+        ray = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        try:
+            sigma = Cone2.from_rays(data.draw(ray), data.draw(ray), N)
+        except DegenerateConeError:
+            assume(False)
+        i = data.draw(st.integers(0, 1))
+        roots = roots_up_to(sigma, i, 8)
+        assume(roots)
+        pair = RootPair(data.draw(st.sampled_from(roots)), data.draw(st.sampled_from(roots)))
+        u = data.draw(st.sampled_from(box_lattice_points(sigma.dual(), 5)))
+        assert canonical(comult_from_root_pair(sigma, pair, u)) == canonical(
+            comult_from_root_pair_by_comb(sigma, pair, u)
+        )
 
 
 class TestRestriction:
@@ -638,6 +700,60 @@ class TestVerify:
     def test_box_validated(self):
         with pytest.raises(ValueError):
             verify_bialgebra(MonoidSpec.x(1, 1, 1), 0)
+
+
+class TestVerifyExpandsOnce:
+    """One ``comult`` call per distinct exponent, and the same report as re-expanding."""
+
+    @pytest.mark.parametrize(
+        "spec, rule, box",
+        [
+            (MonoidSpec.group(3), ComultRule(3), 3),
+            (MonoidSpec.x(2, 3, 2), ComultRule(2), 4),
+            (MonoidSpec.y(2, 1, 1), ComultRule(2), 4),
+            (MonoidSpec.y(2, 1, 1), ComultRule(5), 4),
+        ],
+        ids=["group", "x", "y", "corrupted-rule"],
+    )
+    def test_matches_reexpansion(self, spec, rule, box):
+        region = cone_of_spec(spec)
+        assert (
+            verify_comultiplication(region, rule, box).to_json()
+            == verify_by_reexpansion(region, rule, box).to_json()
+        )
+
+    def test_wrong_coefficient_gives_pair_witness(self, monkeypatch):
+        exact = monoids.comult
+
+        def skewed(rule, u):
+            t = exact(rule, u)
+            a, b = u
+            return t if a < 2 else t + TensorElement.monomial((a - 1, b + rule.n), (1, b))
+
+        monkeypatch.setattr(monoids, "comult", skewed)
+        region = cone_of_spec(MonoidSpec.x(1, 1, 0))
+        report = verify_comultiplication(region, ComultRule(1), 3)
+        assert report.to_json() == verify_by_reexpansion(region, ComultRule(1), 3).to_json()
+        multiplicativity = report.checks[-1]
+        assert multiplicativity.name == "multiplicativity" and not multiplicativity.passed
+        assert set(multiplicativity.witness) == {"pair"}
+
+    def test_one_comult_call_per_distinct_exponent(self, monkeypatch):
+        exact = monoids.comult
+        calls = Counter()
+
+        def counting(rule, u):
+            calls[u] += 1
+            return exact(rule, u)
+
+        monkeypatch.setattr(monoids, "comult", counting)
+        region, rule = cone_of_spec(MonoidSpec.x(2, 3, 2)), ComultRule(2)
+        verify_by_reexpansion(region, rule, 4)
+        needed = set(calls)
+        assert sum(calls.values()) > len(needed)
+        calls.clear()
+        verify_comultiplication(region, rule, 4)
+        assert calls == Counter(dict.fromkeys(needed, 1))
 
 
 class TestNoncommutativityWitness:
