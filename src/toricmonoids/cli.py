@@ -47,6 +47,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+# ``roots`` tests every point of the (2*bound+1)^2 box: about 4 million tests at this bound.
+MAX_ROOT_BOUND = 1000
+
 
 class UsageError(Exception):
     """Malformed payloads and other recoverable input problems (exit code 2)."""
@@ -222,6 +225,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    if args.bound > MAX_ROOT_BOUND:
+        raise UsageError(f"--bound is at most {MAX_ROOT_BOUND}, got {args.bound}")
     cone = _payload_cone(args)
     if isinstance(cone, HalfPlane) or cone.ambient != N:
         raise UsageError("root enumeration needs a strongly convex cone in N")
@@ -352,7 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("roots", _cmd_roots, "enumerate Demazure roots of a cone in N")
     p.add_argument("--ray", type=int, choices=(0, 1), required=True, help="distinguished ray index")
-    p.add_argument("--bound", type=_positive_int, default=10, help="coordinate bound (default 10)")
+    p.add_argument(
+        "--bound",
+        type=_positive_int,
+        default=10,
+        help=f"coordinate bound, at most {MAX_ROOT_BOUND} (default 10)",
+    )
 
     p = add("comult", _cmd_comult, "expand the comultiplication of a monomial")
     p.add_argument("--monomial", required=True, help="JSON pair [a, b] of lattice exponents")

@@ -53,6 +53,8 @@ def as_xy(v: PointLike) -> tuple:
 
 def as_int(v) -> int:
     """Exact integer coercion; bools and anything with a fractional part are refused."""
+    if type(v) is int:
+        return v
     try:
         if not isinstance(v, bool):
             return operator.index(v)

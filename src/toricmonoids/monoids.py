@@ -239,9 +239,13 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d`` with
     ``d = <p_i, u>``.  The cone must lie in N.  Every exponent of the result
     must stay in the dual cone; escape signals an invalid root pair and
-    raises :class:`ConeClosureError`.  Costs at most one big-int step per
-    term (one binomial row recurrence) plus one sort of the ``d + 1`` terms
-    into the canonical key order.
+    raises :class:`ConeClosureError`.  The left exponents ``u + j*e2`` and
+    the right exponents ``u + (d-j)*e1`` each run along a segment from ``u``,
+    and the dual cone is convex, so closure is decided by the two far ends
+    ``u + d*e2`` and ``u + d*e1``; only when one escapes are the terms walked
+    (left before right, ``j`` ascending) to name the first escaping exponent.
+    Costs at most one big-int step per term (one binomial row recurrence)
+    plus one sort of the ``d + 1`` terms into the canonical key order.
     """
     if sigma.ambient != N:
         raise ValueError("the root-pair comultiplication needs a cone in N")
@@ -253,19 +257,17 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     d = ux * p.x + uy * p.y
     e1 = pair.e1.e.xy
     e2 = pair.e2.e.xy
-    row = _binomials(d)
-    terms = []
-    for j in range(d + 1):
-        left = (ux + j * e2[0], uy + j * e2[1])
-        right = (ux + (d - j) * e1[0], uy + (d - j) * e1[1])
-        for exponent in (left, right):
-            if not dual.contains(exponent):
-                raise ConeClosureError(
-                    f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
-                    f"the root pair is not valid for {sigma}"
-                )
-        terms.append(((left, right), row[j]))
-    return TensorElement._of(_merge(terms))
+    lefts = [(ux + j * e2[0], uy + j * e2[1]) for j in range(d + 1)]
+    rights = [(ux + (d - j) * e1[0], uy + (d - j) * e1[1]) for j in range(d + 1)]
+    if not (dual.contains(lefts[-1]) and dual.contains(rights[0])):
+        for left, right in zip(lefts, rights):
+            for exponent in (left, right):
+                if not dual.contains(exponent):
+                    raise ConeClosureError(
+                        f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
+                        f"the root pair is not valid for {sigma}"
+                    )
+    return TensorElement._of(_merge(zip(zip(lefts, rights), _binomials(d))))
 
 
 def restriction_failure(

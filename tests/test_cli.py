@@ -296,11 +296,14 @@ class TestRejectedInput:
                 "comult", '{"rays":[[1,0],[0,1]],"ambient":"M"}', "--monomial", "[1,1]",
                 "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
             ),
+            ("roots", QUADRANT_N, "--ray", "1", "--bound", "1001"),
+            ("roots", QUADRANT_N, "--ray", "1", "--bound", "100000000"),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
              "roots-of-m-cone", "classify-n-cone", "catalog-n-max", "catalog-b-max",
-             "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone"],
+             "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone",
+             "roots-bound-1001", "roots-bound-1e8"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -1,9 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import toricmonoids.demazure as demazure
 
 from toricmonoids import (
     Cone2,
+    DegenerateConeError,
     DemazureRoot,
     LatticeMap,
     LatticePoint,
@@ -64,6 +69,48 @@ class TestIsRoot:
             DemazureRoot.validated(QUADRANT, i, (1, 0))
 
 
+def _random_n_cone(data, coord):
+    ray = st.tuples(st.integers(-coord, coord), st.integers(-coord, coord))
+    try:
+        return Cone2.from_rays(data.draw(ray), data.draw(ray), N)
+    except DegenerateConeError:
+        assume(False)
+
+
+class TestIsRootFastPath:
+    """The exact-pair fast path against inline dot products; other inputs keep
+    the validating route's errors."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_dot_products(self, data):
+        sigma = _random_n_cone(data, 12)
+        i = data.draw(st.integers(0, 1))
+        x, y = data.draw(st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+        (pix, piy), (pjx, pjy) = sigma.rays[i].xy, sigma.rays[1 - i].xy
+        expected = x * pix + y * piy == -1 and x * pjx + y * pjy >= 0
+        for e in ((x, y), [x, y], LatticePoint(x, y, M)):
+            assert is_demazure_root(sigma, i, e) is expected
+
+    @pytest.mark.parametrize(
+        "sigma, ray_index, e, message",
+        [
+            (QUADRANT, 0, (True, 0), "exact integer required, got True"),
+            (QUADRANT, 0, (1.0, 2), "exact integer required, got 1.0"),
+            (QUADRANT, 0, (Fraction(1, 2), 0), "exact integer required, got Fraction(1, 2)"),
+            (QUADRANT, 0, (1, 2, 3), "too many values to unpack (expected 2)"),
+            (QUADRANT, 0, LatticePoint(-1, 0, N), "a Demazure root is a character, i.e. a point of M"),
+            (Cone2.from_rays((1, 0), (0, 1), M), 0, (-1, 0), "Demazure roots are taken for a cone in N"),
+            (QUADRANT, 2, (-1, 0), "ray_index must be 0 or 1"),
+        ],
+        ids=["bool", "float", "fraction", "triple", "point-in-n", "cone-in-m", "ray-index-2"],
+    )
+    def test_errors_unchanged(self, sigma, ray_index, e, message):
+        with pytest.raises(ValueError) as exc:
+            is_demazure_root(sigma, ray_index, e)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 class TestRootsUpTo:
     def test_quadrant_bound_3(self):
         i = QUADRANT.ray_index((1, 0))
@@ -96,6 +143,29 @@ class TestRootsUpTo:
                 assert got == roots_by_double_loop(sigma, i, bound)
                 for e in got:
                     assert is_demazure_root(sigma, i, e)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_double_loop_on_random_cones(self, data):
+        sigma = _random_n_cone(data, 12)
+        bound = data.draw(st.integers(1, 15))
+        for i in (0, 1):
+            got = [r.e.xy for r in roots_up_to(sigma, i, bound)]
+            assert got == roots_by_double_loop(sigma, i, bound)
+
+    def test_tests_every_box_point(self, monkeypatch):
+        calls = []
+        real = demazure.is_demazure_root
+
+        def counting(sigma, ray_index, e):
+            calls.append(e)
+            return real(sigma, ray_index, e)
+
+        monkeypatch.setattr(demazure, "is_demazure_root", counting)
+        for bound in (1, 5, 12):
+            calls.clear()
+            roots_up_to(Cone2.from_rays((1, 0), (-3, 2), N), 0, bound)
+            assert len(calls) == (2 * bound + 1) ** 2
 
 
 class TestRootBasis:

@@ -283,6 +283,30 @@ class TestExpansionOracles:
             comult_from_root_pair_by_comb(sigma, pair, u)
         )
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_root_pair_closure_from_segment_ends(self, data):
+        # roots and arbitrary characters mixed, so both valid and escaping
+        # pairs occur; the error must name the same first escaping exponent
+        ray = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        try:
+            sigma = Cone2.from_rays(data.draw(ray), data.draw(ray), N)
+        except DegenerateConeError:
+            assume(False)
+        i = data.draw(st.integers(0, 1))
+        roots = [r.e.xy for r in roots_up_to(sigma, i, 6)]
+        root_like = st.one_of(st.sampled_from(roots), ray) if roots else ray
+        e1, e2 = (DemazureRoot(LatticePoint(*data.draw(root_like), M), i) for _ in range(2))
+        pair = RootPair(e1, e2)
+        u = data.draw(st.sampled_from(box_lattice_points(sigma.dual(), 5)))
+        outcomes = []
+        for route in (comult_from_root_pair, comult_from_root_pair_by_comb):
+            try:
+                outcomes.append(canonical(route(sigma, pair, u)))
+            except ConeClosureError as exc:
+                outcomes.append(("ConeClosureError", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestRestriction:
     def test_family_cones_pass(self):
