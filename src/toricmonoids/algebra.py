@@ -129,7 +129,9 @@ class _Sparse:
         return result
 
     def to_json(self) -> list[dict]:
-        return [{**self._key_json(k), "coef": str(c)} for k, c in self._terms.items()]
+        # Coefficients repeat (C(d, j) = C(d, d - j)), so each distinct one is printed once.
+        text = {c: str(c) for c in set(self._terms.values())}
+        return [{**self._key_json(k), "coef": text[c]} for k, c in self._terms.items()]
 
     @classmethod
     def from_json(cls, data):

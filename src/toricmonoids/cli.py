@@ -49,6 +49,14 @@ EXIT_USAGE = 2
 
 # ``roots`` tests every point of the (2*bound+1)^2 box: about 4 million tests at this bound.
 MAX_ROOT_BOUND = 1000
+# The largest expansion degree: the x-exponent in spec mode, ``<p_i, u>`` in
+# root-pair mode, and ``b + n`` for ``multiply``.  The central binomial
+# C(d, d/2) stays under CPython's 4,300-digit int-to-str limit up to
+# d = 14,290 or so.
+MAX_DEGREE = 10_000
+# ``--k-max`` of ``invariants`` and ``catalog``, and each catalog bound on n, a and b.
+MAX_K = 1000
+MAX_CATALOG_BOUND = 100
 
 
 class UsageError(Exception):
@@ -250,12 +258,19 @@ def _cmd_comult(args) -> int:
             raise UsageError(f"not a root pair: {exc}") from None
         try:
             pair = RootPair(roots[0], roots[1])
+        except ValueError as exc:
+            _emit(args, {"error": str(exc)})
+            return EXIT_DOMAIN
+        p = cone.rays[pair.ray_index]
+        _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
+        try:
             tensor = comult_from_root_pair(cone, pair, monomial)
         except (ValueError, ConeClosureError) as exc:
             _emit(args, {"error": str(exc)})
             return EXIT_DOMAIN
     else:
         spec = _payload_spec(args)
+        _check_degree("the monomial x-exponent", monomial[0])
         try:
             tensor = comult_monomial(spec, monomial)
         except ValueError as exc:
@@ -265,7 +280,18 @@ def _cmd_comult(args) -> int:
     return EXIT_OK
 
 
+def _check_degree(what: str, d: int) -> None:
+    if d > MAX_DEGREE:
+        raise UsageError(f"{what} is at most {MAX_DEGREE}, got {d}")
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max > MAX_K:
+        raise UsageError(f"--k-max is at most {MAX_K}, got {k_max}")
+
+
 def _cmd_invariants(args) -> int:
+    _check_k_max(args.k_max)
     spec = _payload_spec(args)
     try:
         values = [image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)]
@@ -308,12 +334,16 @@ def _cmd_multiply(args) -> int:
     spec = _payload_spec(args)
     p = _parse_point(args.p, "point p")
     q = _parse_point(args.q, "point q")
+    if spec.family is not Family.GROUP:
+        _check_degree("b + n", spec.b + spec.n)
     try:
         product = multiply_points(spec, p, q)
+        # ``str`` refuses an int over CPython's int-to-str digit limit.
+        text = [str(c) for c in product]
     except (UnsupportedChartError, ValueError) as exc:
         _emit(args, {"error": str(exc)})
         return EXIT_DOMAIN
-    _emit(args, [str(c) for c in product])
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -325,6 +355,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    _check_k_max(args.k_max)
+    bound = max(args.n_max, args.a_max, args.b_max)
+    if bound > MAX_CATALOG_BOUND:
+        raise UsageError(f"catalog bounds are at most {MAX_CATALOG_BOUND}, got {bound}")
     try:
         entries = iter_catalog(args.n_max, args.a_max, args.b_max, args.k_max)
     except ValueError as exc:
@@ -365,14 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("comult", _cmd_comult, "expand the comultiplication of a monomial")
-    p.add_argument("--monomial", required=True, help="JSON pair [a, b] of lattice exponents")
+    p.add_argument(
+        "--monomial",
+        required=True,
+        help=f"JSON pair [a, b] of lattice exponents; its degree is at most {MAX_DEGREE}",
+    )
     p.add_argument(
         "--pair",
         help="JSON list of two Demazure roots; the payload is then a cone in N",
     )
 
     p = add("invariants", _cmd_invariants, "image-ideal codimension invariants of a spec")
-    p.add_argument("--k-max", type=_positive_int, default=8, help="compute for k = 1..k-max (default 8)")
+    p.add_argument(
+        "--k-max",
+        type=_positive_int,
+        default=8,
+        help=f"compute for k = 1..k-max, at most {MAX_K} (default 8)",
+    )
 
     p = add("quotient", _cmd_quotient, "quotient by a central subgroup of order m")
     p.add_argument("--m", type=_positive_int, required=True, help="order of the central subgroup")
@@ -380,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("opposite", _cmd_opposite, "spec of the opposite monoid")
     add("boundary", _cmd_boundary, "boundary-divisor data of a spec")
 
-    p = add("multiply", _cmd_multiply, "multiply two chart points")
+    p = add(
+        "multiply", _cmd_multiply, f"multiply two chart points (b + n at most {MAX_DEGREE})"
+    )
     p.add_argument("--p", required=True, help="first point, JSON list of rationals")
     p.add_argument("--q", required=True, help="second point, JSON list of rationals")
 
@@ -388,10 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_positive_int, default=4, help="coordinate box (default 4)")
 
     p = add("catalog", _cmd_catalog, "newline-delimited catalog of all specs in bounds", payload=False)
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--a-max", type=int, default=2)
-    p.add_argument("--b-max", type=int, default=2)
-    p.add_argument("--k-max", type=_positive_int, default=4)
+    bound_help = f"at most {MAX_CATALOG_BOUND} (default 2)"
+    p.add_argument("--n-max", type=int, default=2, help=bound_help)
+    p.add_argument("--a-max", type=int, default=2, help=bound_help)
+    p.add_argument("--b-max", type=int, default=2, help=bound_help)
+    p.add_argument("--k-max", type=_positive_int, default=4, help=f"at most {MAX_K} (default 4)")
     p.set_defaults(json_in=None)
 
     return parser

@@ -629,6 +629,18 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     pairs.  Failures are reported with the first counterexample, never raised.
     Each distinct exponent is expanded once per call: the box monomials, the
     legs in coassociativity and the sums in multiplicativity share one table.
+
+    Multiplicativity runs on packed keys.  With ``m`` the largest absolute
+    key component of the box expansions and ``base = 4*m + 1``, a key
+    ``((l0, l1), (r0, r1))`` packs to ``((l0*base + l1)*base + r0)*base + r1``.
+    The packing is linear, so adding two keys adds their ints, and it is
+    injective on keys with every component in ``[-2*m, 2*m]`` (balanced
+    base-``base`` digits), which holds for every product of two box
+    expansions.  Each box expansion is packed once and each target
+    ``comult(u + v)`` once per distinct sum; a target with a component
+    outside that range equals no product and fails the pair.  A pair then
+    costs one int add, one multiplication and one dict update per term
+    pair, plus one dict comprehension and one dict compare.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
@@ -682,15 +694,52 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             break
     checks.append(_result("coassociativity", witness))
 
+    def components(t: TensorElement):
+        return (c for (left, right) in t.support() for c in (*left, *right))
+
+    m = max((abs(c) for t in expansions.values() for c in components(t)), default=0)
+    base = 4 * m + 1
+
+    def pack(t: TensorElement) -> list[tuple[int, int | Fraction]]:
+        return [
+            (((l0 * base + l1) * base + r0) * base + r1, c)
+            for ((l0, l1), (r0, r1)), c in t.terms()
+        ]
+
+    packed = {u: pack(t) for u, t in expansions.items()}
+    targets: dict[tuple[int, int], dict | None] = {}
     witness = None
     for u, v in combinations_with_replacement(points, 2):
-        product = expand((u[0] + v[0], u[1] + v[1]))
-        if product != expansions[u] * expansions[v]:
+        s = (u[0] + v[0], u[1] + v[1])
+        if s in targets:
+            target = targets[s]
+        else:
+            t = expand(s)
+            in_range = all(-2 * m <= c <= 2 * m for c in components(t))
+            target = targets[s] = dict(pack(t)) if in_range else None
+        if target is None or _packed_product(packed[u], packed[v]) != target:
             witness = {"pair": [list(u), list(v)]}
             break
     checks.append(_result("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
+
+
+def _packed_product(f: list, g: list) -> dict:
+    """Product of two packed expansions as ``{packed key: coefficient}``, zero sums dropped."""
+    outer, inner = (f, g) if len(f) <= len(g) else (g, f)
+    if not outer:
+        return {}
+    k1, c1 = outer[0]
+    acc = {k1 + k2: c1 * c2 for k2, c2 in inner}
+    get = acc.get
+    for k1, c1 in outer[1:]:
+        for k2, c2 in inner:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    return acc
 
 
 def _result(name: str, witness: dict | None) -> CheckResult:

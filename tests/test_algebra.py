@@ -127,6 +127,23 @@ class TestCoreAgainstOracle:
         assert (cls(f_terms) + cls(g_terms)).to_json() == sparse_json(sparse_sum(f.items(), g.items()), fields)
         assert (cls(f_terms) ** k).to_json() == sparse_json(sparse_power(f, k, unit, add), fields)
 
+    @settings(max_examples=60)
+    @given(
+        keys=st.lists(tensor_keys, unique=True, max_size=8),
+        pool=st.lists(st.one_of(st.integers(-(10**40), 10**40), coefficients), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_json_with_repeated_coefficients(self, keys, pool, data):
+        terms = [(k, data.draw(st.sampled_from(pool))) for k in keys]
+        assert TensorElement(terms).to_json() == sparse_json(sparse_sum(terms), ("left", "right"))
+
+    def test_json_of_equal_int_and_fraction_coefficients(self):
+        t = TensorElement._of({((0, 0), (0, 1)): 3, ((0, 1), (0, 0)): Fraction(3)})
+        assert t.to_json() == [
+            {"left": [0, 0], "right": [0, 1], "coef": "3"},
+            {"left": [0, 1], "right": [0, 0], "coef": "3"},
+        ]
+
     def test_integral_coefficients_are_ints(self):
         f = LaurentElement.monomial((1, 0), Fraction(1, 2)) * LaurentElement.monomial((0, 1), "2")
         assert f.terms() == [((1, 1), 1)]

@@ -298,12 +298,25 @@ class TestRejectedInput:
             ),
             ("roots", QUADRANT_N, "--ray", "1", "--bound", "1001"),
             ("roots", QUADRANT_N, "--ray", "1", "--bound", "100000000"),
+            ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[15000,0]"),
+            (
+                "comult", QUADRANT_N, "--monomial", "[15000,0]",
+                "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
+            ),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":20000}', "--p", '["2","2"]', "--q", '["1","1"]'),
+            ("catalog", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--k-max", "100000000"),
+            ("catalog", "--n-max", "101"),
+            ("catalog", "--a-max", "101"),
+            ("catalog", "--b-max", "101"),
+            ("invariants", '{"family":"X","n":2,"a":3,"b":2}', "--k-max", "1001"),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
              "roots-of-m-cone", "classify-n-cone", "catalog-n-max", "catalog-b-max",
              "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone",
-             "roots-bound-1001", "roots-bound-1e8"],
+             "roots-bound-1001", "roots-bound-1e8", "comult-x-exponent-15000",
+             "comult-pair-degree-15000", "multiply-b-20000", "catalog-k-max-1e8",
+             "catalog-n-max-101", "catalog-a-max-101", "catalog-b-max-101", "invariants-k-max-1001"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -344,8 +357,10 @@ class TestErrorContract:
                 "comult", QUADRANT_N, "--monomial", "[1,1]",
                 "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-3,0],"ray_index":1}]',
             ),
+            # 10 + 10^10000 has more digits than CPython converts to str.
+            ("multiply", '{"family":"X","n":1,"a":1,"b":9999}', "--p", '["10","10"]', "--q", '["1","1"]'),
         ],
-        ids=["classify-left-half-plane", "comult-leaves-cone"],
+        ids=["classify-left-half-plane", "comult-leaves-cone", "multiply-product-over-digit-limit"],
     )
     def test_domain_error_json(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -780,6 +780,99 @@ class TestVerifyExpandsOnce:
         assert calls == Counter(dict.fromkeys(needed, 1))
 
 
+def _key_components(t: TensorElement) -> list[int]:
+    return [c for (left, right) in t.support() for c in (*left, *right)]
+
+
+class TestPackedMultiplicativity:
+    """Multiplicativity on packed keys gives the report of ``TensorElement`` products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(list(Family)),
+        n=st.integers(1, 6),
+        a=st.integers(1, 6),
+        b=st.integers(0, 6),
+        weight=st.integers(1, 6),
+        orientation=st.sampled_from(list(Orientation)),
+        box=st.integers(1, 6),
+    )
+    def test_matches_reexpansion(self, family, n, a, b, weight, orientation, box):
+        if family is Family.GROUP:
+            spec = MonoidSpec.group(n)
+        else:
+            assume(gcd(a, b) == 1)
+            spec = MonoidSpec(family, n, a, b)
+        region, rule = cone_of_spec(spec), ComultRule(weight, orientation)
+        assert (
+            verify_comultiplication(region, rule, box).to_json()
+            == verify_by_reexpansion(region, rule, box).to_json()
+        )
+
+    @staticmethod
+    def _check_against_oracle(monkeypatch, corrupt, spec, box):
+        monkeypatch.setattr(monoids, "comult", corrupt)
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        multiplicativity = report.checks[-1]
+        assert multiplicativity.name == "multiplicativity" and not multiplicativity.passed
+        assert set(multiplicativity.witness) == {"pair"}
+        return multiplicativity.witness["pair"]
+
+    def test_zero_coefficient_term(self, monkeypatch):
+        # Only the sums drop zeros: a stored zero term makes comult(u0) differ
+        # from the product comult(0, 0) * comult(u0), the first pair summing to u0.
+        exact, u0 = monoids.comult, (1, 1)
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            return TensorElement._of({**t._terms, ((0, 0), (0, 0)): 0}) if u == u0 else t
+
+        witness = self._check_against_oracle(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
+        assert witness == [[0, 0], list(u0)]
+
+    def test_fraction_coefficient(self, monkeypatch):
+        exact, u0 = monoids.comult, (1, 1)
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            if u != u0:
+                return t
+            (key, c), *rest = t.terms()
+            return TensorElement._of({key: Fraction(c, 2), **dict(rest)})
+
+        self._check_against_oracle(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
+
+    @pytest.mark.parametrize("spread", [4, 2], ids=["beyond-2m", "inside-2m"])
+    def test_key_that_aliases_under_a_smaller_base(self, monkeypatch, spread):
+        # Moves one term of comult(w) by (0, 0, 1, -(spread*m + 1)), which packs
+        # to 0 in base spread*m + 1.  With spread 4 the moved key leaves
+        # [-2m, 2m]; with spread 2 it stays inside and aliases only in the
+        # too-small base 2m + 1.
+        spec, box = MonoidSpec.x(2, 3, 2), 3
+        exact, rule = monoids.comult, ComultRule(spec.n)
+        points = box_lattice_points(cone_of_spec(spec), box)
+        m = max(abs(c) for u in points for c in _key_components(exact(rule, u)))
+        shift = spread * m + 1
+        last = points[-1]
+        w = (2 * last[0], 2 * last[1])
+        (left, (r0, r1)), c = exact(rule, w).terms()[0]
+        moved = (left, (r0 + 1, r1 - shift))
+        assert (max(abs(x) for x in (*moved[0], *moved[1])) > 2 * m) == (spread == 4)
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            if u != w:
+                return t
+            terms = dict(t.terms())
+            del terms[(left, (r0, r1))]
+            return TensorElement({**terms, moved: c})
+
+        witness = self._check_against_oracle(monkeypatch, corrupt, spec, box)
+        assert witness == [list(last), list(last)]
+
+
 class TestNoncommutativityWitness:
     def test_flip_variance_iff_roots_differ(self):
         sigma = Cone2.from_rays((1, 0), (0, 1), N)
