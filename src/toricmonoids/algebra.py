@@ -128,9 +128,12 @@ class _Sparse:
             k >>= 1
         return result
 
-    def to_json(self) -> list[dict]:
+    def _coef_texts(self) -> dict:
         # Coefficients repeat (C(d, j) = C(d, d - j)), so each distinct one is printed once.
-        text = {c: str(c) for c in set(self._terms.values())}
+        return {c: str(c) for c in set(self._terms.values())}
+
+    def to_json(self) -> list[dict]:
+        text = self._coef_texts()
         return [{**self._key_json(k), "coef": text[c]} for k, c in self._terms.items()]
 
     @classmethod
@@ -257,6 +260,19 @@ class TensorElement(_Sparse):
 
     def coefficient(self, left, right) -> int | Fraction:
         return self._terms.get((_exponent(left), _exponent(right)), 0)
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json())``, formatted straight from the terms.
+
+        One ``%``-format per term and one join: no per-term dict, no encoder
+        pass.  Like ``str``, it raises ``ValueError`` on an int past CPython's
+        int-to-str digit limit.
+        """
+        text = self._coef_texts()
+        row = '{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
+        return "[" + ", ".join(
+            [row % (l0, l1, r0, r1, text[c]) for ((l0, l1), (r0, r1)), c in self._terms.items()]
+        ) + "]"
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor legs."""

@@ -8,7 +8,9 @@ JSON on standard output (or ``--json-out FILE``); the catalog is
 newline-delimited JSON, one entry per spec, in a canonical order.
 
 Exit codes: 0 success, 1 domain failure (a cone that is not a monoid, a
-failed verification), 2 usage or malformed input.
+failed verification), 2 usage or malformed input.  :func:`main` maps every
+domain error to one ``{"error": ...}`` object, and builds its argument
+parser once per process.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .monoids import (
     HalfPlane,
     MonoidSpec,
     NotAMonoidError,
-    UnsupportedChartError,
     boundary,
     classify_cone,
     comult_from_root_pair,
@@ -126,10 +127,7 @@ def _load_payload(args) -> object:
             raise UsageError(f"cannot read {args.json_in}: not UTF-8 text") from None
     else:
         text = sys.stdin.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"payload is not valid JSON: {exc}") from None
+    return _parse_obj(text, "payload")
 
 
 def _parse_obj(text: str, what: str) -> object:
@@ -137,6 +135,8 @@ def _parse_obj(text: str, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past CPython's int-to-str digit limit
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def _payload_cone(args) -> Cone2 | HalfPlane:
@@ -203,32 +203,31 @@ def _output(args):
         yield fh
 
 
-def _emit(args, obj) -> None:
+def _write(args, text: str) -> None:
     with _output(args) as out:
-        out.write(json.dumps(obj) + "\n")
+        out.write(text + "\n")
+
+
+def _emit(args, obj) -> None:
+    _write(args, json.dumps(obj))
+
+
+def _domain_error(exc: Exception) -> dict:
+    if isinstance(exc, NotAMonoidError):
+        return {
+            "error": "not-a-monoid",
+            "witness": exc.witness.to_json(),
+            "missing": exc.missing.to_json(),
+            "n": exc.n,
+        }
+    return {"error": str(exc)}
 
 
 def _cmd_classify(args) -> int:
     cone = _payload_cone(args)
     if isinstance(cone, Cone2) and cone.ambient != M:
         raise UsageError("classification needs an exponent cone in M")
-    try:
-        spec = classify_cone(cone, args.n)
-    except NotAMonoidError as exc:
-        _emit(
-            args,
-            {
-                "error": "not-a-monoid",
-                "witness": exc.witness.to_json(),
-                "missing": exc.missing.to_json(),
-                "n": exc.n,
-            },
-        )
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_DOMAIN
-    _emit(args, spec.to_json())
+    _emit(args, classify_cone(cone, args.n).to_json())
     return EXIT_OK
 
 
@@ -256,33 +255,25 @@ def _cmd_comult(args) -> int:
             roots = [DemazureRoot.from_json(item) for item in pair_data]
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"not a root pair: {exc}") from None
-        try:
-            pair = RootPair(roots[0], roots[1])
-        except ValueError as exc:
-            _emit(args, {"error": str(exc)})
-            return EXIT_DOMAIN
+        pair = RootPair(roots[0], roots[1])
         p = cone.rays[pair.ray_index]
         _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
-        try:
-            tensor = comult_from_root_pair(cone, pair, monomial)
-        except (ValueError, ConeClosureError) as exc:
-            _emit(args, {"error": str(exc)})
-            return EXIT_DOMAIN
+        tensor = comult_from_root_pair(cone, pair, monomial)
     else:
         spec = _payload_spec(args)
         _check_degree("the monomial x-exponent", monomial[0])
-        try:
-            tensor = comult_monomial(spec, monomial)
-        except ValueError as exc:
-            _emit(args, {"error": str(exc)})
-            return EXIT_DOMAIN
-    _emit(args, tensor.to_json())
+        tensor = comult_monomial(spec, monomial)
+    _write(args, tensor.to_json_text())
     return EXIT_OK
 
 
 def _check_degree(what: str, d: int) -> None:
     if d > MAX_DEGREE:
-        raise UsageError(f"{what} is at most {MAX_DEGREE}, got {d}")
+        try:
+            shown = str(d)
+        except ValueError:  # past CPython's int-to-str digit limit
+            shown = f"a {d.bit_length()}-bit integer"
+        raise UsageError(f"{what} is at most {MAX_DEGREE}, got {shown}")
 
 
 def _check_k_max(k_max: int) -> None:
@@ -293,23 +284,13 @@ def _check_k_max(k_max: int) -> None:
 def _cmd_invariants(args) -> int:
     _check_k_max(args.k_max)
     spec = _payload_spec(args)
-    try:
-        values = [image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)]
-    except ValueError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_DOMAIN
-    _emit(args, values)
+    _emit(args, [image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)])
     return EXIT_OK
 
 
 def _cmd_quotient(args) -> int:
     spec = _payload_spec(args)
-    try:
-        result = quotient_by_center(spec, args.m)
-    except ValueError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_DOMAIN
-    _emit(args, result.to_json())
+    _emit(args, quotient_by_center(spec, args.m).to_json())
     return EXIT_OK
 
 
@@ -321,12 +302,7 @@ def _cmd_opposite(args) -> int:
 
 def _cmd_boundary(args) -> int:
     spec = _payload_spec(args)
-    try:
-        info = boundary(spec)
-    except ValueError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_DOMAIN
-    _emit(args, info.to_json())
+    _emit(args, boundary(spec).to_json())
     return EXIT_OK
 
 
@@ -336,14 +312,7 @@ def _cmd_multiply(args) -> int:
     q = _parse_point(args.q, "point q")
     if spec.family is not Family.GROUP:
         _check_degree("b + n", spec.b + spec.n)
-    try:
-        product = multiply_points(spec, p, q)
-        # ``str`` refuses an int over CPython's int-to-str digit limit.
-        text = [str(c) for c in product]
-    except (UnsupportedChartError, ValueError) as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_DOMAIN
-    _emit(args, text)
+    _emit(args, [str(c) for c in multiply_points(spec, p, q)])
     return EXIT_OK
 
 
@@ -443,11 +412,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser ``main`` reuses; built on the first call.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # The outer ``try`` also covers writing the error object, whose
+    # ``--json-out`` file may not open.
     try:
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        # Domain errors, and an output int past CPython's int-to-str digit
+        # limit (a ``ValueError`` too, raised before anything is written).
+        except (ValueError, ConeClosureError) as exc:
+            _emit(args, _domain_error(exc))
+            return EXIT_DOMAIN
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -244,8 +244,14 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     and the dual cone is convex, so closure is decided by the two far ends
     ``u + d*e2`` and ``u + d*e1``; only when one escapes are the terms walked
     (left before right, ``j`` ascending) to name the first escaping exponent.
-    Costs at most one big-int step per term (one binomial row recurrence)
-    plus one sort of the ``d + 1`` terms into the canonical key order.
+
+    The key of term ``j`` moves by the fixed step ``(e2, -e1)`` as ``j``
+    grows, so the keys strictly ascend in ``j`` when that step is above
+    ``((0, 0), (0, 0))`` in the lexicographic order and strictly descend when
+    it is below; the terms are built straight in canonical order, with no
+    sort.  Only ``e1 = e2 = (0, 0)`` makes all ``d + 1`` keys coincide; they
+    are merged into the one term ``2^d``.  Costs O(d) big-int steps: one
+    binomial row recurrence and one dict of the ``d + 1`` terms.
     """
     if sigma.ambient != N:
         raise ValueError("the root-pair comultiplication needs a cone in N")
@@ -267,7 +273,13 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
                         f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
                         f"the root pair is not valid for {sigma}"
                     )
-    return TensorElement._of(_merge(zip(zip(lefts, rights), _binomials(d))))
+    terms = list(zip(zip(lefts, rights), _binomials(d)))
+    step = (e2, (-e1[0], -e1[1]))
+    if step == ((0, 0), (0, 0)):
+        return TensorElement._of(_merge(terms))
+    if step < ((0, 0), (0, 0)):
+        terms.reverse()
+    return TensorElement._of(dict(terms))
 
 
 def restriction_failure(

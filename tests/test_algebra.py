@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -153,6 +154,43 @@ class TestCoreAgainstOracle:
     def test_bool_coefficient_rejected(self):
         with pytest.raises(TypeError):
             LaurentElement.monomial((1, 0), True)
+
+
+class TestTensorJsonText:
+    """``to_json_text`` is ``json.dumps(to_json())``, byte for byte."""
+
+    big = st.integers(-(10**40), 10**40)
+
+    @settings(max_examples=100)
+    @given(
+        keys=st.lists(
+            st.tuples(st.tuples(big, st.integers(-5, 5)), st.tuples(st.integers(-5, 5), big)),
+            unique=True,
+            max_size=8,
+        ),
+        pool=st.lists(
+            st.one_of(big, coefficients, st.fractions(max_denominator=10**40).filter(bool)),
+            min_size=1,
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_equals_dumps_of_to_json(self, keys, pool, data):
+        t = TensorElement([(k, data.draw(st.sampled_from(pool))) for k in keys])
+        assert t.to_json_text() == json.dumps(t.to_json())
+
+    def test_empty(self):
+        assert TensorElement.zero().to_json_text() == "[]" == json.dumps([])
+
+    def test_fractions_and_repeats(self):
+        t = TensorElement(
+            [(((-1, 2), (0, -3)), Fraction(-7, 3)), (((0, 0), (0, 0)), 5), (((2, 0), (1, 1)), 5)]
+        )
+        assert t.to_json_text() == (
+            '[{"left": [-1, 2], "right": [0, -3], "coef": "-7/3"}, '
+            '{"left": [0, 0], "right": [0, 0], "coef": "5"}, '
+            '{"left": [2, 0], "right": [1, 1], "coef": "5"}]'
+        )
 
 
 class TestTensor:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toricmonoids
 from toricmonoids import MonoidSpec, boundary, distinguish, image_ideal_codim
@@ -269,6 +271,9 @@ class TestCatalog:
 
 QUADRANT_N = '{"rays":[[1,0],[0,1]],"ambient":"N"}'
 ROOT_1 = '{"e":[-1,1],"ray_index":1}'
+# The most digits CPython converts between int and str by default, and one more.
+DIGITS_4300 = "9" * 4300
+DIGITS_4301 = "1" + "0" * 4300
 
 
 class TestRejectedInput:
@@ -309,6 +314,13 @@ class TestRejectedInput:
             ("catalog", "--a-max", "101"),
             ("catalog", "--b-max", "101"),
             ("invariants", '{"family":"X","n":2,"a":3,"b":2}', "--k-max", "1001"),
+            ("comult", '{"family":"Group","n":1}', "--monomial", f"[1,{DIGITS_4301}]"),
+            ("verify", f'{{"family":"X","n":{DIGITS_4301},"a":1,"b":0}}'),
+            (
+                "comult", '{"rays":[[1,1],[0,1]],"ambient":"N"}',
+                "--monomial", f"[{DIGITS_4300},{DIGITS_4300}]",
+                "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
+            ),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
@@ -316,7 +328,8 @@ class TestRejectedInput:
              "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone",
              "roots-bound-1001", "roots-bound-1e8", "comult-x-exponent-15000",
              "comult-pair-degree-15000", "multiply-b-20000", "catalog-k-max-1e8",
-             "catalog-n-max-101", "catalog-a-max-101", "catalog-b-max-101", "invariants-k-max-1001"],
+             "catalog-n-max-101", "catalog-a-max-101", "catalog-b-max-101", "invariants-k-max-1001",
+             "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -359,8 +372,12 @@ class TestErrorContract:
             ),
             # 10 + 10^10000 has more digits than CPython converts to str.
             ("multiply", '{"family":"X","n":1,"a":1,"b":9999}', "--p", '["10","10"]', "--q", '["1","1"]'),
+            # The y-exponents 3n and 10^4300 of the outputs have 4,301 digits.
+            ("comult", f'{{"family":"X","n":{DIGITS_4300},"a":1,"b":0}}', "--monomial", "[3,0]"),
+            ("comult", '{"family":"Group","n":1}', "--monomial", f"[1,{DIGITS_4300}]"),
         ],
-        ids=["classify-left-half-plane", "comult-leaves-cone", "multiply-product-over-digit-limit"],
+        ids=["classify-left-half-plane", "comult-leaves-cone", "multiply-product-over-digit-limit",
+             "comult-spec-n-over-digit-limit", "comult-exponent-over-digit-limit"],
     )
     def test_domain_error_json(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -460,3 +477,153 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "{}"])
         assert exc.value.code == 2
+
+
+def run_captured(argv, stdin=""):
+    """``main(argv)`` in-process: exit code, stdout, stderr, and whether it raised ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, exited = main(list(argv)), False
+            except SystemExit as exc:
+                code, exited = exc.code, True
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue(), exited
+
+
+class TestSharedParser:
+    ARGVS = [
+        ("classify", '{"rays":[[0,1],[2,3]],"ambient":"M"}', "--n", "1"),
+        ("roots", QUADRANT_N, "--ray", "1", "--bound", "3"),
+        ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[2,0]"),
+        ("verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "0"),
+        ("comult", QUADRANT_N, "--monomial", "[1,1]", "--pair", f"[{ROOT_1},{ROOT_1}]"),
+        ("catalog", "--help"),
+        ("no-such-command",),
+        ("quotient", '{"family":"X","n":6,"a":1,"b":2}', "--m", "3"),
+        ("catalog", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--k-max", "2"),
+        ("classify", '{"rays":[[1,1],[1,-1]],"ambient":"M"}', "--n", "1"),
+        ("--help",),
+        ("opposite", '{"family":"X","n":3,"a":2,"b":1}'),
+    ]
+
+    def test_same_results_as_a_fresh_parser_per_call(self, monkeypatch):
+        import toricmonoids.cli as cli
+
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [run_captured(argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_captured(argv))
+        assert [r[:2] for r in shared] == [r[:2] for r in fresh]
+        assert [r[0] for r in shared] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 1, 0, 0]
+        assert shared[5][1].startswith("usage: toricmonoids catalog")
+
+    def test_built_once_per_process(self, monkeypatch):
+        import toricmonoids.cli as cli
+
+        assert cli.build_parser() is not cli.build_parser()
+        real, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in self.ARGVS[:4]:
+            run_captured(argv)
+        assert len(built) == 1
+
+
+def _mostly(common, rare):
+    """``common`` nine times in ten, ``rare`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 9 else common)
+
+
+_number = _mostly(
+    st.integers(-2, 6).map(str),
+    st.sampled_from([DIGITS_4300, DIGITS_4301, "-" + DIGITS_4300, "true", "1.5", '"2"', "null"]),
+)
+_natural = _mostly(st.integers(0, 6).map(str), _number)
+_spec = st.builds(
+    '{{"family":"{}","n":{},"a":{},"b":{}}}'.format,
+    _mostly(st.sampled_from(["X", "Y", "Group"]), st.just("Z")),
+    _natural,
+    _natural,
+    _natural,
+)
+
+
+def _cone(ambient):
+    return st.builds(
+        '{{"rays":[[{}, {}], [{}, {}]],"ambient":"{}"}}'.format,
+        _number, _number, _number, _number, _mostly(st.just(ambient), st.sampled_from("MN")),
+    )
+
+
+_junk = st.sampled_from(["", "{", "[1,2]", "null", "7", '{"family":"X"}', '{"rays":[]}'])
+_any_payload = st.one_of(_spec, _cone("M"), _cone("N"), st.just('{"halfplane": true}'), _junk)
+_size = _mostly(
+    st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x", "1001", "101", DIGITS_4301])
+)
+_pair = st.builds(
+    '[{{"e":[{}, {}],"ray_index":{}}},{{"e":[{}, {}],"ray_index":{}}}]'.format,
+    *[_number, _number, _mostly(st.sampled_from(["0", "1"]), st.just('"1"'))] * 2,
+)
+_monomial = st.builds("[{}, {}]".format, _natural, _number)
+_rational = _mostly(_number, st.sampled_from(['"1/2"', '"-3/4"', '"1/0"', '"x"']))
+_point = st.builds("[{}, {}]".format, _rational, _rational)
+# Per subcommand: the payload it expects, and its flags with their values.
+# Sizes stay below the caps, or are refused by them.
+_COMMANDS = {
+    "classify": (_mostly(_cone("M"), st.just('{"halfplane": true}')), [("--n", _size)]),
+    "roots": (_cone("N"), [("--ray", _mostly(st.sampled_from("01"), st.just("2"))), ("--bound", _size)]),
+    "comult": (_spec, [("--monomial", _monomial)]),
+    "comult-pair": (_cone("N"), [("--monomial", _monomial), ("--pair", _pair)]),
+    "invariants": (_spec, [("--k-max", _size)]),
+    "quotient": (_spec, [("--m", _size)]),
+    "opposite": (_spec, []),
+    "boundary": (_spec, []),
+    "multiply": (_spec, [("--p", _point), ("--q", _point)]),
+    "verify": (_spec, [("--box", _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "x"])))]),
+    "catalog": (st.nothing(), [(f, _size) for f in ("--n-max", "--a-max", "--b-max", "--k-max")]),
+}
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    payload, flags = _COMMANDS[name]
+    argv = [name.split("-")[0]]
+    if name != "catalog" and draw(st.integers(0, 9)) < 9:
+        argv.append(draw(_mostly(payload, _any_payload)))
+    for flag, values in flags:
+        if draw(st.integers(0, 9)) < 9:
+            argv += [flag, draw(values)]
+    if draw(st.integers(0, 19)) == 19:
+        argv.append(draw(st.sampled_from(["--bogus", "--n", "extra", "--json-in"])))
+    return argv, draw(_mostly(payload, _any_payload) if name != "catalog" else _junk)
+
+
+class TestArgvFuzz:
+    """Any argv ends in exit 0, 1 or 2 with JSON or one usage error, never a traceback."""
+
+    @settings(max_examples=400, deadline=2000)
+    @given(st.lists(_argv(), min_size=1, max_size=4))
+    def test_exit_codes_and_output(self, calls):
+        for argv, stdin in calls:
+            code, out, err, exited = run_captured(argv, stdin)
+            assert code in (0, 1, 2), argv
+            assert code == 2 or not exited, argv
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == ""
+            lines = out.splitlines() if argv[0] == "catalog" else [out] if out else []
+            for line in lines:
+                json.loads(line)

@@ -307,6 +307,28 @@ class TestExpansionOracles:
                 outcomes.append(("ConeClosureError", str(exc)))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize(
+        "ray, e1, e2, u, n_terms",
+        [
+            ((0, 1), (0, -1), (2, -1), (1, 4), 5),
+            ((1, 0), (-1, 2), (-1, 0), (3, 1), 4),
+            ((1, 0), (-1, 1), (0, 0), (3, 1), 4),
+            ((0, 1), (1, -1), (0, 0), (1, 3), 4),
+            ((1, 0), (0, 0), (0, 0), (2, 3), 1),
+        ],
+        ids=["e2-above-zero", "e2-below-zero", "e2-zero-e1-below-zero", "e2-zero-e1-above-zero",
+             "e1-e2-zero"],
+    )
+    def test_root_pair_term_order(self, ray, e1, e2, u, n_terms):
+        """Keys ascend or descend in j with the sign of the step (e2, -e1); a zero step merges."""
+        sigma = Cone2.from_rays((1, 0), (0, 1), N)
+        i = sigma.ray_index(ray)
+        pair = RootPair(*(DemazureRoot(LatticePoint(*e, M), i) for e in (e1, e2)))
+        t = comult_from_root_pair(sigma, pair, u)
+        assert canonical(t) == canonical(comult_from_root_pair_by_comb(sigma, pair, u))
+        assert t.to_json_text() == canonical(t)
+        assert len(t.support()) == n_terms
+
 
 class TestRestriction:
     def test_family_cones_pass(self):
