@@ -12,10 +12,19 @@ scaled by a pairing) round out the toolbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticePoint, M, N, as_int, as_xy, box_lattice_points, parse_rational
+from .lattice import (
+    LatticePoint,
+    M,
+    N,
+    _Record,
+    _setattr,
+    as_int,
+    as_xy,
+    box_lattice_points,
+    parse_rational,
+)
 
 
 class PoleError(ZeroDivisionError):
@@ -283,8 +292,7 @@ class TensorElement(_Sparse):
         return TensorElement([((fn(l), fn(r)), c) for (l, r), c in self._terms.items()])
 
 
-@dataclass(frozen=True)
-class DerivationRule:
+class DerivationRule(_Record):
     """A homogeneous derivation ``chi^u -> scale * <u, ray> * chi^(u + root)``.
 
     ``root`` is the degree of the derivation (a point of M), ``ray`` the
@@ -293,18 +301,19 @@ class DerivationRule:
     flow; every exported invariant is independent of it.
     """
 
-    root: LatticePoint
-    ray: LatticePoint
-    scale: int | Fraction = 1
+    _fields = ("root", "ray", "scale")
 
-    def __post_init__(self):
-        if self.root.ambient != M:
+    def __init__(self, root: LatticePoint, ray: LatticePoint, scale: int | Fraction = 1):
+        if root.ambient != M:
             raise ValueError("derivation degree must live in M")
-        if self.ray.ambient != N:
+        if ray.ambient != N:
             raise ValueError("derivation ray must live in N")
-        object.__setattr__(self, "scale", parse_rational(self.scale))
-        if self.scale == 0:
+        scale = parse_rational(scale)
+        if scale == 0:
             raise ValueError("derivation scale must be nonzero")
+        _setattr(self, "root", root)
+        _setattr(self, "ray", ray)
+        _setattr(self, "scale", scale)
 
     def apply(self, f: LaurentElement) -> LaurentElement:
         """Linear extension of the monomial rule; satisfies the Leibniz identity."""

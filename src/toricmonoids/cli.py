@@ -20,11 +20,20 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import gcd
 
 from .demazure import DemazureRoot, RootPair, roots_up_to
-from .lattice import M, N, Cone2, LatticePoint, as_int, hilbert_basis, parse_rational
+from .lattice import (
+    M,
+    N,
+    Cone2,
+    LatticePoint,
+    _Record,
+    _setattr,
+    as_int,
+    hilbert_basis,
+    parse_rational,
+)
 from .monoids import (
     BoundaryInfo,
     ConeClosureError,
@@ -58,21 +67,35 @@ MAX_DEGREE = 10_000
 # ``--k-max`` of ``invariants`` and ``catalog``, and each catalog bound on n, a and b.
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
+# ``verify --box``: the region is scanned point by point, O(box^2) membership
+# tests (about 0.2 s at this box), and the checks cost about the square of
+# the total expansion terms of the box monomials (2,500 terms take about 1 s).
+MAX_VERIFY_BOX = 200
+MAX_VERIFY_TERMS = 2500
 
 
 class UsageError(Exception):
     """Malformed payloads and other recoverable input problems (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One classified monoid with its cone, generators, invariants, and boundary."""
 
-    spec: MonoidSpec
-    cone: Cone2
-    basis: list[LatticePoint]
-    invariants: list[int]
-    info: BoundaryInfo
+    _fields = ("spec", "cone", "basis", "invariants", "info")
+
+    def __init__(
+        self,
+        spec: MonoidSpec,
+        cone: Cone2,
+        basis: list[LatticePoint],
+        invariants: list[int],
+        info: BoundaryInfo,
+    ):
+        _setattr(self, "spec", spec)
+        _setattr(self, "cone", cone)
+        _setattr(self, "basis", basis)
+        _setattr(self, "invariants", invariants)
+        _setattr(self, "info", info)
 
     def to_json(self) -> dict:
         return {
@@ -145,7 +168,7 @@ def _payload_cone(args) -> Cone2 | HalfPlane:
         raise UsageError("not a cone payload: expected a JSON object")
     try:
         if data.get("halfplane"):
-            return HalfPlane()
+            return HalfPlane(data.get("ambient", M))
         return Cone2.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"not a cone payload: {exc}") from None
@@ -225,7 +248,7 @@ def _domain_error(exc: Exception) -> dict:
 
 def _cmd_classify(args) -> int:
     cone = _payload_cone(args)
-    if isinstance(cone, Cone2) and cone.ambient != M:
+    if cone.ambient != M:
         raise UsageError("classification needs an exponent cone in M")
     _emit(args, classify_cone(cone, args.n).to_json())
     return EXIT_OK
@@ -316,8 +339,37 @@ def _cmd_multiply(args) -> int:
     return EXIT_OK
 
 
+def _verify_terms(spec: MonoidSpec, box: int) -> int:
+    """Total comultiplication terms of the monomials ``verify --box`` checks.
+
+    A monomial ``(x, y)`` expands to ``x + 1`` terms, and the region's points
+    in column ``x`` of the box form one interval of ``y``: all of
+    ``[-box, box]`` for the group, ``y >= ceil(b*x/a)`` for X and
+    ``y <= floor(-(n*a + b)*x/a)`` for Y.  So the sum costs O(box) steps,
+    with no scan of the box.
+    """
+    total = 0
+    for x in range(box + 1):
+        lo, hi = -box, box
+        if spec.family is Family.X:
+            lo = max(lo, -((-spec.b * x) // spec.a))
+        elif spec.family is Family.Y:
+            hi = min(hi, (-(spec.n * spec.a + spec.b) * x) // spec.a)
+        if hi >= lo:
+            total += (x + 1) * (hi - lo + 1)
+    return total
+
+
 def _cmd_verify(args) -> int:
+    if args.box > MAX_VERIFY_BOX:
+        raise UsageError(f"--box is at most {MAX_VERIFY_BOX}, got {args.box}")
     spec = _payload_spec(args)
+    terms = _verify_terms(spec, args.box)
+    if terms > MAX_VERIFY_TERMS:
+        raise UsageError(
+            f"the box monomials of --box {args.box} expand to {terms} terms, "
+            f"at most {MAX_VERIFY_TERMS}"
+        )
     report = verify_bialgebra(spec, args.box)
     _emit(args, report.to_json())
     return EXIT_OK if report.passed else EXIT_DOMAIN
@@ -399,7 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="second point, JSON list of rationals")
 
     p = add("verify", _cmd_verify, "check the bialgebra axioms on a box of monomials")
-    p.add_argument("--box", type=_positive_int, default=4, help="coordinate box (default 4)")
+    p.add_argument(
+        "--box",
+        type=_positive_int,
+        default=4,
+        help=f"coordinate box, at most {MAX_VERIFY_BOX}, and the expansions of its "
+        f"monomials at most {MAX_VERIFY_TERMS} terms (default 4)",
+    )
 
     p = add("catalog", _cmd_catalog, "newline-delimited catalog of all specs in bounds", payload=False)
     bound_help = f"at most {MAX_CATALOG_BOUND} (default 2)"

@@ -12,11 +12,21 @@ an explicit coordinate bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DerivationRule
-from .lattice import Cone2, LatticeMap, LatticePoint, M, N, as_int, as_xy, pairing
+from .lattice import (
+    Cone2,
+    LatticeMap,
+    LatticePoint,
+    M,
+    N,
+    _Record,
+    _setattr,
+    as_int,
+    as_xy,
+    pairing,
+)
 
 
 def _root_point(e) -> LatticePoint:
@@ -56,22 +66,22 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     return pairing(point, p_i) == -1 and pairing(point, p_j) >= 0
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(_Record):
     """A root ``e`` together with the index of its distinguished ray.
 
     Use :meth:`validated` to have the defining pairing conditions checked
     against a cone at construction.
     """
 
-    e: LatticePoint
-    ray_index: int
+    _fields = ("e", "ray_index")
 
-    def __post_init__(self):
-        if self.e.ambient != M:
+    def __init__(self, e: LatticePoint, ray_index: int):
+        if e.ambient != M:
             raise ValueError("a Demazure root is a character, i.e. a point of M")
-        if self.ray_index not in (0, 1):
+        if ray_index not in (0, 1):
             raise ValueError("ray_index must be 0 or 1")
+        _setattr(self, "e", e)
+        _setattr(self, "ray_index", ray_index)
 
     @classmethod
     def validated(cls, sigma: Cone2, ray_index: int, e) -> "DemazureRoot":
@@ -88,16 +98,16 @@ class DemazureRoot:
         return cls(LatticePoint.from_json(data["e"], M), as_int(data["ray_index"]))
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(_Record):
     """An ordered pair of Demazure roots associated to one common ray."""
 
-    e1: DemazureRoot
-    e2: DemazureRoot
+    _fields = ("e1", "e2")
 
-    def __post_init__(self):
-        if self.e1.ray_index != self.e2.ray_index:
+    def __init__(self, e1: DemazureRoot, e2: DemazureRoot):
+        if e1.ray_index != e2.ray_index:
             raise ValueError("both roots of a pair must share the distinguished ray")
+        _setattr(self, "e1", e1)
+        _setattr(self, "e2", e2)
 
     @property
     def ray_index(self) -> int:

@@ -17,16 +17,13 @@ a dedicated descriptor in :mod:`toricmonoids.monoids`, not by :class:`Cone2`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
 
 M = "M"
 N = "N"
 _AMBIENTS = (M, N)
-
-PointLike = Union["LatticePoint", "RationalPoint", Sequence]
 
 
 class DegenerateConeError(ValueError):
@@ -79,24 +76,94 @@ def parse_rational(v) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
-    """An integer point of ``M`` or ``N``.
+# Sets a field of a frozen value from inside its ``__init__``.
+_setattr = object.__setattr__
 
-    Ordering is lexicographic on ``(x, y)``; this is the fixed total order
-    used everywhere for normalization.
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  The base gives what a
+    frozen dataclass would: equality only with an instance of the same class
+    (otherwise ``NotImplemented``), the hash of the field tuple, the
+    ``Name(field=value, ...)`` repr, ``__match_args__``, and
+    ``AttributeError`` on assignment or deletion.  Instances keep a
+    ``__dict__``, so ``copy`` and ``pickle`` restore them without calling
+    ``__init__`` or ``__setattr__``.
     """
 
-    x: int
-    y: int
-    ambient: str = M
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if type(self.x) is not int or type(self.y) is not int:
-            raise ValueError(
-                f"lattice point coordinates must be integers, got {(self.x, self.y)!r}"
-            )
-        _check_ambient(self.ambient)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        get = operator.attrgetter(*fields)
+        # The field tuple as a plain function of the instance (never bound).
+        cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        cls.__match_args__ = fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _lexicographic(compare):
+    """A ``LatticePoint`` order method: ``compare`` on the ``(x, y, ambient)`` tuples."""
+
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare((self.x, self.y, self.ambient), (other.x, other.y, other.ambient))
+        return NotImplemented
+
+    return method
+
+
+class LatticePoint(_Record):
+    """An integer point of ``M`` or ``N``.
+
+    Ordering is lexicographic on ``(x, y)``, then on the ambient; this is the
+    fixed total order used everywhere for normalization.
+    """
+
+    _fields = ("x", "y", "ambient")
+
+    def __init__(self, x: int, y: int, ambient: str = M):
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"lattice point coordinates must be integers, got {(x, y)!r}")
+        _check_ambient(ambient)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "ambient", ambient)
+
+    # Written out rather than inherited: points are compared and hashed in
+    # the scans, and direct attribute reads beat the generic field getter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.ambient) == (other.x, other.y, other.ambient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.ambient))
+
+    __lt__ = _lexicographic(operator.lt)
+    __le__ = _lexicographic(operator.le)
+    __gt__ = _lexicographic(operator.gt)
+    __ge__ = _lexicographic(operator.ge)
 
     @property
     def xy(self) -> tuple[int, int]:
@@ -127,22 +194,25 @@ class LatticePoint:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(_Record):
     """An exact rational point of ``M_Q`` or ``N_Q``."""
 
-    x: int | Fraction
-    y: int | Fraction
-    ambient: str = M
+    _fields = ("x", "y", "ambient")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", parse_rational(self.x))
-        object.__setattr__(self, "y", parse_rational(self.y))
-        _check_ambient(self.ambient)
+    def __init__(self, x: int | Fraction, y: int | Fraction, ambient: str = M):
+        _setattr(self, "x", parse_rational(x))
+        _setattr(self, "y", parse_rational(y))
+        _check_ambient(ambient)
+        _setattr(self, "ambient", ambient)
 
     @property
     def xy(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.x, self.y)
+
+
+# A point argument: a point of either kind, or a coordinate pair.  A
+# ``types.UnionType``, so building it imports nothing.
+PointLike = LatticePoint | RationalPoint | Sequence
 
 
 def pairing(u: LatticePoint, p: LatticePoint) -> int:
@@ -174,8 +244,7 @@ def _as_lattice_point(v: PointLike, ambient: str) -> LatticePoint:
     return LatticePoint(as_int(x), as_int(y), ambient)
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(_Record):
     """A full-dimensional strongly convex rational cone in a rank-2 lattice.
 
     Stored by its two primitive ray generators sorted lexicographically, so
@@ -183,14 +252,15 @@ class Cone2:
     from arbitrary ray data.
     """
 
-    rays: tuple[LatticePoint, LatticePoint]
-    ambient: str = M
+    _fields = ("rays", "ambient")
 
-    def __post_init__(self):
-        _check_ambient(self.ambient)
-        r1, r2 = self.rays
+    def __init__(self, rays: tuple[LatticePoint, LatticePoint], ambient: str = M):
+        _setattr(self, "rays", rays)
+        _setattr(self, "ambient", ambient)
+        _check_ambient(ambient)
+        r1, r2 = rays
         for r in (r1, r2):
-            if not isinstance(r, LatticePoint) or r.ambient != self.ambient:
+            if not isinstance(r, LatticePoint) or r.ambient != ambient:
                 raise ValueError("cone rays must be lattice points of the cone's ambient")
             if (r.x, r.y) == (0, 0):
                 raise DegenerateConeError("zero vector is not a ray generator")
@@ -289,8 +359,7 @@ class Cone2:
         return f"cone[{r1}, {r2}; {self.ambient}]"
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(_Record):
     """An integer linear map of a rank-2 lattice.
 
     The matrix ``[[a, b], [c, d]]`` acts on column vectors:
@@ -298,15 +367,16 @@ class LatticeMap:
     exactly when the determinant is +1 or -1.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for entry in (a, b, c, d):
             if type(entry) is not int:
                 raise ValueError(f"lattice map entries must be integers, got {entry!r}")
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
 
     @classmethod
     def identity(cls) -> "LatticeMap":

@@ -28,7 +28,6 @@ multiplication, and a machine check of the bialgebra axioms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -41,6 +40,10 @@ from .lattice import (
     LatticePoint,
     M,
     N,
+    RationalPoint,
+    _check_ambient,
+    _Record,
+    _setattr,
     as_int,
     as_xy,
     box_lattice_points,
@@ -79,28 +82,28 @@ class Family(str, enum.Enum):
     Y = "Y"
 
 
-@dataclass(frozen=True)
-class MonoidSpec:
+class MonoidSpec(_Record):
     """A classified monoid structure: ``Group(n)``, ``X(n, a, b)`` or ``Y(n, a, b)``."""
 
-    family: Family
-    n: int
-    a: int | None = None
-    b: int | None = None
+    _fields = ("family", "n", "a", "b")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.family is Family.GROUP:
-            if self.a is not None or self.b is not None:
+    def __init__(self, family: Family, n: int, a: int | None = None, b: int | None = None):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if family is Family.GROUP:
+            if a is not None or b is not None:
                 raise ValueError("the group family carries no (a, b) parameters")
-            return
-        if type(self.a) is not int or self.a < 1:
-            raise ValueError(f"a must be a positive integer, got {self.a!r}")
-        if type(self.b) is not int or self.b < 0:
-            raise ValueError(f"b must be a nonnegative integer, got {self.b!r}")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"(a, b) = ({self.a}, {self.b}) must be coprime")
+        else:
+            if type(a) is not int or a < 1:
+                raise ValueError(f"a must be a positive integer, got {a!r}")
+            if type(b) is not int or b < 0:
+                raise ValueError(f"b must be a nonnegative integer, got {b!r}")
+            if gcd(a, b) != 1:
+                raise ValueError(f"(a, b) = ({a}, {b}) must be coprime")
+        _setattr(self, "family", family)
+        _setattr(self, "n", n)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
 
     @classmethod
     def group(cls, n: int) -> "MonoidSpec":
@@ -134,17 +137,23 @@ class MonoidSpec:
         return f"{self.family.value}({self.n},{self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(_Record):
     """The exponent region of the group family: ``{u in M_Q : u_x >= 0}``.
 
     Not a :class:`Cone2` (it is not strongly convex); supports the membership
-    test the rest of the package needs.
+    test the rest of the package needs, with the same ambient checks.
     """
 
-    ambient: str = M
+    _fields = ("ambient",)
+
+    def __init__(self, ambient: str = M):
+        _setattr(self, "ambient", _check_ambient(ambient))
 
     def contains(self, q) -> bool:
+        if isinstance(q, (LatticePoint, RationalPoint)) and q.ambient != self.ambient:
+            raise ValueError(
+                f"point of {q.ambient} tested against a cone in {self.ambient}"
+            )
         x, _ = as_xy(q)
         return x >= 0
 
@@ -168,8 +177,7 @@ class Orientation(str, enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class ComultRule:
+class ComultRule(_Record):
     """The weight-``n`` comultiplication rule, with a chart orientation.
 
     With the PLUS orientation a monomial ``(a, b)`` is ``x^a y^b``.  With the
@@ -179,12 +187,13 @@ class ComultRule:
     coordinates.  Both orientations share one expansion routine.
     """
 
-    n: int
-    orientation: Orientation = Orientation.PLUS
+    _fields = ("n", "orientation")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"the comultiplication weight must be a positive integer, got {self.n!r}")
+    def __init__(self, n: int, orientation: Orientation = Orientation.PLUS):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"the comultiplication weight must be a positive integer, got {n!r}")
+        _setattr(self, "n", n)
+        _setattr(self, "orientation", orientation)
 
 
 def _binomials(d: int) -> list[int]:
@@ -436,8 +445,7 @@ def quotient_by_center(spec: MonoidSpec, m: int) -> MonoidSpec:
     return MonoidSpec.x(spec.n // m, (m // g) * spec.a, spec.b // g)
 
 
-@dataclass(frozen=True)
-class BoundaryInfo:
+class BoundaryInfo(_Record):
     """Shape of the divisor of non-invertible elements.
 
     The divisor is an affine line.  When ``b > 0`` it carries an absorbing
@@ -448,14 +456,17 @@ class BoundaryInfo:
     scaling.
     """
 
-    left_weight: int
-    right_weight: int
-    has_zero: bool
-    idempotent_line: bool
+    _fields = ("left_weight", "right_weight", "has_zero", "idempotent_line")
 
-    def __post_init__(self):
-        if self.has_zero == self.idempotent_line:
+    def __init__(
+        self, left_weight: int, right_weight: int, has_zero: bool, idempotent_line: bool
+    ):
+        if has_zero == idempotent_line:
             raise ValueError("exactly one of has_zero / idempotent_line must hold")
+        _setattr(self, "left_weight", left_weight)
+        _setattr(self, "right_weight", right_weight)
+        _setattr(self, "has_zero", has_zero)
+        _setattr(self, "idempotent_line", idempotent_line)
 
     def to_json(self) -> dict:
         return {
@@ -599,11 +610,13 @@ def counit(u) -> Fraction:
     return Fraction(1) if x == 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: dict | None = None
+class CheckResult(_Record):
+    _fields = ("name", "status", "witness")
+
+    def __init__(self, name: str, status: str, witness: dict | None = None):
+        _setattr(self, "name", name)
+        _setattr(self, "status", status)  # "pass" | "fail"
+        _setattr(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
@@ -613,11 +626,13 @@ class CheckResult:
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of the bialgebra axiom checks, with the first counterexample if any."""
 
-    checks: tuple[CheckResult, ...]
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        _setattr(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

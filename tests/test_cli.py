@@ -4,14 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricmonoids
-from toricmonoids import MonoidSpec, boundary, distinguish, image_ideal_codim
-from toricmonoids.cli import main
+from toricmonoids import (
+    Family,
+    MonoidSpec,
+    boundary,
+    box_lattice_points,
+    cone_of_spec,
+    distinguish,
+    image_ideal_codim,
+)
+from toricmonoids.cli import MAX_VERIFY_BOX, MAX_VERIFY_TERMS, _verify_terms, main
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -35,6 +45,16 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", '{"halfplane": true}', "--n", "4")
         assert code == 0
         assert json.loads(out) == {"family": "Group", "n": 4}
+
+    @pytest.mark.parametrize("ambient, code", [('"M"', 0), ('"N"', 2), ('"Q"', 2), ("[1]", 2)])
+    def test_half_plane_ambient_read(self, capsys, ambient, code):
+        payload = '{"halfplane": true, "ambient": %s}' % ambient
+        got, out, err = run_cli(capsys, "classify", payload, "--n", "4")
+        assert got == code
+        if code == 0:
+            assert json.loads(out) == {"family": "Group", "n": 4}
+        else:
+            assert out == "" and len(err.splitlines()) == 1
 
     def test_not_a_monoid_exit_1(self, capsys):
         code, out, _ = run_cli(
@@ -220,6 +240,50 @@ class TestSpecCommands:
         assert code == 0
         report = json.loads(out)
         assert all(c["status"] == "pass" for c in report["checks"])
+
+
+_coprime_ab = st.tuples(st.integers(1, 12), st.integers(0, 12)).filter(lambda ab: gcd(*ab) == 1)
+
+
+class TestVerifyLimits:
+    """``verify --box`` is refused before any scan when the box or its expansions are too large."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["Group", "X", "Y"]), st.integers(1, 5), _coprime_ab, st.integers(1, 25))
+    def test_term_count_equals_a_count_over_the_box_scan(self, family, n, ab, box):
+        spec = MonoidSpec.group(n) if family == "Group" else MonoidSpec(Family(family), n, *ab)
+        scanned = box_lattice_points(cone_of_spec(spec), box)
+        assert _verify_terms(spec, box) == sum(x + 1 for x, _ in scanned)
+
+    def test_large_expansion_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "40")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: the box monomials of --box 40 expand to 35301 terms, at most {MAX_VERIFY_TERMS}"
+        ]
+
+    def test_box_above_the_ceiling_refused(self, capsys):
+        box = str(MAX_VERIFY_BOX + 1)
+        code, out, err = run_cli(capsys, "verify", '{"family":"X","n":1,"a":1,"b":10000}', "--box", box)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: --box is at most {MAX_VERIFY_BOX}, got {box}"]
+        code, _, _ = run_cli(
+            capsys, "verify", '{"family":"X","n":1,"a":1,"b":10000}', "--box", str(MAX_VERIFY_BOX)
+        )
+        assert code == 0
+
+    def test_exactly_at_the_term_budget_runs(self, capsys):
+        spec = MonoidSpec.y(1, 6, 25)
+        assert _verify_terms(spec, 68) == MAX_VERIFY_TERMS < _verify_terms(spec, 69)
+        payload = json.dumps(spec.to_json())
+        code, out, _ = run_cli(capsys, "verify", payload, "--box", "68")
+        assert code == 0
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+        code, out, err = run_cli(capsys, "verify", payload, "--box", "69")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
 
 
 class TestCatalog:

@@ -22,6 +22,7 @@ from toricmonoids import (
     N,
     NotAMonoidError,
     Orientation,
+    RationalPoint,
     RootPair,
     TensorElement,
     UnsupportedChartError,
@@ -119,6 +120,23 @@ class TestConeOfSpec:
         assert isinstance(region, HalfPlane)
         assert region.contains((0, -7)) and region.contains((3, 2))
         assert not region.contains((-1, 0))
+
+    def test_half_plane_checks_ambients_like_a_cone(self):
+        with pytest.raises(ValueError, match="ambient must be"):
+            HalfPlane(ambient="Q")
+        stray = LatticePoint(1, 0, N)
+        cone = Cone2.from_rays((0, 1), (1, 0), M)
+        with pytest.raises(ValueError) as from_cone:
+            cone.contains(stray)
+        with pytest.raises(ValueError) as from_half_plane:
+            HalfPlane().contains(stray)
+        assert str(from_half_plane.value) == str(from_cone.value)
+        assert str(from_half_plane.value) == "point of N tested against a cone in M"
+        with pytest.raises(ValueError, match="point of M tested against a cone in N"):
+            HalfPlane(N).contains(RationalPoint(1, 0, M))
+        assert HalfPlane().contains(LatticePoint(1, 0, M))
+        assert HalfPlane().contains(RationalPoint("1/2", -3, M))
+        assert HalfPlane(N).contains((0, 5)) and not HalfPlane(N).contains((-1, 5))
 
 
 class TestComult:
