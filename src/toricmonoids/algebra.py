@@ -36,19 +36,18 @@ def _exponent(u) -> tuple[int, int]:
     return (as_int(x), as_int(y))
 
 
-def _merge(pairs) -> dict:
-    """Sum ``(key, coefficient)`` pairs into a sorted dict without zero terms.
-
-    Integral sums are stored as ``int``.
-    """
+def _sum(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs into an unsorted dict without zero terms."""
     acc: dict = {}
+    get = acc.get
     for key, coef in pairs:
-        c = acc.get(key, 0) + coef
-        if c:
-            acc[key] = c
-        elif key in acc:
-            del acc[key]
-    return {k: c.numerator if c.denominator == 1 else c for k, c in sorted(acc.items())}
+        acc[key] = get(key, 0) + coef
+    return {k: c for k, c in acc.items() if c}
+
+
+def _merge(pairs) -> dict:
+    """:func:`_sum` in sorted order, with integral sums stored as ``int``."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in sorted(_sum(pairs).items())}
 
 
 class _Sparse:

@@ -127,6 +127,7 @@ def roots_up_to(sigma: Cone2, ray_index: int, bound: int) -> list[DemazureRoot]:
     change.
     """
     _check_sigma(sigma)
+    bound = as_int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     found = []

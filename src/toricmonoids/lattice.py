@@ -422,6 +422,7 @@ def box_lattice_points(region, bound: int) -> list[tuple[int, int]]:
     ``region`` is anything with a ``contains`` method taking a coordinate
     pair (a :class:`Cone2` or the half-plane descriptor).
     """
+    bound = as_int(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     points = []

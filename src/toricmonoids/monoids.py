@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .algebra import LaurentElement, TensorElement, _merge
+from .algebra import TensorElement, _merge, _sum
 from .demazure import RootPair
 from .lattice import (
     Cone2,
@@ -656,19 +656,29 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     pairs.  Failures are reported with the first counterexample, never raised.
     Each distinct exponent is expanded once per call: the box monomials, the
     legs in coassociativity and the sums in multiplicativity share one table.
+    The counit and coassociativity sums are compared as unsorted dicts.
 
-    Multiplicativity runs on packed keys.  With ``m`` the largest absolute
-    key component of the box expansions and ``base = 4*m + 1``, a key
-    ``((l0, l1), (r0, r1))`` packs to ``((l0*base + l1)*base + r0)*base + r1``.
-    The packing is linear, so adding two keys adds their ints, and it is
-    injective on keys with every component in ``[-2*m, 2*m]`` (balanced
-    base-``base`` digits), which holds for every product of two box
-    expansions.  Each box expansion is packed once and each target
-    ``comult(u + v)`` once per distinct sum; a target with a component
-    outside that range equals no product and fails the pair.  A pair then
-    costs one int add, one multiplication and one dict update per term
-    pair, plus one dict comprehension and one dict compare.
+    Multiplicativity runs by Kronecker substitution.  An expansion is a *run*
+    when its keys, flattened to ``(l0, l1, r0, r1)``, are exactly
+    ``first + i*step`` for ``i < L`` (``first`` the least key, ``step`` one
+    lexicographically positive vector shared by all box expansions) and its
+    coefficients ``c_i`` are positive integers; its code is
+    ``sum(c_i << bits*i)`` with ``bits = (S*S).bit_length()``, ``S`` the
+    largest coefficient sum of a box expansion.  The product of two runs is
+    the run at ``first_u + first_v`` whose coefficients, the coefficients of
+    the product of the two polynomials ``sum(c_i z^i)``, are all positive and
+    at most ``S*S``, so below ``2**bits``: its code is ``code_u * code_v``,
+    and no other run with coefficients below ``2**bits`` has that code.  So
+    a pair ``(u, v)`` passes exactly when ``comult(u + v)`` is a run with
+    coefficients below ``2**bits``, its first key is ``first_u + first_v``
+    and its code is ``code_u * code_v``; a target that is no such run equals
+    no product and fails.  Each target is checked and encoded once per
+    distinct sum (a sum inside the box reuses its box code), and a pair
+    costs four int adds and one big-int product.  When some box expansion
+    is not a run (only a corrupted ``comult`` gives one), every pair is
+    checked by the ``TensorElement`` product instead.
     """
+    box = as_int(box)
     if box < 1:
         raise ValueError("box must be at least 1")
     expanded: dict[tuple[int, int], TensorElement] = {}
@@ -694,17 +704,11 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             break
     checks.append(_result("cone-closure", witness))
 
-    for name, keep in (("counit-left", "right"), ("counit-right", "left")):
+    for name, side in (("counit-left", 0), ("counit-right", 1)):
         witness = None
         for u, t in expansions.items():
-            collapsed = LaurentElement(
-                [
-                    (right if keep == "right" else left, coef)
-                    for (left, right), coef in t.terms()
-                    if (left if keep == "right" else right)[0] == 0
-                ]
-            )
-            if collapsed != LaurentElement.monomial(u):
+            collapsed = _sum((key[1 - side], c) for key, c in t.terms() if key[side][0] == 0)
+            if collapsed != {u: 1}:
                 witness = {"monomial": list(u)}
                 break
         checks.append(_result(name, witness))
@@ -716,57 +720,105 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
         for (left, right), coef in t.terms():
             lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in expand(left).terms()]
             rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in expand(right).terms()]
-        if _merge(lhs) != _merge(rhs):
+        if _sum(lhs) != _sum(rhs):
             witness = {"monomial": list(u)}
             break
     checks.append(_result("coassociativity", witness))
 
-    def components(t: TensorElement):
-        return (c for (left, right) in t.support() for c in (*left, *right))
-
-    m = max((abs(c) for t in expansions.values() for c in components(t)), default=0)
-    base = 4 * m + 1
-
-    def pack(t: TensorElement) -> list[tuple[int, int | Fraction]]:
-        return [
-            (((l0 * base + l1) * base + r0) * base + r1, c)
-            for ((l0, l1), (r0, r1)), c in t.terms()
-        ]
-
-    packed = {u: pack(t) for u, t in expansions.items()}
-    targets: dict[tuple[int, int], dict | None] = {}
-    witness = None
-    for u, v in combinations_with_replacement(points, 2):
-        s = (u[0] + v[0], u[1] + v[1])
-        if s in targets:
-            target = targets[s]
-        else:
-            t = expand(s)
-            in_range = all(-2 * m <= c <= 2 * m for c in components(t))
-            target = targets[s] = dict(pack(t)) if in_range else None
-        if target is None or _packed_product(packed[u], packed[v]) != target:
-            witness = {"pair": [list(u), list(v)]}
-            break
+    codes = _box_codes(expansions)
+    if codes is None:
+        witness = next(
+            (
+                {"pair": [list(u), list(v)]}
+                for u, v in combinations_with_replacement(points, 2)
+                if expansions[u] * expansions[v] != expand((u[0] + v[0], u[1] + v[1]))
+            ),
+            None,
+        )
+    else:
+        step, bits, code_of = codes
+        # A sum inside the box is a box monomial: its run is already encoded.
+        targets: dict[tuple[int, int], tuple | None] = dict(code_of)
+        rows = [(*v, *code_of[v]) for v in points]
+        witness = None
+        for i, (u0, u1, a0, a1, a2, a3, cu) in enumerate(rows):
+            for v0, v1, b0, b1, b2, b3, cv in rows[i:]:
+                s = (u0 + v0, u1 + v1)
+                try:
+                    target = targets[s]
+                except KeyError:
+                    target = targets[s] = _code(expand(s), step, bits)
+                if target != (a0 + b0, a1 + b1, a2 + b2, a3 + b3, cu * cv):
+                    witness = {"pair": [[u0, u1], [v0, v1]]}
+                    break
+            if witness:
+                break
     checks.append(_result("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
 
 
-def _packed_product(f: list, g: list) -> dict:
-    """Product of two packed expansions as ``{packed key: coefficient}``, zero sums dropped."""
-    outer, inner = (f, g) if len(f) <= len(g) else (g, f)
-    if not outer:
-        return {}
-    k1, c1 = outer[0]
-    acc = {k1 + k2: c1 * c2 for k2, c2 in inner}
-    get = acc.get
-    for k1, c1 in outer[1:]:
-        for k2, c2 in inner:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    if 0 in acc.values():
-        acc = {k: c for k, c in acc.items() if c}
-    return acc
+def _run(t: TensorElement, step) -> tuple | None:
+    """``(first, digits)`` when ``t`` is a run along ``step``, else ``None``.
+
+    ``first`` is the least key, flattened; ``digits[i]`` is the coefficient
+    at ``first + i*step``, which must be a positive integer (an ``int``, or a
+    ``Fraction`` or ``bool`` of integral value).  Without a step (``None``)
+    only one-term expansions are runs.
+    """
+    terms = t._terms
+    if not terms or (step is None and len(terms) > 1):
+        return None
+    (l0, l1), (r0, r1) = min(terms)
+    (d0, d1), (d2, d3) = step or ((0, 0), (0, 0))
+    digits = [
+        terms.get(((l0 + i * d0, l1 + i * d1), (r0 + i * d2, r1 + i * d3)))
+        for i in range(len(terms))
+    ]
+    if not set(map(type, digits)) <= {int}:
+        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1 for c in digits):
+            return None
+        digits = [c.numerator for c in digits]
+    if min(digits) < 1:
+        return None
+    return (l0, l1, r0, r1), digits
+
+
+def _kronecker(digits: list[int], bits: int) -> int:
+    """``sum(c << bits*i for i, c in enumerate(digits))``, by Horner's rule."""
+    code = 0
+    for c in reversed(digits):
+        code = code << bits | c
+    return code
+
+
+def _code(t: TensorElement, step, bits: int) -> tuple | None:
+    """``(*first, code)`` of a run whose digits are all below ``2**bits``, else ``None``."""
+    run = _run(t, step)
+    if run is None or max(run[1]) >> bits:
+        return None
+    return (*run[0], _kronecker(run[1], bits))
+
+
+def _box_codes(expansions: dict) -> tuple | None:
+    """``(step, bits, {u: (*first, code)})`` when every box expansion is a run, else ``None``.
+
+    ``step`` is the difference of the two least keys of the first expansion
+    with more than one term (``None`` when there is none).
+    """
+    step = None
+    for t in expansions.values():
+        if len(t._terms) > 1:
+            ((a0, a1), (a2, a3)), ((b0, b1), (b2, b3)) = sorted(t._terms)[:2]
+            step = ((b0 - a0, b1 - a1), (b2 - a2, b3 - a3))
+            break
+    runs = {u: _run(t, step) for u, t in expansions.items()}
+    if None in runs.values():
+        return None
+    s_max = max((sum(digits) for _, digits in runs.values()), default=1)
+    bits = (s_max * s_max).bit_length()
+    codes = {u: (*first, _kronecker(digits, bits)) for u, (first, digits) in runs.items()}
+    return step, bits, codes
 
 
 def _result(name: str, witness: dict | None) -> CheckResult:

@@ -766,6 +766,23 @@ class TestVerify:
             verify_bialgebra(MonoidSpec.x(1, 1, 1), 0)
 
 
+@pytest.mark.parametrize("size", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda size: verify_bialgebra(MonoidSpec.x(1, 1, 0), size),
+        lambda size: verify_comultiplication(HalfPlane(), ComultRule(1), size),
+        lambda size: roots_up_to(Cone2.from_rays((1, 0), (0, 1), N), 0, size),
+        lambda size: box_lattice_points(HalfPlane(), size),
+    ],
+    ids=["verify_bialgebra", "verify_comultiplication", "roots_up_to", "box_lattice_points"],
+)
+def test_loop_size_is_an_exact_int(scan, size):
+    # True is not 1, and a float is refused before any scan, not by range().
+    with pytest.raises(ValueError, match="exact integer required"):
+        scan(size)
+
+
 class TestVerifyExpandsOnce:
     """One ``comult`` call per distinct exponent, and the same report as re-expanding."""
 
@@ -825,7 +842,7 @@ def _key_components(t: TensorElement) -> list[int]:
 
 
 class TestPackedMultiplicativity:
-    """Multiplicativity on packed keys gives the report of ``TensorElement`` products."""
+    """Multiplicativity by Kronecker substitution gives the report of ``TensorElement`` products."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -911,6 +928,157 @@ class TestPackedMultiplicativity:
 
         witness = self._check_against_oracle(monkeypatch, corrupt, spec, box)
         assert witness == [list(last), list(last)]
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts ``TensorElement.__mul__`` calls: the product route of multiplicativity."""
+    calls = []
+    mul = TensorElement.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", spy)
+    return calls
+
+
+def _verify_and_count(products, region, rule, box):
+    """The report, checked against the oracle, and the products verifying took."""
+    products.clear()
+    report = verify_comultiplication(region, rule, box)
+    taken = len(products)
+    assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+    return report, taken
+
+
+def _drop_middle(terms, keys, bits):
+    del terms[keys[len(keys) // 2]]
+
+
+def _add_off_the_run(terms, keys, bits):
+    terms[((7, 0), (0, 0))] = 1
+
+
+def _fold_top_digit(terms, keys, bits):
+    # The top coefficient moves one digit down, times 2**bits: the Kronecker
+    # code is unchanged, and only the digit bound tells target from product.
+    terms[keys[-2]] += terms.pop(keys[-1]) << bits
+
+
+def _zero_past_the_top(terms, keys, bits):
+    # A stored zero one step past the top term leaves the code unchanged too.
+    (a0, a1), (a2, a3) = keys[-2]
+    (b0, b1), (b2, b3) = keys[-1]
+    terms[((2 * b0 - a0, 2 * b1 - a1), (2 * b2 - a2, 2 * b3 - a3))] = 0
+
+
+def _shift_run(terms, keys, bits):
+    # The same digits one step up in the right y-exponent: only the first key differs.
+    for left, (r0, r1) in keys:
+        terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
+
+
+class TestKroneckerMultiplicativity:
+    """Corrupted targets are decided by Kronecker codes, corrupted box
+    expansions by ``TensorElement`` products; both as the oracle decides."""
+
+    @staticmethod
+    def _corrupt_target(monkeypatch, w, change):
+        exact = monoids.comult
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            if u != w:
+                return t
+            terms = dict(t.terms())
+            change(terms, sorted(terms))
+            return TensorElement._of(terms)
+
+        monkeypatch.setattr(monoids, "comult", corrupt)
+
+    @pytest.mark.parametrize(
+        "change",
+        [_drop_middle, _add_off_the_run, _fold_top_digit, _zero_past_the_top, _shift_run],
+        ids=[
+            "missing-middle-term",
+            "extra-term-off-the-run",
+            "coefficient-above-limit",
+            "stored-zero",
+            "shifted-run",
+        ],
+    )
+    def test_corrupted_target_fails_without_products(self, monkeypatch, products, change):
+        # (6, 6) is reached only as (3, 3) + (3, 3), the last pair of box 3.
+        spec, box = MonoidSpec.x(1, 1, 0), 3
+        rule = ComultRule(spec.n)
+        points = box_lattice_points(cone_of_spec(spec), box)
+        s_max = max(sum(c for _, c in comult(rule, u).terms()) for u in points)
+        bits = (s_max * s_max).bit_length()
+        self._corrupt_target(monkeypatch, (6, 6), lambda terms, keys: change(terms, keys, bits))
+        report, taken = _verify_and_count(products, cone_of_spec(spec), rule, box)
+        assert taken == 0
+        assert report.first_failure() is report.checks[-1]
+        assert report.checks[-1].witness == {"pair": [[3, 3], [3, 3]]}
+
+    @pytest.mark.parametrize("stored", [Fraction(2, 1), True], ids=["fraction", "bool"])
+    def test_integral_target_coefficient_passes_without_products(
+        self, monkeypatch, products, stored
+    ):
+        def change(terms, keys):
+            terms[next(k for k in keys if terms[k] == stored)] = stored
+
+        # comult(2, 6) = y^8 (x) x^2 y^6 + 2 x y^7 (x) x y^6 + x^2 y^6 (x) y^6,
+        # reached only as a sum of two box monomials.
+        self._corrupt_target(monkeypatch, (2, 6), change)
+        spec = MonoidSpec.x(1, 1, 0)
+        report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
+        assert report.passed and taken == 0
+
+    def test_two_term_target_over_one_term_box_fails(self, monkeypatch, products):
+        # Box 1 of X(1, 1, 3) holds (0, 0) and (0, 1), whose expansions have
+        # one term each: there is no step, and every product has one term.
+        def change(terms, keys):
+            terms[((1, 2), (0, 0))] = 1
+
+        self._corrupt_target(monkeypatch, (0, 2), change)
+        spec = MonoidSpec.x(1, 1, 3)
+        report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 1)
+        assert taken == 0
+        assert report.first_failure().witness == {"pair": [[0, 1], [0, 1]]}
+
+    @pytest.mark.parametrize("coef", [-1, Fraction(1, 2)], ids=["negative", "fraction"])
+    def test_corrupted_box_expansion_takes_products(self, monkeypatch, products, coef):
+        exact, u0 = monoids.comult, (1, 1)
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            if u != u0:
+                return t
+            (key, _), *rest = t.terms()
+            return TensorElement._of({key: coef, **dict(rest)})
+
+        monkeypatch.setattr(monoids, "comult", corrupt)
+        spec = MonoidSpec.x(1, 1, 0)
+        report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
+        assert taken > 0 and not report.checks[-1].passed
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize(
+        "spec, box",
+        [
+            (MonoidSpec.group(2), 4),
+            (MonoidSpec.x(2, 3, 2), 4),
+            (MonoidSpec.y(2, 1, 1), 4),
+            (MonoidSpec.x(1, 1, 3), 1),
+        ],
+        ids=["group", "x", "y", "x-one-term-box"],
+    )
+    def test_real_spec_takes_no_products(self, products, spec, box, orientation):
+        rule = ComultRule(spec.n, orientation)
+        _, taken = _verify_and_count(products, cone_of_spec(spec), rule, box)
+        assert taken == 0
 
 
 class TestNoncommutativityWitness:
