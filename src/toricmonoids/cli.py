@@ -64,13 +64,20 @@ MAX_ROOT_BOUND = 1000
 # C(d, d/2) stays under CPython's 4,300-digit int-to-str limit up to
 # d = 14,290 or so.
 MAX_DEGREE = 10_000
+# ``multiply``: a chart product raises a point coordinate to at most the power
+# b + 2n.  Refused when that largest power term is estimated above this many
+# bits, the coordinate's bit length times b + 2n: about 315,000 digits, 73
+# times the 4,300-digit output limit, so a product whose terms cancel (such as
+# p2 = q2 = 10^1000, q1 = -p1/10^1000 at small b + n) still prints.  The
+# largest product allowed takes about 0.2 s (Python 3.11.7).
+MAX_POWER_BITS = 1 << 20
 # ``--k-max`` of ``invariants`` and ``catalog``, and each catalog bound on n, a and b.
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.2 s at this box), and the checks cost about one big-int
+# tests (about 0.07 s at this box), and the checks cost about one big-int
 # product per pair of box monomials.  At 2,500 expansion terms that is about
-# 0.2 s for ``Y(1,6,25) --box 68`` (490 monomials) and about 0.5 s for the
+# 0.15 s for ``Y(1,6,25) --box 68`` (490 monomials) and about 0.3 s for the
 # slowest found, ``X(1,2,55) --box 197`` (812 monomials; Python 3.11.7).
 MAX_VERIFY_BOX = 200
 MAX_VERIFY_TERMS = 2500
@@ -337,6 +344,12 @@ def _cmd_multiply(args) -> int:
     q = _parse_point(args.q, "point q")
     if spec.family is not Family.GROUP:
         _check_degree("b + n", spec.b + spec.n)
+        power = spec.b + 2 * spec.n
+        bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in p + q), default=0)
+        if bits * power > MAX_POWER_BITS:
+            raise UsageError(
+                f"a {bits}-bit coordinate to the power {power} is over {MAX_POWER_BITS} bits"
+            )
     _emit(args, [str(c) for c in multiply_points(spec, p, q)])
     return EXIT_OK
 

@@ -54,10 +54,11 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     """
     if sigma.ambient != N:
         raise ValueError("Demazure roots are taken for a cone in N")
-    if ray_index not in (0, 1):
+    if type(ray_index) is not int or ray_index not in (0, 1):
         raise ValueError("ray_index must be 0 or 1")
-    p_i = sigma.rays[ray_index]
-    p_j = sigma.rays[1 - ray_index]
+    rays = sigma.rays
+    p_i = rays[ray_index]
+    p_j = rays[1 - ray_index]
     if type(e) is tuple and len(e) == 2:
         x, y = e
         if type(x) is int and type(y) is int:
@@ -78,7 +79,7 @@ class DemazureRoot(_Record):
     def __init__(self, e: LatticePoint, ray_index: int):
         if e.ambient != M:
             raise ValueError("a Demazure root is a character, i.e. a point of M")
-        if ray_index not in (0, 1):
+        if type(ray_index) is not int or ray_index not in (0, 1):
             raise ValueError("ray_index must be 0 or 1")
         _setattr(self, "e", e)
         _setattr(self, "ray_index", ray_index)

@@ -40,13 +40,13 @@ from .lattice import (
     LatticePoint,
     M,
     N,
-    RationalPoint,
     _check_ambient,
     _Record,
     _setattr,
     as_int,
     as_xy,
     box_lattice_points,
+    exact_xy,
     parse_rational,
 )
 
@@ -150,12 +150,12 @@ class HalfPlane(_Record):
         _setattr(self, "ambient", _check_ambient(ambient))
 
     def contains(self, q) -> bool:
-        if isinstance(q, (LatticePoint, RationalPoint)) and q.ambient != self.ambient:
-            raise ValueError(
-                f"point of {q.ambient} tested against a cone in {self.ambient}"
-            )
-        x, _ = as_xy(q)
-        return x >= 0
+        """Membership test, with the fast path and the checks of :meth:`Cone2.contains`."""
+        if type(q) is tuple and len(q) == 2:
+            x, y = q
+            if type(x) is int and type(y) is int:
+                return x >= 0
+        return exact_xy(q, self.ambient)[0] >= 0
 
     def to_json(self) -> dict:
         return {"halfplane": True, "ambient": self.ambient}
@@ -220,7 +220,10 @@ def comult(rule: ComultRule, u) -> TensorElement:
     x-exponent ``a-i`` ascends, so no two keys coincide) and skip the
     checking constructor.
     """
-    a, b = (as_int(v) for v in as_xy(u))
+    if type(u) is tuple and len(u) == 2 and type(u[0]) is int and type(u[1]) is int:
+        a, b = u
+    else:
+        a, b = (as_int(v) for v in as_xy(u))
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     if rule.orientation is Orientation.MINUS:
@@ -656,7 +659,12 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     pairs.  Failures are reported with the first counterexample, never raised.
     Each distinct exponent is expanded once per call: the box monomials, the
     legs in coassociativity and the sums in multiplicativity share one table.
-    The counit and coassociativity sums are compared as unsorted dicts.
+    The box scan and the closure check take the exact-int fast path of the
+    region's ``contains``.  The counit sums are compared as unsorted dicts.
+    Coassociativity adds each term of ``(comult (x) id)(comult u)`` to one
+    dict and subtracts each term of ``(id (x) comult)(comult u)`` from it,
+    and fails exactly when a value is non-zero: the arithmetic is exact, so
+    this is the comparison of the two sums.
 
     Multiplicativity runs by Kronecker substitution.  An expansion is a *run*
     when its keys, flattened to ``(l0, l1, r0, r1)``, are exactly
@@ -673,7 +681,8 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     coefficients below ``2**bits``, its first key is ``first_u + first_v``
     and its code is ``code_u * code_v``; a target that is no such run equals
     no product and fails.  Each target is checked and encoded once per
-    distinct sum (a sum inside the box reuses its box code), and a pair
+    distinct sum (a sum inside the box reuses its box code), by one pass over
+    its terms in the order ``comult`` built them (:func:`_code`), and a pair
     costs four int adds and one big-int product.  When some box expansion
     is not a run (only a corrupted ``comult`` gives one), every pair is
     checked by the ``TensorElement`` product instead.
@@ -715,12 +724,17 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
 
     witness = None
     for u, t in expansions.items():
-        lhs = []
-        rhs = []
-        for (left, right), coef in t.terms():
-            lhs += [((l2, r2, right), coef * c2) for (l2, r2), c2 in expand(left).terms()]
-            rhs += [((left, l2, r2), coef * c2) for (l2, r2), c2 in expand(right).terms()]
-        if _sum(lhs) != _sum(rhs):
+        # (comult (x) id - id (x) comult) of t, summed in one dict.
+        diff: dict = {}
+        get = diff.get
+        for (left, right), coef in t._terms.items():
+            for (l2, r2), c2 in expand(left)._terms.items():
+                key = (l2, r2, right)
+                diff[key] = get(key, 0) + coef * c2
+            for (l2, r2), c2 in expand(right)._terms.items():
+                key = (left, l2, r2)
+                diff[key] = get(key, 0) - coef * c2
+        if any(diff.values()):
             witness = {"monomial": list(u)}
             break
     checks.append(_result("coassociativity", witness))
@@ -747,7 +761,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
                 try:
                     target = targets[s]
                 except KeyError:
-                    target = targets[s] = _code(expand(s), step, bits)
+                    target = targets[s] = _code(expand(s)._terms, step, bits)
                 if target != (a0 + b0, a1 + b1, a2 + b2, a3 + b3, cu * cv):
                     witness = {"pair": [[u0, u1], [v0, v1]]}
                     break
@@ -758,53 +772,63 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     return VerificationReport(tuple(checks))
 
 
-def _run(t: TensorElement, step) -> tuple | None:
-    """``(first, digits)`` when ``t`` is a run along ``step``, else ``None``.
+def _code(terms: dict, step, bits: int) -> tuple | None:
+    """``(*first, code)`` when ``terms`` is a run along ``step`` with digits below ``2**bits``.
 
-    ``first`` is the least key, flattened; ``digits[i]`` is the coefficient
-    at ``first + i*step``, which must be a positive integer (an ``int``, or a
-    ``Fraction`` or ``bool`` of integral value).  Without a step (``None``)
-    only one-term expansions are runs.
+    ``first`` is the least key, flattened, and ``code`` is
+    ``sum(c_i << bits*i)`` for the coefficient ``c_i`` at ``first + i*step``,
+    which must be a positive integer (an ``int``, or a ``Fraction`` or
+    ``bool`` of integral value) below ``2**bits``.  Without a step (``None``)
+    only one-term expansions are runs; otherwise ``None`` means no run.  The
+    walk starts at the first key, the least one for the terms ``comult``
+    builds in order; only when that walk fails is it repeated in sorted key
+    order, from ``min(terms)``.
     """
-    terms = t._terms
     if not terms or (step is None and len(terms) > 1):
         return None
-    (l0, l1), (r0, r1) = min(terms)
-    (d0, d1), (d2, d3) = step or ((0, 0), (0, 0))
-    digits = [
-        terms.get(((l0 + i * d0, l1 + i * d1), (r0 + i * d2, r1 + i * d3)))
-        for i in range(len(terms))
-    ]
-    if not set(map(type, digits)) <= {int}:
-        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1 for c in digits):
-            return None
-        digits = [c.numerator for c in digits]
-    if min(digits) < 1:
-        return None
-    return (l0, l1, r0, r1), digits
-
-
-def _kronecker(digits: list[int], bits: int) -> int:
-    """``sum(c << bits*i for i, c in enumerate(digits))``, by Horner's rule."""
-    code = 0
-    for c in reversed(digits):
-        code = code << bits | c
+    code = _walk(terms.items(), step, bits)
+    if code is None:
+        code = _walk(sorted(terms.items()), step, bits)
     return code
 
 
-def _code(t: TensorElement, step, bits: int) -> tuple | None:
-    """``(*first, code)`` of a run whose digits are all below ``2**bits``, else ``None``."""
-    run = _run(t, step)
-    if run is None or max(run[1]) >> bits:
-        return None
-    return (*run[0], _kronecker(run[1], bits))
+def _walk(items, step, bits: int) -> tuple | None:
+    """:func:`_code` of ``(key, coefficient)`` pairs taken in the given order, in one pass.
+
+    Each key must be the one before it plus ``step``, and each coefficient
+    is checked, and shifted into the code, where it is read.
+    """
+    (d0, d1), (d2, d3) = step or ((0, 0), (0, 0))
+    first = None
+    code = shift = 0
+    for ((k0, k1), (k2, k3)), c in items:
+        if first is None:
+            first = l0, l1, r0, r1 = (k0, k1, k2, k3)
+        elif k0 != l0 or k1 != l1 or k2 != r0 or k3 != r1:
+            return None
+        if type(c) is not int:
+            if not (isinstance(c, (int, Fraction)) and c.denominator == 1):
+                return None
+            c = c.numerator
+        if c < 1 or c >> bits:
+            return None
+        code |= c << shift
+        shift += bits
+        l0 += d0
+        l1 += d1
+        r0 += d2
+        r1 += d3
+    return (*first, code)
 
 
 def _box_codes(expansions: dict) -> tuple | None:
     """``(step, bits, {u: (*first, code)})`` when every box expansion is a run, else ``None``.
 
     ``step`` is the difference of the two least keys of the first expansion
-    with more than one term (``None`` when there is none).
+    with more than one term (``None`` when there is none).  ``bits`` comes
+    from the largest coefficient sum ``S`` before any expansion is walked;
+    when every walk succeeds, each coefficient is a positive integer, so
+    ``S`` is the largest digit sum.
     """
     step = None
     for t in expansions.values():
@@ -812,12 +836,13 @@ def _box_codes(expansions: dict) -> tuple | None:
             ((a0, a1), (a2, a3)), ((b0, b1), (b2, b3)) = sorted(t._terms)[:2]
             step = ((b0 - a0, b1 - a1), (b2 - a2, b3 - a3))
             break
-    runs = {u: _run(t, step) for u, t in expansions.items()}
-    if None in runs.values():
-        return None
-    s_max = max((sum(digits) for _, digits in runs.values()), default=1)
-    bits = (s_max * s_max).bit_length()
-    codes = {u: (*first, _kronecker(digits, bits)) for u, (first, digits) in runs.items()}
+    s_max = max((sum(t._terms.values()) for t in expansions.values()), default=1)
+    bits = (s_max * s_max).numerator.bit_length()
+    codes = {}
+    for u, t in expansions.items():
+        code = codes[u] = _code(t._terms, step, bits)
+        if code is None:
+            return None
     return step, bits, codes
 
 

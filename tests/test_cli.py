@@ -21,7 +21,7 @@ from toricmonoids import (
     distinguish,
     image_ideal_codim,
 )
-from toricmonoids.cli import MAX_VERIFY_BOX, MAX_VERIFY_TERMS, _verify_terms, main
+from toricmonoids.cli import MAX_POWER_BITS, MAX_VERIFY_BOX, MAX_VERIFY_TERMS, _verify_terms, main
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -421,6 +421,40 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert "expected a positive integer" in err.splitlines()[-1]
 
+
+
+class TestMultiplyPowerSize:
+    """``multiply`` refuses a chart product whose largest power term, a
+    coordinate's bit length times b + 2n, is estimated over MAX_POWER_BITS."""
+
+    BIG = 10**1000
+
+    def _multiply(self, capsys, b, p, q):
+        spec = f'{{"family":"X","n":1,"a":1,"b":{b}}}'
+        return run_cli(capsys, "multiply", spec, "--p", json.dumps(p), "--q", json.dumps(q))
+
+    def test_cancelling_terms_still_print(self, capsys):
+        # p1*q2^b + p2^(b+1)*q1 = 7*10^1000 - 10^2000 * 7/10^1000 = 0.
+        p, q = ["7", str(self.BIG)], [f"-7/{self.BIG}", str(self.BIG)]
+        code, out, err = self._multiply(capsys, 1, p, q)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == ["0", str(self.BIG**2)]
+
+    def test_thousand_digit_coordinate_at_b_9999_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = self._multiply(capsys, 9999, ["7", str(self.BIG)], ["1", "1"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: a 3322-bit coordinate to the power 10001 is over {MAX_POWER_BITS} bits\n"
+
+    def test_budget_is_inclusive(self, capsys):
+        # A 1,024-bit coordinate to the power b + 2 = 1,024 is exactly 2**20 bits.
+        assert MAX_POWER_BITS == 1024 * 1024
+        p = [str(2**1023), "1"]
+        code, out, _ = self._multiply(capsys, 1022, p, ["1", "1"])
+        assert code == 0 and json.loads(out) == [str(2**1023 + 1), "1"]
+        code, out, _ = self._multiply(capsys, 1023, p, ["1", "1"])
+        assert (code, out) == (2, "")
 
 
 class TestErrorContract:

@@ -277,6 +277,20 @@ class TestPairEquivalence:
                     assert pair_equivalence(sigma, p, q) == pair_equivalence(sigma, q, p)
 
 
+@pytest.mark.parametrize("ray_index", [True, False, 1.0, 0.0], ids=["true", "false", "1.0", "0.0"])
+def test_ray_index_is_an_int(ray_index):
+    e = LatticePoint(-1, 0, M)
+    for call in (
+        lambda: DemazureRoot(e, ray_index),
+        lambda: DemazureRoot.validated(QUADRANT, ray_index, e),
+        lambda: is_demazure_root(QUADRANT, ray_index, (-1, 0)),
+        lambda: is_demazure_root(QUADRANT, ray_index, e),
+        lambda: roots_up_to(QUADRANT, ray_index, 2),
+    ):
+        with pytest.raises(ValueError, match="ray_index must be 0 or 1"):
+            call()
+
+
 def test_root_json_round_trip():
     r = DemazureRoot(LatticePoint(-1, 2, M), 1)
     assert r.to_json() == {"e": [-1, 2], "ray_index": 1}

@@ -1,8 +1,10 @@
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricmonoids import (
     Cone2,
@@ -134,6 +136,14 @@ class TestCone2:
         assert Cone2.from_rays((1, 0), (0, 1), M).is_smooth
         assert not Cone2.from_rays((0, 1), (2, 3), M).is_smooth
 
+    def test_stored_normals_are_not_fields(self):
+        c = Cone2.from_rays((0, 1), (3, -1), M)
+        assert repr(c) == f"Cone2(rays={c.rays!r}, ambient='M')"
+        assert c == Cone2(c.rays, M) and hash(c) == hash(Cone2(c.rays, M))
+        twin = pickle.loads(pickle.dumps(c))
+        assert twin == c
+        assert [twin.contains(q) for q in ((1, 0), (0, -1), (3, -1))] == [True, False, True]
+
 
 class TestDualCone:
     def test_quadrant_self_dual(self):
@@ -190,6 +200,36 @@ class TestContains:
         c = Cone2.from_rays((1, 0), (0, 1), M)
         with pytest.raises(ValueError):
             c.contains(mk(1, 1, N))
+
+    @pytest.mark.parametrize(
+        "q",
+        [(0.5, 0.5), (1.0, 0), (True, 0), (0, False), ("1", "2"), (Fraction(1, 2), 0.5), [1, True]],
+        ids=["floats", "one-float", "bool-x", "bool-y", "strings", "fraction-and-float", "list-bool"],
+    )
+    def test_inexact_coordinates_refused(self, q):
+        with pytest.raises(ValueError, match="exact rationals"):
+            Cone2.from_rays((0, 1), (1, 0), M).contains(q)
+
+    @settings(max_examples=300)
+    @given(
+        rays=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+        ambient=st.sampled_from([M, N]),
+        q=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+        den=st.integers(1, 6),
+    )
+    def test_matches_ray_coefficients(self, rays, ambient, q, den):
+        # The exact-int fast path, a point and a rational point against the
+        # Fraction route: q is inside iff both ray coefficients are >= 0.
+        try:
+            c = Cone2.from_rays(tuple(rays[:2]), tuple(rays[2:]), ambient)
+        except DegenerateConeError:
+            assume(False)
+        inside = min(c.ray_coefficients(q)) >= 0
+        assert c.contains(q) is inside
+        assert c.contains(list(q)) is inside
+        assert c.contains(LatticePoint(*q, ambient)) is inside
+        r = RationalPoint(Fraction(q[0], den), Fraction(q[1], den), ambient)
+        assert c.contains(r) is (min(c.ray_coefficients(r)) >= 0) is inside
 
     def test_membership_matches_dual_pairings(self):
         # q in c iff q pairs >= 0 with both rays of the dual cone

@@ -57,6 +57,8 @@ from toricmonoids import (
 from toricmonoids.monoids import _binomials
 
 from oracles import (
+    box_codes_by_lookup,
+    code_by_lookup,
     comult_by_comb,
     comult_from_root_pair_by_comb,
     rand_fraction,
@@ -137,6 +139,14 @@ class TestConeOfSpec:
         assert HalfPlane().contains(LatticePoint(1, 0, M))
         assert HalfPlane().contains(RationalPoint("1/2", -3, M))
         assert HalfPlane(N).contains((0, 5)) and not HalfPlane(N).contains((-1, 5))
+
+    @pytest.mark.parametrize(
+        "q", [(True, 0), (0.5, 0), (1, 0.5), ("1", "2"), [False, 1]],
+        ids=["bool", "float-x", "float-y", "strings", "list-bool"],
+    )
+    def test_half_plane_refuses_inexact_coordinates(self, q):
+        with pytest.raises(ValueError, match="exact rationals"):
+            HalfPlane().contains(q)
 
 
 class TestComult:
@@ -1079,6 +1089,126 @@ class TestKroneckerMultiplicativity:
         rule = ComultRule(spec.n, orientation)
         _, taken = _verify_and_count(products, cone_of_spec(spec), rule, box)
         assert taken == 0
+
+
+def _head_not_least(terms, keys, bits):
+    # The least key moves to the end of the dict: the walk from the first key fails.
+    terms[keys[0]] = terms.pop(keys[0])
+
+
+def _zero_middle(terms, keys, bits):
+    terms[keys[len(keys) // 2]] = 0
+
+
+def _move_middle_right_y(terms, keys, bits):
+    # One term off the run in the last key component only.
+    left, (r0, r1) = keys[len(keys) // 2]
+    terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
+
+
+def _top_bit(terms, keys, bits):
+    terms[keys[0]] = 1 << bits
+
+
+def _fraction_middle(terms, keys, bits):
+    terms[keys[len(keys) // 2]] = Fraction(terms[keys[len(keys) // 2]])
+
+
+def _true_first(terms, keys, bits):
+    assert terms[keys[0]] == 1
+    terms[keys[0]] = True
+
+
+class TestOnePassCode:
+    """``_code`` and ``_box_codes`` walk each expansion once; the lookup route
+    of ``oracles.code_by_lookup``, which they replaced, gives the same codes
+    and the same ``None``."""
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize(
+        "spec, box",
+        [(MonoidSpec.group(2), 3), (MonoidSpec.x(2, 3, 2), 4), (MonoidSpec.y(1, 2, 1), 4),
+         (MonoidSpec.x(1, 1, 3), 1)],
+        ids=["group", "x", "y", "x-one-term-box"],
+    )
+    def test_real_expansions_and_targets(self, spec, box, orientation):
+        rule = ComultRule(spec.n, orientation)
+        points = box_lattice_points(cone_of_spec(spec), box)
+        expansions = {u: comult(rule, u) for u in points}
+        codes = monoids._box_codes(expansions)
+        assert codes is not None and codes == box_codes_by_lookup(expansions)
+        step, bits, _ = codes
+        for u in points:
+            for v in points:
+                t = comult(rule, (u[0] + v[0], u[1] + v[1]))
+                assert monoids._code(t._terms, step, bits) == code_by_lookup(t, step, bits)
+                assert code_by_lookup(t, step, bits) is not None
+
+    @pytest.mark.parametrize(
+        "change, is_run",
+        [
+            (_head_not_least, True),
+            (_drop_middle, False),
+            (_add_off_the_run, False),
+            (_move_middle_right_y, False),
+            (_zero_middle, False),
+            (_zero_past_the_top, False),
+            (_top_bit, False),
+            (_fold_top_digit, False),
+            (_fraction_middle, True),
+            (_true_first, True),
+            (_shift_run, True),
+        ],
+        ids=["head-not-least", "missing-term", "extra-term", "moved-term", "zero", "zero-past-the-top",
+             "digit-2**bits", "folded-top-digit", "fraction-2/1", "true", "shifted-run"],
+    )
+    def test_corrupted_expansions(self, change, is_run):
+        spec, box = MonoidSpec.x(1, 1, 0), 3
+        rule = ComultRule(spec.n)
+        expansions = {u: comult(rule, u) for u in box_lattice_points(cone_of_spec(spec), box)}
+        step, bits, _ = monoids._box_codes(expansions)
+        for w in ((6, 6), (3, 3)):
+            terms = dict(comult(rule, w)._terms)
+            change(terms, sorted(terms), bits)
+            corrupt = TensorElement._of(terms)
+            code = monoids._code(terms, step, bits)
+            assert code == code_by_lookup(corrupt, step, bits)
+            assert (code is not None) == is_run
+            # The same expansion in the box: no digit bound there, bits follow the sums.
+            boxed = {**expansions, w: corrupt} if w in expansions else expansions
+            assert monoids._box_codes(boxed) == box_codes_by_lookup(boxed)
+
+
+class TestOneDictCoassociativity:
+    """Coassociativity sums both sides into one signed dict; the oracle merges
+    each side and compares, with the same verdict and witness."""
+
+    @pytest.mark.parametrize(
+        "extra, passes",
+        [
+            # Both sides gain only zero terms, at different keys: they cancel.
+            ({((0, 2), (0, 0)): 0}, True),
+            ({((0, 2), (0, 0)): 1, ((0, 0), (0, 2)): -1}, False),
+        ],
+        ids=["zero-terms-cancel", "opposite-terms"],
+    )
+    def test_corrupted_leg_expansion(self, monkeypatch, extra, passes):
+        exact, w = monoids.comult, (0, 1)
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            return TensorElement._of({**t._terms, **extra}) if u == w else t
+
+        monkeypatch.setattr(monoids, "comult", corrupt)
+        spec, box = MonoidSpec.x(1, 1, 0), 3
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        coassociativity = report.checks[3]
+        assert coassociativity.name == "coassociativity"
+        assert coassociativity.passed is passes
+        if not passes:
+            assert coassociativity.witness == {"monomial": list(w)}
 
 
 class TestNoncommutativityWitness:
