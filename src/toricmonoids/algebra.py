@@ -21,19 +21,14 @@ from .lattice import (
     _Record,
     _setattr,
     as_int,
-    as_xy,
     box_lattice_points,
+    int_xy,
     parse_rational,
 )
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a Laurent element at a zero of one of its denominators."""
-
-
-def _exponent(u) -> tuple[int, int]:
-    x, y = as_xy(u)
-    return (as_int(x), as_int(y))
 
 
 def _sum(pairs) -> dict:
@@ -166,7 +161,10 @@ class LaurentElement(_Sparse):
 
     __slots__ = ()
     _UNIT = (0, 0)
-    _key = staticmethod(_exponent)
+
+    @staticmethod
+    def _key(k):
+        return int_xy(k, M)
 
     @staticmethod
     def _add(k1, k2):
@@ -178,7 +176,7 @@ class LaurentElement(_Sparse):
 
     @staticmethod
     def _json_key(item):
-        return tuple(item["exp"])
+        return item["exp"]
 
     @staticmethod
     def _show(k) -> str:
@@ -189,20 +187,23 @@ class LaurentElement(_Sparse):
         return cls([(exponent, coefficient)])
 
     def coefficient(self, exponent) -> int | Fraction:
-        return self._terms.get(_exponent(exponent), 0)
+        return self._terms.get(int_xy(exponent, M), 0)
 
     def map_exponents(self, fn) -> "LaurentElement":
         """Apply an exponent substitution ``(a, b) -> (a', b')`` to every term."""
         return LaurentElement([(fn(k), c) for k, c in self._terms.items()])
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point ``(x, y)``.
+        """Exact value at a torus point, a pair ``(x, y)`` of exact rationals.
 
+        The point is not a lattice point, so each coordinate is read by
+        :func:`parse_rational`: a ``float`` or ``bool`` raises ``TypeError``.
         Raises :class:`PoleError` when a negative exponent meets a zero
         coordinate.
         """
+        x, y = point
         # Fraction before powering: a negative power of an int is a float.
-        px, py = (Fraction(parse_rational(v)) for v in as_xy(point))
+        px, py = Fraction(parse_rational(x)), Fraction(parse_rational(y))
         total = Fraction(0)
         for (a, b), coef in self._terms.items():
             try:
@@ -243,7 +244,7 @@ class TensorElement(_Sparse):
 
     @staticmethod
     def _key(k):
-        return (_exponent(k[0]), _exponent(k[1]))
+        return (int_xy(k[0], M), int_xy(k[1], M))
 
     @staticmethod
     def _add(k1, k2):
@@ -256,7 +257,7 @@ class TensorElement(_Sparse):
 
     @staticmethod
     def _json_key(item):
-        return (tuple(item["left"]), tuple(item["right"]))
+        return (item["left"], item["right"])
 
     @staticmethod
     def _show(k) -> str:
@@ -267,7 +268,7 @@ class TensorElement(_Sparse):
         return cls([((left, right), coefficient)])
 
     def coefficient(self, left, right) -> int | Fraction:
-        return self._terms.get((_exponent(left), _exponent(right)), 0)
+        return self._terms.get((int_xy(left, M), int_xy(right, M)), 0)
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json())``, formatted straight from the terms.

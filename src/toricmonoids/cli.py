@@ -32,6 +32,7 @@ from .lattice import (
     _setattr,
     as_int,
     hilbert_basis,
+    int_xy,
     parse_rational,
 )
 from .monoids import (
@@ -196,7 +197,7 @@ def _parse_monomial(text: str) -> tuple[int, int]:
     if not isinstance(data, list) or len(data) != 2:
         raise UsageError("a monomial is a JSON pair [a, b]")
     try:
-        return (as_int(data[0]), as_int(data[1]))
+        return int_xy(data, M)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -21,21 +21,20 @@ from .lattice import (
     LatticePoint,
     M,
     N,
+    RationalPoint,
     _Record,
     _setattr,
     as_int,
-    as_xy,
+    int_xy,
     pairing,
 )
 
 
 def _root_point(e) -> LatticePoint:
-    if isinstance(e, LatticePoint):
-        if e.ambient != M:
-            raise ValueError("a Demazure root is a character, i.e. a point of M")
-        return e
-    x, y = as_xy(e)
-    return LatticePoint(as_int(x), as_int(y), M)
+    """``e`` read by :func:`int_xy` as a point of M, with the root's own ambient message."""
+    if isinstance(e, (LatticePoint, RationalPoint)) and e.ambient != M:
+        raise ValueError("a Demazure root is a character, i.e. a point of M")
+    return LatticePoint(*int_xy(e, M), M)
 
 
 def _check_sigma(sigma: Cone2) -> Cone2:

@@ -41,12 +41,24 @@ def other_ambient(ambient: str) -> str:
     return N if ambient == M else M
 
 
-def as_xy(v: PointLike) -> tuple:
-    """Coordinate pair of a point-like value (lattice point, rational point, or pair)."""
-    if isinstance(v, (LatticePoint, RationalPoint)):
-        return (v.x, v.y)
-    x, y = v
-    return (x, y)
+def int_xy(p: PointLike, ambient: str | None) -> tuple[int, int]:
+    """Integer coordinates of a lattice point argument.
+
+    A ``tuple`` of two ``int`` is returned as it is.  A :class:`LatticePoint`
+    or :class:`RationalPoint` must lie in ``ambient`` (``None`` accepts
+    either lattice).  Every other coordinate goes through :func:`as_int`, so
+    a ``bool``, ``float``, ``str`` or non-integral coordinate raises
+    ``ValueError``.
+    """
+    if type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int:
+        return p
+    if isinstance(p, (LatticePoint, RationalPoint)):
+        if ambient is not None and p.ambient != ambient:
+            raise ValueError(f"expected a point of {ambient}, got one of {p.ambient}")
+        x, y = p.x, p.y
+    else:
+        x, y = p
+    return (as_int(x), as_int(y))
 
 
 def exact_xy(q: PointLike, ambient: str) -> tuple:
@@ -206,8 +218,7 @@ class LatticePoint(_Record):
 
     @classmethod
     def from_json(cls, data, ambient: str = M) -> "LatticePoint":
-        x, y = data
-        return cls(as_int(x), as_int(y), ambient)
+        return cls(*int_xy(data, None), ambient)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -254,15 +265,6 @@ def primitive(v: LatticePoint) -> LatticePoint:
     return LatticePoint(v.x // d, v.y // d, v.ambient)
 
 
-def _as_lattice_point(v: PointLike, ambient: str) -> LatticePoint:
-    if isinstance(v, LatticePoint):
-        if v.ambient != ambient:
-            raise ValueError(f"expected a point of {ambient}, got one of {v.ambient}")
-        return v
-    x, y = v
-    return LatticePoint(as_int(x), as_int(y), ambient)
-
-
 class Cone2(_Record):
     """A full-dimensional strongly convex rational cone in a rank-2 lattice.
 
@@ -307,10 +309,10 @@ class Cone2(_Record):
             ambient = tagged[0] if tagged else M
         points = []
         for r in (r1, r2):
-            p = _as_lattice_point(r, ambient)
-            if p.xy == (0, 0):
+            x, y = int_xy(r, ambient)
+            if x == 0 and y == 0:
                 raise DegenerateConeError("zero vector is not a ray generator")
-            points.append(primitive(p))
+            points.append(primitive(LatticePoint(x, y, ambient)))
         lo, hi = sorted(points)
         return cls((lo, hi), ambient)
 
@@ -326,7 +328,7 @@ class Cone2(_Record):
 
     def ray_index(self, p: PointLike) -> int:
         """Index (0 or 1) of a ray generator of this cone."""
-        target = as_xy(p)
+        target = int_xy(p, self.ambient)
         for i, r in enumerate(self.rays):
             if r.xy == target:
                 return i
@@ -334,7 +336,7 @@ class Cone2(_Record):
 
     def ray_coefficients(self, q: PointLike) -> tuple[Fraction, Fraction]:
         """Exact coefficients (alpha, beta) with q = alpha*r1 + beta*r2."""
-        x, y = as_xy(q)
+        x, y = exact_xy(q, self.ambient)
         r1, r2 = self.rays
         d = self._det
         return (Fraction(x * r2.y - y * r2.x, d), Fraction(r1.x * y - r1.y * x, d))
@@ -381,7 +383,7 @@ class Cone2(_Record):
         rays = data["rays"]
         if len(rays) != 2:
             raise ValueError("a cone is given by exactly two rays")
-        return cls.from_rays(tuple(rays[0]), tuple(rays[1]), ambient)
+        return cls.from_rays(rays[0], rays[1], ambient)
 
     def __str__(self) -> str:
         r1, r2 = self.rays
@@ -419,8 +421,8 @@ class LatticeMap(_Record):
     def is_unimodular(self) -> bool:
         return self.det in (1, -1)
 
-    def apply_xy(self, v: Sequence) -> tuple[int, int]:
-        x, y = as_xy(v)
+    def apply_xy(self, v: PointLike) -> tuple[int, int]:
+        x, y = int_xy(v, None)
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def apply(self, v: LatticePoint) -> LatticePoint:

@@ -44,9 +44,9 @@ from .lattice import (
     _Record,
     _setattr,
     as_int,
-    as_xy,
     box_lattice_points,
     exact_xy,
+    int_xy,
     parse_rational,
 )
 
@@ -220,10 +220,7 @@ def comult(rule: ComultRule, u) -> TensorElement:
     x-exponent ``a-i`` ascends, so no two keys coincide) and skip the
     checking constructor.
     """
-    if type(u) is tuple and len(u) == 2 and type(u[0]) is int and type(u[1]) is int:
-        a, b = u
-    else:
-        a, b = (as_int(v) for v in as_xy(u))
+    a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     if rule.orientation is Orientation.MINUS:
@@ -239,7 +236,7 @@ def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
     The exponent is in lattice coordinates and must lie in the spec's cone.
     """
     region = cone_of_spec(spec)
-    xy = tuple(as_int(v) for v in as_xy(u))
+    xy = int_xy(u, M)
     if not region.contains(xy):
         raise ValueError(f"monomial {xy} is not in the exponent region of {spec}")
     return comult(ComultRule(spec.n), xy)
@@ -268,7 +265,7 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     if sigma.ambient != N:
         raise ValueError("the root-pair comultiplication needs a cone in N")
     dual = sigma.dual()
-    ux, uy = (as_int(v) for v in as_xy(u))
+    ux, uy = int_xy(u, M)
     if not dual.contains((ux, uy)):
         raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
     p = sigma.rays[pair.ray_index]
@@ -372,25 +369,6 @@ def image_ideal_codim(spec: MonoidSpec, k: int) -> int:
     if spec.family is Family.X:
         return base
     return base + spec.n * k
-
-
-def image_ideal_codim_search(spec: MonoidSpec, k: int) -> int:
-    """Image-ideal codimension by direct cone search, independent of the closed form.
-
-    Scans for the least ``t >= 0`` with ``(k, t)`` (X family) or ``(k, -t)``
-    (Y family) in the spec's cone; this is the number of kernel monomials not
-    reached by the k-th iterate of the left derivation.
-    """
-    _require_surface_family(spec, "the image-ideal codimension")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    cone = cone_of_spec(spec)
-    sign = 1 if spec.family is Family.X else -1
-    cap = k * (spec.b + spec.n * spec.a) + 1  # (k, sign*cap) is always inside
-    for t in range(cap + 1):
-        if cone.contains((k, sign * t)):
-            return t
-    raise AssertionError(f"no axis point found for {spec} at k={k}")
 
 
 def distinguish(s1: MonoidSpec, s2: MonoidSpec) -> bool:
@@ -574,7 +552,7 @@ def chart_monomial_value(spec: MonoidSpec, u, point) -> Fraction:
     up to the chart relation, which does not affect the value.
     """
     _require_surface_family(spec, "chart evaluation")
-    ux, uy = (as_int(v) for v in as_xy(u))
+    ux, uy = int_xy(u, M)
     n, a, b = spec.n, spec.a, spec.b
     if a == 1:
         c1, c2 = _chart_point(spec, point, 2)
@@ -609,7 +587,7 @@ def counit(u) -> Fraction:
 
     Equals 1 when the x-exponent vanishes and 0 otherwise.
     """
-    x, _ = as_xy(u)
+    x, _ = int_xy(u, M)
     return Fraction(1) if x == 0 else Fraction(0)
 
 
@@ -716,7 +694,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     for name, side in (("counit-left", 0), ("counit-right", 1)):
         witness = None
         for u, t in expansions.items():
-            collapsed = _sum((key[1 - side], c) for key, c in t.terms() if key[side][0] == 0)
+            collapsed = _sum((key[1 - side], c) for key, c in t._terms.items() if key[side][0] == 0)
             if collapsed != {u: 1}:
                 witness = {"monomial": list(u)}
                 break

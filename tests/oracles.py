@@ -14,17 +14,22 @@ from toricmonoids import (
     ComultRule,
     Cone2,
     ConeClosureError,
+    Family,
     LatticePoint,
+    M,
+    MonoidSpec,
     LaurentElement,
     Orientation,
     RootPair,
     TensorElement,
     VerificationReport,
     box_lattice_points,
+    cone_of_spec,
     monoids,
 )
 from toricmonoids.algebra import _merge
-from toricmonoids.lattice import as_int, as_xy
+from toricmonoids.lattice import int_xy
+from toricmonoids.monoids import _require_surface_family
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -70,6 +75,25 @@ def can_represent(u, gens, cone, memo=None) -> bool:
         return memo[v]
 
     return rec(tuple(u))
+
+
+def image_ideal_codim_search(spec: MonoidSpec, k: int) -> int:
+    """Image-ideal codimension by direct cone search, independent of the closed form.
+
+    Scans for the least ``t >= 0`` with ``(k, t)`` (X family) or ``(k, -t)``
+    (Y family) in the spec's cone; this is the number of kernel monomials not
+    reached by the k-th iterate of the left derivation.
+    """
+    _require_surface_family(spec, "the image-ideal codimension")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    cone = cone_of_spec(spec)
+    sign = 1 if spec.family is Family.X else -1
+    cap = k * (spec.b + spec.n * spec.a) + 1  # (k, sign*cap) is always inside
+    for t in range(cap + 1):
+        if cone.contains((k, sign * t)):
+            return t
+    raise AssertionError(f"no axis point found for {spec} at k={k}")
 
 
 def restriction_scan(cone: Cone2, n: int, bound: int) -> bool:
@@ -126,7 +150,7 @@ def hilbert_basis_by_sieve(cone: Cone2) -> list[LatticePoint]:
 def comult_by_comb(rule: ComultRule, u) -> TensorElement:
     """The weight-``n`` comultiplication with every binomial from ``math.comb``,
     built through the checking ``TensorElement`` constructor."""
-    a, b = (as_int(v) for v in as_xy(u))
+    a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     if rule.orientation is Orientation.MINUS:
@@ -141,7 +165,7 @@ def comult_from_root_pair_by_comb(sigma: Cone2, pair: RootPair, u) -> TensorElem
     """The root-pair comultiplication with every binomial from ``math.comb``,
     built through the checking ``TensorElement`` constructor."""
     dual = sigma.dual()
-    ux, uy = (as_int(v) for v in as_xy(u))
+    ux, uy = int_xy(u, M)
     if not dual.contains((ux, uy)):
         raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
     p = sigma.rays[pair.ray_index]

@@ -33,7 +33,6 @@ from toricmonoids import (
     derivation_for,
     hilbert_basis,
     image_ideal_codim,
-    image_ideal_codim_search,
     is_locally_nilpotent_on,
     multiply_points,
     opposite_witness,
@@ -45,7 +44,7 @@ from toricmonoids import (
     verify_bialgebra,
 )
 
-from oracles import rand_fraction, rand_nonzero_fraction
+from oracles import image_ideal_codim_search, rand_fraction, rand_nonzero_fraction
 
 
 def _report(number: int, title: str, failures: list) -> None:

@@ -40,7 +40,6 @@ from toricmonoids import (
     distinguish,
     hilbert_basis,
     image_ideal_codim,
-    image_ideal_codim_search,
     monoids,
     multiply_points,
     opposite,
@@ -61,6 +60,7 @@ from oracles import (
     code_by_lookup,
     comult_by_comb,
     comult_from_root_pair_by_comb,
+    image_ideal_codim_search,
     rand_fraction,
     rand_nonzero_fraction,
     restriction_scan,
