@@ -285,10 +285,9 @@ def _cmd_comult(args) -> int:
         if not isinstance(pair_data, list) or len(pair_data) != 2:
             raise UsageError("a root pair is a JSON list of two roots")
         try:
-            roots = [DemazureRoot.from_json(item) for item in pair_data]
+            pair = RootPair(*(DemazureRoot.from_json(item) for item in pair_data))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"not a root pair: {exc}") from None
-        pair = RootPair(roots[0], roots[1])
         p = cone.rays[pair.ray_index]
         _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
         tensor = comult_from_root_pair(cone, pair, monomial)

@@ -247,6 +247,8 @@ PointLike = LatticePoint | RationalPoint | Sequence
 
 def pairing(u: LatticePoint, p: LatticePoint) -> int:
     """Dual pairing of a character ``u`` in M with ``p`` in N (dot product)."""
+    if not (isinstance(u, LatticePoint) and isinstance(p, LatticePoint)):
+        raise ValueError(f"pairing takes two LatticePoints, got {u!r} and {p!r}")
     if u.ambient != M or p.ambient != N:
         raise ValueError(
             f"pairing expects an (M, N) argument pair, got ({u.ambient}, {p.ambient})"
@@ -259,6 +261,8 @@ def primitive(v: LatticePoint) -> LatticePoint:
 
     Divides out the gcd of the coordinates; the direction is preserved.
     """
+    if not isinstance(v, LatticePoint):
+        raise ValueError(f"primitive takes a LatticePoint, got {v!r}")
     if v.x == 0 and v.y == 0:
         raise ValueError("the zero vector spans no ray")
     d = gcd(abs(v.x), abs(v.y))
@@ -426,6 +430,8 @@ class LatticeMap(_Record):
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def apply(self, v: LatticePoint) -> LatticePoint:
+        if not isinstance(v, LatticePoint):
+            raise ValueError(f"LatticeMap.apply takes a LatticePoint, got {v!r}")
         x, y = self.apply_xy(v)
         return LatticePoint(x, y, v.ambient)
 

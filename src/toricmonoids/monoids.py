@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, filterfalse
 from math import gcd
 
-from .algebra import TensorElement, _merge, _sum
+from .algebra import TensorElement, _sum
 from .demazure import RootPair
 from .lattice import (
     Cone2,
@@ -210,24 +210,42 @@ def _binomials(d: int) -> list[int]:
     return row
 
 
+def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
+    """``sum_j C(d, j) chi^(u + j*e2) (x) chi^(u + (d-j)*e1)``: the one expansion of both routes.
+
+    Term ``j``'s key moves by the fixed step ``(e2, -e1)``, so the keys are
+    built in canonical order with no sort: ``j`` ascends when the step is
+    above zero (lexicographically), else descends; the row is symmetric.
+    Only ``e1 = e2 = (0, 0)`` makes the keys coincide: one term ``2^d``.
+    Costs O(d) big-int steps: one binomial row, keys stepped by additions.
+    """
+    (e1x, e1y), (e2x, e2y) = e1, e2
+    if e1 == e2 == (0, 0):
+        return TensorElement._of({((ux, uy), (ux, uy)): 1 << d})
+    if (e2x, e2y, -e1x, -e1y) > (0, 0, 0, 0):  # from j = 0, stepping by (e2, -e1)
+        lx, ly, rx, ry, sx, sy, tx, ty = ux, uy, ux + d * e1x, uy + d * e1y, e2x, e2y, -e1x, -e1y
+    else:  # from j = d, stepping by (-e2, e1)
+        lx, ly, rx, ry, sx, sy, tx, ty = ux + d * e2x, uy + d * e2y, ux, uy, -e2x, -e2y, e1x, e1y
+    terms = {}
+    for c in _binomials(d):
+        terms[(lx, ly), (rx, ry)] = c
+        lx, ly, rx, ry = lx + sx, ly + sy, rx + tx, ry + ty
+    return TensorElement._of(terms)
+
+
 def comult(rule: ComultRule, u) -> TensorElement:
-    """Comultiplication of the monomial ``u``.
+    """Comultiplication of the monomial ``u``: the root-pair route at the ray ``(1, 0)``.
 
     ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b`` for the
-    PLUS orientation; MINUS first flips the sign of the ``y``-exponent.
-    Costs at most one big-int step per term: the binomials come from one
-    row recurrence, and the terms are built already sorted (the left
-    x-exponent ``a-i`` ascends, so no two keys coincide) and skip the
-    checking constructor.
+    PLUS orientation, :func:`_expand` at ``d = a``, ``e1 = (-1, 0)`` and
+    ``e2 = (-1, n)``; MINUS first flips the sign of the ``y``-exponent.
     """
     a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     if rule.orientation is Orientation.MINUS:
         b = -b
-    n = rule.n
-    row = _binomials(a)
-    return TensorElement._of({((a - i, b + n * i), (i, b)): row[i] for i in range(a, -1, -1)})
+    return _expand(a, b, a, (-1, 0), (-1, rule.n))
 
 
 def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
@@ -245,22 +263,12 @@ def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
 def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     """Comultiplication induced by an ordered pair of Demazure roots.
 
-    Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d`` with
-    ``d = <p_i, u>``.  The cone must lie in N.  Every exponent of the result
-    must stay in the dual cone; escape signals an invalid root pair and
-    raises :class:`ConeClosureError`.  The left exponents ``u + j*e2`` and
-    the right exponents ``u + (d-j)*e1`` each run along a segment from ``u``,
-    and the dual cone is convex, so closure is decided by the two far ends
-    ``u + d*e2`` and ``u + d*e1``; only when one escapes are the terms walked
-    (left before right, ``j`` ascending) to name the first escaping exponent.
-
-    The key of term ``j`` moves by the fixed step ``(e2, -e1)`` as ``j``
-    grows, so the keys strictly ascend in ``j`` when that step is above
-    ``((0, 0), (0, 0))`` in the lexicographic order and strictly descend when
-    it is below; the terms are built straight in canonical order, with no
-    sort.  Only ``e1 = e2 = (0, 0)`` makes all ``d + 1`` keys coincide; they
-    are merged into the one term ``2^d``.  Costs O(d) big-int steps: one
-    binomial row recurrence and one dict of the ``d + 1`` terms.
+    Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d``, ``d = <p_i, u>``,
+    by :func:`_expand`, for a cone in N.  An exponent outside the dual cone
+    means an invalid root pair and raises :class:`ConeClosureError`.  Each
+    leg's exponents run along a segment from ``u`` in a convex cone, so the
+    far ends ``u + d*e2`` and ``u + d*e1`` decide closure; only on escape are
+    the exponents walked (left before right, ``j`` ascending) to name the first.
     """
     if sigma.ambient != N:
         raise ValueError("the root-pair comultiplication needs a cone in N")
@@ -270,25 +278,18 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
         raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
     p = sigma.rays[pair.ray_index]
     d = ux * p.x + uy * p.y
-    e1 = pair.e1.e.xy
-    e2 = pair.e2.e.xy
-    lefts = [(ux + j * e2[0], uy + j * e2[1]) for j in range(d + 1)]
-    rights = [(ux + (d - j) * e1[0], uy + (d - j) * e1[1]) for j in range(d + 1)]
-    if not (dual.contains(lefts[-1]) and dual.contains(rights[0])):
-        for left, right in zip(lefts, rights):
-            for exponent in (left, right):
-                if not dual.contains(exponent):
-                    raise ConeClosureError(
-                        f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
-                        f"the root pair is not valid for {sigma}"
-                    )
-    terms = list(zip(zip(lefts, rights), _binomials(d)))
-    step = (e2, (-e1[0], -e1[1]))
-    if step == ((0, 0), (0, 0)):
-        return TensorElement._of(_merge(terms))
-    if step < ((0, 0), (0, 0)):
-        terms.reverse()
-    return TensorElement._of(dict(terms))
+    e1, e2 = pair.e1.e.xy, pair.e2.e.xy
+    far = ((ux + d * e2[0], uy + d * e2[1]), (ux + d * e1[0], uy + d * e1[1]))
+    if not all(map(dual.contains, far)):
+        walk = (
+            (ux + k * x, uy + k * y) for j in range(d + 1) for (x, y), k in ((e2, j), (e1, d - j))
+        )
+        escaped = next(filterfalse(dual.contains, walk))
+        raise ConeClosureError(
+            f"expansion of ({ux}, {uy}) leaves the cone at {escaped}; "
+            f"the root pair is not valid for {sigma}"
+        )
+    return _expand(ux, uy, d, e1, e2)
 
 
 def restriction_failure(
@@ -328,8 +329,6 @@ def classify_cone(cone: Cone2 | HalfPlane, n: int) -> MonoidSpec:
     comultiplication does not restrict.
     """
     if isinstance(cone, HalfPlane):
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
         return MonoidSpec.group(n)
     failure = restriction_failure(cone, n)
     if failure is not None:

@@ -385,6 +385,10 @@ class TestRejectedInput:
                 "--monomial", f"[{DIGITS_4300},{DIGITS_4300}]",
                 "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
             ),
+            (
+                "comult", QUADRANT_N, "--monomial", "[1,1]",
+                "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[0,-1],"ray_index":0}]',
+            ),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
@@ -393,7 +397,8 @@ class TestRejectedInput:
              "roots-bound-1001", "roots-bound-1e8", "comult-x-exponent-15000",
              "comult-pair-degree-15000", "multiply-b-20000", "catalog-k-max-1e8",
              "catalog-n-max-101", "catalog-a-max-101", "catalog-b-max-101", "invariants-k-max-1001",
-             "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit"],
+             "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit",
+             "pair-roots-on-different-rays"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -264,6 +264,21 @@ class TestComultFromRootPair:
         with pytest.raises(ValueError, match="cone in N"):
             comult_from_root_pair(sigma, pair, (1, 1))
 
+    def test_spec_route_is_root_pair_route_at_1_0(self):
+        """Each X and Y spec's comultiplication is the root-pair expansion at
+        the ray (1, 0) of its dual cone, with e1 = (-1, 0) and e2 = (-1, n)."""
+        checked = 0
+        for spec in small_xy_specs(3, 3):
+            region = cone_of_spec(spec)
+            sigma = region.dual()
+            pair = self._pair(sigma, (-1, 0), (-1, spec.n), (1, 0))
+            for u in box_lattice_points(region, 4):
+                assert comult_monomial(spec, u).to_json_text() == comult_from_root_pair(
+                    sigma, pair, u
+                ).to_json_text()
+                checked += 1
+        assert checked == 540
+
     def test_invalid_pair_escapes_cone(self):
         # raw-constructed non-root: expansion must leave the cone and say so
         bogus = RootPair(

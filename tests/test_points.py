@@ -27,6 +27,8 @@ from toricmonoids import (
     comult_monomial,
     counit,
     is_demazure_root,
+    pairing,
+    primitive,
 )
 from toricmonoids.cli import main
 from toricmonoids.lattice import int_xy
@@ -89,6 +91,12 @@ BAD_CASES = [
     pytest.param(call, bad, id=f"{name}-{kind}")
     for name, call, good, ambient, rational in READERS
     for kind, bad in _bad_points(good, ambient, rational)
+] + [
+    # Functions typed to take a LatticePoint refuse a coordinate pair.
+    pytest.param(LatticeMap(1, 0, 0, 1).apply, (1, 0), id="LatticeMap.apply-pair"),
+    pytest.param(lambda p: pairing(p, LatticePoint(0, 1, N)), (1, 0), id="pairing-pair-left"),
+    pytest.param(lambda p: pairing(LatticePoint(1, 0, M), p), (0, 1), id="pairing-pair-right"),
+    pytest.param(primitive, (2, 4), id="primitive-pair"),
 ]
 
 
