@@ -21,9 +21,9 @@ from .lattice import (
     _Record,
     _setattr,
     as_int,
-    box_lattice_points,
     int_xy,
     parse_rational,
+    primitive,
 )
 
 
@@ -331,25 +331,26 @@ class DerivationRule(_Record):
 
 
 def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> bool:
-    """Finite local-nilpotency certificate on the monomials of a cone.
+    """Demazure's criterion: is ``rule`` a root derivation of the region's algebra?
 
-    For every lattice point ``u`` of ``region`` with coordinates bounded by
-    ``probe_bound``, some iterate of the derivation must kill ``chi^u`` within
-    ``<u, ray> + 1`` steps.  The certificate is exact whenever the rule comes
-    from a genuine Demazure root of the region's dual cone.
+    ``True`` for a zero ray.  Otherwise, with ``p`` the ray's primitive
+    direction, ``True`` exactly when ``p`` is an inward facet normal of the
+    region, ``<e, p> = -1`` and ``e`` is nonnegative on the other normal (the
+    half plane has ``(1, 0)`` and a zero normal: every ``e = (-1, k)``).  The
+    ray ``-p`` gives ``False``, though its derivation is minus a root's.  O(1);
+    ``probe_bound`` is checked but unused.  A region not in M raises ValueError.
     """
-    if probe_bound < 1:
+    if as_int(probe_bound) < 1:
         raise ValueError("probe_bound must be at least 1")
-    px, py = rule.ray.xy
-    for (x, y) in box_lattice_points(region, probe_bound):
-        limit = x * px + y * py + 1
-        if limit < 1:
-            return False
-        f = LaurentElement.monomial((x, y))
-        for _ in range(limit):
-            f = rule.apply(f)
-            if not f:
-                break
-        if f:
-            return False
-    return True
+    if region.ambient != M:
+        raise ValueError("local nilpotency is decided on a region of M")
+    if rule.ray.xy == (0, 0):
+        return True
+    a, b, c, d = region._normals
+    p = primitive(rule.ray).xy
+    if p == (c, d):
+        a, b, c, d = c, d, a, b
+    elif p != (a, b):
+        return False
+    x, y = rule.root.xy
+    return a * x + b * y == -1 and c * x + d * y >= 0

@@ -290,6 +290,8 @@ def _cmd_comult(args) -> int:
             raise UsageError(f"not a root pair: {exc}") from None
         p = cone.rays[pair.ray_index]
         _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
+        for root in (pair.e1, pair.e2):  # a non-root is a domain error: exit 1
+            DemazureRoot.validated(cone, root.ray_index, root.e)
         tensor = comult_from_root_pair(cone, pair, monomial)
     else:
         spec = _payload_spec(args)

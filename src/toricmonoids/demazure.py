@@ -142,15 +142,14 @@ def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticeP
     """The lattice basis ``(-e, v)`` attached to a root.
 
     ``v`` is the primitive ray of the dual cone orthogonal to the root's
-    distinguished ray; the pair always has determinant +1 or -1.
+    distinguished ray; the pair always has determinant +1 or -1.  A
+    character that is not a root at that ray raises ``ValueError``.
     """
-    _check_sigma(sigma)
+    if not is_demazure_root(sigma, root.ray_index, root.e):
+        raise ValueError(f"{root.e} is not a Demazure root of {sigma} at ray {root.ray_index}")
     p = sigma.rays[root.ray_index]
     v = next(w for w in sigma.dual().rays if pairing(w, p) == 0)
-    minus_e = -root.e
-    det = minus_e.x * v.y - minus_e.y * v.x
-    assert det in (1, -1), f"basis ({minus_e}, {v}) has determinant {det}"
-    return (minus_e, v)
+    return (-root.e, v)
 
 
 def derivation_for(sigma: Cone2, root: DemazureRoot, scale=Fraction(1)) -> DerivationRule:

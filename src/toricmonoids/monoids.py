@@ -145,6 +145,8 @@ class HalfPlane(_Record):
     """
 
     _fields = ("ambient",)
+    # Its one inward facet normal and a zero one, as in ``Cone2``; not a field.
+    _normals = (1, 0, 0, 0)
 
     def __init__(self, ambient: str = M):
         _setattr(self, "ambient", _check_ambient(ambient))
@@ -667,6 +669,8 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     box = as_int(box)
     if box < 1:
         raise ValueError("box must be at least 1")
+    if region.ambient != M:
+        raise ValueError("a comultiplication is verified on a region of M")
     expanded: dict[tuple[int, int], TensorElement] = {}
 
     def expand(u: tuple[int, int]) -> TensorElement:

@@ -104,6 +104,32 @@ def restriction_scan(cone: Cone2, n: int, bound: int) -> bool:
     return True
 
 
+def lnd_by_probe(rule, region, probe_bound: int) -> bool:
+    """Local nilpotency probed on the region's monomials in a box.
+
+    For every lattice point ``u`` of ``region`` with coordinates bounded by
+    ``probe_bound``, some iterate of the derivation must kill ``chi^u`` within
+    ``<u, ray> + 1`` steps, and every nonzero iterate must stay in the region.
+    """
+    if probe_bound < 1:
+        raise ValueError("probe_bound must be at least 1")
+    px, py = rule.ray.xy
+    for (x, y) in box_lattice_points(region, probe_bound):
+        limit = x * px + y * py + 1
+        if limit < 1:
+            return False
+        f = LaurentElement.monomial((x, y))
+        for _ in range(limit):
+            f = rule.apply(f)
+            if not f:
+                break
+            if not all(region.contains(k) for k in f.support()):
+                return False
+        if f:
+            return False
+    return True
+
+
 def roots_by_double_loop(sigma: Cone2, ray_index: int, bound: int) -> list[tuple[int, int]]:
     """Demazure-root enumeration re-derived with inline dot products."""
     p = sigma.rays[ray_index].xy

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     add_laurent_keys,
+    lnd_by_probe,
     add_tensor_keys,
     sparse_json,
     sparse_power,
@@ -16,6 +19,7 @@ from oracles import (
 from toricmonoids import (
     Cone2,
     DerivationRule,
+    HalfPlane,
     LatticePoint,
     LaurentElement,
     M,
@@ -304,6 +308,79 @@ class TestLocalNilpotency:
         cone = Cone2.from_rays((1, 0), (0, 1), M)
         with pytest.raises(ValueError):
             is_locally_nilpotent_on(d_left(), cone, 0)
+
+    @staticmethod
+    def _seeded_cases(n: int = 3000):
+        """Regions: duals of N cones with rays in +-3, and the half plane.
+
+        Degrees in +-4; rays a facet normal times 1-3, zero, or random in +-3.
+        """
+        rng = random.Random(13)
+        cases = []
+        while len(cases) < n:
+            if rng.random() < 0.1:
+                region, normals = HalfPlane(), [(1, 0)]
+            else:
+                r1 = (rng.randint(-3, 3), rng.randint(-3, 3))
+                r2 = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if r1[0] * r2[1] == r1[1] * r2[0]:
+                    continue
+                sigma = Cone2.from_rays(r1, r2, N)
+                region, normals = sigma.dual(), [r.xy for r in sigma.rays]
+            e = (rng.randint(-4, 4), rng.randint(-4, 4))
+            kind = rng.randrange(3)
+            if kind == 0:
+                (nx, ny), k = rng.choice(normals), rng.randint(1, 3)
+                p = (k * nx, k * ny)
+            elif kind == 1:
+                p = (0, 0)
+            else:
+                p = (rng.randint(-3, 3), rng.randint(-3, 3))
+            cases.append((DerivationRule(LatticePoint(*e, M), LatticePoint(*p, N)), region))
+        return cases
+
+    def test_demazure_criterion_matches_probe_oracle(self):
+        outcomes = set()
+        for rule, region in self._seeded_cases():
+            got = is_locally_nilpotent_on(rule, region, 8)
+            assert got == lnd_by_probe(rule, region, 7), (rule, region)
+            outcomes.add((got, rule.ray.xy == (0, 0)))
+        # Both answers occur at nonzero rays.
+        assert {(True, False), (False, False)} <= outcomes
+
+    @pytest.mark.parametrize("e", [(-1, -1), (-1, -7)])
+    def test_non_roots_on_quadrant_refused(self, e):
+        # chi^(1, 0) maps to chi^(1 + e_x, e_y), outside the quadrant.
+        quadrant = Cone2.from_rays((1, 0), (0, 1), M)
+        rule = DerivationRule(LatticePoint(*e, M), LatticePoint(1, 0, N))
+        assert not is_locally_nilpotent_on(rule, quadrant, 8)
+        assert not lnd_by_probe(rule, quadrant, 3)
+
+    def test_half_plane(self):
+        def nilpotent(e, p):
+            return is_locally_nilpotent_on(
+                DerivationRule(LatticePoint(*e, M), LatticePoint(*p, N)), HalfPlane(), 4
+            )
+
+        assert all(nilpotent((-1, k), (1, 0)) for k in range(-9, 10))
+        assert nilpotent((-1, 3), (2, 0))
+        assert not nilpotent((-1, 3), (-1, 0))
+        assert nilpotent((5, 5), (0, 0))
+        assert not nilpotent((-2, 0), (1, 0)) and not nilpotent((-1, 0), (0, 1))
+
+    def test_region_in_n_refused(self):
+        for region in (Cone2.from_rays((1, 0), (0, 1), N), HalfPlane(N)):
+            with pytest.raises(ValueError):
+                is_locally_nilpotent_on(d_left(), region, 4)
+
+    def test_probe_bound_checked_but_unused(self):
+        cone = Cone2.from_rays((1, 0), (0, 1), M)
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError):
+                is_locally_nilpotent_on(d_left(), cone, bad)
+        start = time.perf_counter()
+        assert is_locally_nilpotent_on(d_left(), cone, 10**6)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestEvaluate:

@@ -473,13 +473,19 @@ class TestErrorContract:
                 "comult", QUADRANT_N, "--monomial", "[1,1]",
                 "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-3,0],"ray_index":1}]',
             ),
+            # <(5, 5), (1, 0)> = 5: not a Demazure root at the ray.
+            (
+                "comult", QUADRANT_N, "--monomial", "[1,1]",
+                "--pair", '[{"e":[5,5],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
+            ),
             # 10 + 10^10000 has more digits than CPython converts to str.
             ("multiply", '{"family":"X","n":1,"a":1,"b":9999}', "--p", '["10","10"]', "--q", '["1","1"]'),
             # The y-exponents 3n and 10^4300 of the outputs have 4,301 digits.
             ("comult", f'{{"family":"X","n":{DIGITS_4300},"a":1,"b":0}}', "--monomial", "[3,0]"),
             ("comult", '{"family":"Group","n":1}', "--monomial", f"[1,{DIGITS_4300}]"),
         ],
-        ids=["classify-left-half-plane", "comult-leaves-cone", "multiply-product-over-digit-limit",
+        ids=["classify-left-half-plane", "comult-leaves-cone", "comult-pair-not-a-root",
+             "multiply-product-over-digit-limit",
              "comult-spec-n-over-digit-limit", "comult-exponent-over-digit-limit"],
     )
     def test_domain_error_json(self, capsys, argv):

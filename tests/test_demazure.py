@@ -169,6 +169,13 @@ class TestRootsUpTo:
 
 
 class TestRootBasis:
+    @pytest.mark.parametrize("e", [(5, 5), (-1, -1)])
+    def test_non_root_refused(self, e):
+        # (5, 5) pairs to 5 with the ray (1, 0); (-1, -1) pairs to -1 with the other ray.
+        i = QUADRANT.ray_index((1, 0))
+        with pytest.raises(ValueError, match="not a Demazure root"):
+            root_basis(QUADRANT, DemazureRoot(LatticePoint(*e, M), i))
+
     def test_quadrant_examples(self):
         i = QUADRANT.ray_index((1, 0))
         b1 = root_basis(QUADRANT, DemazureRoot.validated(QUADRANT, i, (-1, 0)))

@@ -790,6 +790,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_bialgebra(MonoidSpec.x(1, 1, 1), 0)
 
+    @pytest.mark.parametrize(
+        "region", [HalfPlane(N), Cone2.from_rays((1, 0), (0, 1), N)], ids=["half-plane", "quadrant"]
+    )
+    def test_region_in_n_refused(self, region):
+        with pytest.raises(ValueError, match="region of M"):
+            verify_comultiplication(region, ComultRule(1), 2)
+
 
 @pytest.mark.parametrize("size", [True, 2.0], ids=["bool", "float"])
 @pytest.mark.parametrize(
