@@ -334,11 +334,12 @@ def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> b
     """Demazure's criterion: is ``rule`` a root derivation of the region's algebra?
 
     ``True`` for a zero ray.  Otherwise, with ``p`` the ray's primitive
-    direction, ``True`` exactly when ``p`` is an inward facet normal of the
-    region, ``<e, p> = -1`` and ``e`` is nonnegative on the other normal (the
-    half plane has ``(1, 0)`` and a zero normal: every ``e = (-1, k)``).  The
-    ray ``-p`` gives ``False``, though its derivation is minus a root's.  O(1);
-    ``probe_bound`` is checked but unused.  A region not in M raises ValueError.
+    direction up to sign, ``True`` exactly when ``p`` is an inward facet normal
+    of the region, ``<e, p> = -1`` and ``e`` is nonnegative on the other normal
+    (the half plane has ``(1, 0)`` and a zero normal: every ``e = (-1, k)``).
+    The rays ``p`` and ``-p`` get one answer: their derivations differ in
+    sign only.  O(1); ``probe_bound`` is checked but unused.  A region not in
+    M raises ValueError.
     """
     if as_int(probe_bound) < 1:
         raise ValueError("probe_bound must be at least 1")
@@ -347,7 +348,8 @@ def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> b
     if rule.ray.xy == (0, 0):
         return True
     a, b, c, d = region._normals
-    p = primitive(rule.ray).xy
+    px, py = primitive(rule.ray).xy
+    p = (px, py) if (px, py) in ((a, b), (c, d)) else (-px, -py)
     if p == (c, d):
         a, b, c, d = c, d, a, b
     elif p != (a, b):

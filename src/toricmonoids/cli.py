@@ -37,7 +37,6 @@ from .lattice import (
 )
 from .monoids import (
     BoundaryInfo,
-    ConeClosureError,
     Family,
     HalfPlane,
     MonoidSpec,
@@ -290,8 +289,6 @@ def _cmd_comult(args) -> int:
             raise UsageError(f"not a root pair: {exc}") from None
         p = cone.rays[pair.ray_index]
         _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
-        for root in (pair.e1, pair.e2):  # a non-root is a domain error: exit 1
-            DemazureRoot.validated(cone, root.ray_index, root.e)
         tensor = comult_from_root_pair(cone, pair, monomial)
     else:
         spec = _payload_spec(args)
@@ -503,7 +500,7 @@ def main(argv=None) -> int:
             return args.handler(args)
         # Domain errors, and an output int past CPython's int-to-str digit
         # limit (a ``ValueError`` too, raised before anything is written).
-        except (ValueError, ConeClosureError) as exc:
+        except ValueError as exc:
             _emit(args, _domain_error(exc))
             return EXIT_DOMAIN
     except UsageError as exc:

@@ -12,8 +12,6 @@ an explicit coordinate bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import DerivationRule
 from .lattice import (
     Cone2,
@@ -66,6 +64,12 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     return pairing(point, p_i) == -1 and pairing(point, p_j) >= 0
 
 
+def _require_root(sigma: Cone2, ray_index: int, e) -> None:
+    """Raise ``ValueError`` unless ``e`` is a Demazure root at ``rays[ray_index]``."""
+    if not is_demazure_root(sigma, ray_index, e):
+        raise ValueError(f"{e} is not a Demazure root of {sigma} at ray {ray_index}")
+
+
 class DemazureRoot(_Record):
     """A root ``e`` together with the index of its distinguished ray.
 
@@ -86,8 +90,7 @@ class DemazureRoot(_Record):
     @classmethod
     def validated(cls, sigma: Cone2, ray_index: int, e) -> "DemazureRoot":
         point = _root_point(e)
-        if not is_demazure_root(sigma, ray_index, point):
-            raise ValueError(f"{point} is not a Demazure root of {sigma} at ray {ray_index}")
+        _require_root(sigma, ray_index, point)
         return cls(point, ray_index)
 
     def to_json(self) -> dict:
@@ -145,14 +148,13 @@ def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticeP
     distinguished ray; the pair always has determinant +1 or -1.  A
     character that is not a root at that ray raises ``ValueError``.
     """
-    if not is_demazure_root(sigma, root.ray_index, root.e):
-        raise ValueError(f"{root.e} is not a Demazure root of {sigma} at ray {root.ray_index}")
+    _require_root(sigma, root.ray_index, root.e)
     p = sigma.rays[root.ray_index]
     v = next(w for w in sigma.dual().rays if pairing(w, p) == 0)
     return (-root.e, v)
 
 
-def derivation_for(sigma: Cone2, root: DemazureRoot, scale=Fraction(1)) -> DerivationRule:
+def derivation_for(sigma: Cone2, root: DemazureRoot, scale=1) -> DerivationRule:
     """The homogeneous locally nilpotent derivation indexed by a root."""
     _check_sigma(sigma)
     return DerivationRule(root=root.e, ray=sigma.rays[root.ray_index], scale=scale)
@@ -161,22 +163,17 @@ def derivation_for(sigma: Cone2, root: DemazureRoot, scale=Fraction(1)) -> Deriv
 def dual_ray_swap(sigma: Cone2) -> LatticeMap | None:
     """The linear map exchanging the two rays of the dual cone, if it preserves M.
 
-    Returns the integer matrix when the (unique, rational) swap map has
-    integer entries, else None.  The swap is an involution of determinant -1,
-    so integrality of the entries already gives an integer inverse.
+    With dual rays ``w1 = (p, q)``, ``w2 = (r, s)`` and ``d = p*s - q*r``, the
+    swap is ``(r*s - p*q, p*p - r*r, s*s - q*q, p*q - r*s) / d``; returns it
+    when ``d`` divides all four entries, else None.  The swap is an involution
+    of determinant -1, so integral entries already give an integer inverse.
     """
-    w1, w2 = _check_sigma(sigma).dual().rays
-    d = w1.x * w2.y - w1.y * w2.x
-
-    def solve(b1: int, b2: int) -> tuple[Fraction, Fraction]:
-        # Cramer's rule for [[w1.x, w1.y], [w2.x, w2.y]] . row = (b1, b2)
-        return (Fraction(b1 * w2.y - b2 * w1.y, d), Fraction(w1.x * b2 - w2.x * b1, d))
-
-    t11, t12 = solve(w2.x, w1.x)
-    t21, t22 = solve(w2.y, w1.y)
-    if any(t.denominator != 1 for t in (t11, t12, t21, t22)):
+    (p, q), (r, s) = (w.xy for w in _check_sigma(sigma).dual().rays)
+    d = p * s - q * r
+    entries = (r * s - p * q, p * p - r * r, s * s - q * q, p * q - r * s)
+    if any(t % d for t in entries):
         return None
-    return LatticeMap(int(t11), int(t12), int(t21), int(t22))
+    return LatticeMap(*(t // d for t in entries))
 
 
 def pair_equivalence(sigma: Cone2, p: RootPair, q: RootPair) -> bool:

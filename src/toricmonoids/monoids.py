@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations_with_replacement, filterfalse
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .algebra import TensorElement, _sum
-from .demazure import RootPair
+from .demazure import RootPair, _require_root
 from .lattice import (
     Cone2,
     LatticeMap,
@@ -66,10 +66,6 @@ class NotAMonoidError(ValueError):
             f"cone point {witness} requires {missing} in the cone "
             f"for the weight-{n} comultiplication to restrict"
         )
-
-
-class ConeClosureError(RuntimeError):
-    """A comultiplication expansion left the cone; the root data is inconsistent."""
 
 
 class UnsupportedChartError(ValueError):
@@ -172,30 +168,19 @@ def cone_of_spec(spec: MonoidSpec) -> Cone2 | HalfPlane:
     return Cone2.from_rays((0, -1), (spec.a, -spec.n * spec.a - spec.b), M)
 
 
-class Orientation(str, enum.Enum):
-    """Chart convention: exponents taken against ``y`` or against ``1/y``."""
-
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 class ComultRule(_Record):
-    """The weight-``n`` comultiplication rule, with a chart orientation.
+    """The weight-``n`` comultiplication rule on monomials ``(a, b) = x^a y^b``.
 
-    With the PLUS orientation a monomial ``(a, b)`` is ``x^a y^b``.  With the
-    MINUS orientation the input is read in the inverted-torus chart, i.e. the
-    second coordinate is the exponent of ``1/y``; the expansion then applies
-    to the underlying lattice monomial ``(a, -b)`` and is returned in lattice
-    coordinates.  Both orientations share one expansion routine.
+    A monomial read in the inverted-torus chart, with ``b`` the exponent of
+    ``1/y``, is the lattice monomial ``(a, -b)``; pass that.
     """
 
-    _fields = ("n", "orientation")
+    _fields = ("n",)
 
-    def __init__(self, n: int, orientation: Orientation = Orientation.PLUS):
+    def __init__(self, n: int):
         if type(n) is not int or n < 1:
             raise ValueError(f"the comultiplication weight must be a positive integer, got {n!r}")
         _setattr(self, "n", n)
-        _setattr(self, "orientation", orientation)
 
 
 def _binomials(d: int) -> list[int]:
@@ -215,15 +200,13 @@ def _binomials(d: int) -> list[int]:
 def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
     """``sum_j C(d, j) chi^(u + j*e2) (x) chi^(u + (d-j)*e1)``: the one expansion of both routes.
 
-    Term ``j``'s key moves by the fixed step ``(e2, -e1)``, so the keys are
+    ``e1`` and ``e2`` are not both zero (no Demazure root is), so term ``j``'s
+    key moves by the nonzero step ``(e2, -e1)`` and the keys are distinct and
     built in canonical order with no sort: ``j`` ascends when the step is
     above zero (lexicographically), else descends; the row is symmetric.
-    Only ``e1 = e2 = (0, 0)`` makes the keys coincide: one term ``2^d``.
     Costs O(d) big-int steps: one binomial row, keys stepped by additions.
     """
     (e1x, e1y), (e2x, e2y) = e1, e2
-    if e1 == e2 == (0, 0):
-        return TensorElement._of({((ux, uy), (ux, uy)): 1 << d})
     if (e2x, e2y, -e1x, -e1y) > (0, 0, 0, 0):  # from j = 0, stepping by (e2, -e1)
         lx, ly, rx, ry, sx, sy, tx, ty = ux, uy, ux + d * e1x, uy + d * e1y, e2x, e2y, -e1x, -e1y
     else:  # from j = d, stepping by (-e2, e1)
@@ -238,15 +221,12 @@ def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
 def comult(rule: ComultRule, u) -> TensorElement:
     """Comultiplication of the monomial ``u``: the root-pair route at the ray ``(1, 0)``.
 
-    ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b`` for the
-    PLUS orientation, :func:`_expand` at ``d = a``, ``e1 = (-1, 0)`` and
-    ``e2 = (-1, n)``; MINUS first flips the sign of the ``y``-exponent.
+    ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b``:
+    :func:`_expand` at ``d = a``, ``e1 = (-1, 0)`` and ``e2 = (-1, n)``.
     """
     a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
-    if rule.orientation is Orientation.MINUS:
-        b = -b
     return _expand(a, b, a, (-1, 0), (-1, rule.n))
 
 
@@ -266,31 +246,22 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     """Comultiplication induced by an ordered pair of Demazure roots.
 
     Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d``, ``d = <p_i, u>``,
-    by :func:`_expand`, for a cone in N.  An exponent outside the dual cone
-    means an invalid root pair and raises :class:`ConeClosureError`.  Each
-    leg's exponents run along a segment from ``u`` in a convex cone, so the
-    far ends ``u + d*e2`` and ``u + d*e1`` decide closure; only on escape are
-    the exponents walked (left before right, ``j`` ascending) to name the first.
+    by :func:`_expand`, for a cone in N.  Checks, in order: the cone is in N,
+    ``e1`` and then ``e2`` are Demazure roots at ``p_i`` (else ``ValueError``),
+    and ``u`` pairs nonnegatively with both rays.  No term then leaves the
+    cone: ``u + k*e`` pairs to ``d - k >= 0`` with ``p_i`` for ``k <= d`` and
+    nonnegatively with the other ray.
     """
     if sigma.ambient != N:
         raise ValueError("the root-pair comultiplication needs a cone in N")
-    dual = sigma.dual()
+    i, e1, e2 = pair.ray_index, pair.e1.e.xy, pair.e2.e.xy
+    _require_root(sigma, i, e1)
+    _require_root(sigma, i, e2)
     ux, uy = int_xy(u, M)
-    if not dual.contains((ux, uy)):
-        raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
-    p = sigma.rays[pair.ray_index]
+    p, q = sigma.rays[i], sigma.rays[1 - i]
     d = ux * p.x + uy * p.y
-    e1, e2 = pair.e1.e.xy, pair.e2.e.xy
-    far = ((ux + d * e2[0], uy + d * e2[1]), (ux + d * e1[0], uy + d * e1[1]))
-    if not all(map(dual.contains, far)):
-        walk = (
-            (ux + k * x, uy + k * y) for j in range(d + 1) for (x, y), k in ((e2, j), (e1, d - j))
-        )
-        escaped = next(filterfalse(dual.contains, walk))
-        raise ConeClosureError(
-            f"expansion of ({ux}, {uy}) leaves the cone at {escaped}; "
-            f"the root pair is not valid for {sigma}"
-        )
+    if d < 0 or ux * q.x + uy * q.y < 0:
+        raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
     return _expand(ux, uy, d, e1, e2)
 
 
@@ -328,8 +299,10 @@ def classify_cone(cone: Cone2 | HalfPlane, n: int) -> MonoidSpec:
     The half plane is the group; otherwise the cone must contain exactly one
     of ``(0, 1)`` or ``(0, -1)`` as a ray, and the other (primitive) ray
     determines the parameters.  Raises :class:`NotAMonoidError` when the
-    comultiplication does not restrict.
+    comultiplication does not restrict.  A region not in M raises ValueError.
     """
+    if cone.ambient != M:
+        raise ValueError("the restriction condition applies to exponent cones in M")
     if isinstance(cone, HalfPlane):
         return MonoidSpec.group(n)
     failure = restriction_failure(cone, n)

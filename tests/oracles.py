@@ -13,13 +13,12 @@ from toricmonoids import (
     CheckResult,
     ComultRule,
     Cone2,
-    ConeClosureError,
     Family,
+    LatticeMap,
     LatticePoint,
     M,
     MonoidSpec,
     LaurentElement,
-    Orientation,
     RootPair,
     TensorElement,
     VerificationReport,
@@ -109,15 +108,13 @@ def lnd_by_probe(rule, region, probe_bound: int) -> bool:
 
     For every lattice point ``u`` of ``region`` with coordinates bounded by
     ``probe_bound``, some iterate of the derivation must kill ``chi^u`` within
-    ``<u, ray> + 1`` steps, and every nonzero iterate must stay in the region.
+    ``|<u, ray>| + 1`` steps, and every nonzero iterate must stay in the region.
     """
     if probe_bound < 1:
         raise ValueError("probe_bound must be at least 1")
     px, py = rule.ray.xy
     for (x, y) in box_lattice_points(region, probe_bound):
-        limit = x * px + y * py + 1
-        if limit < 1:
-            return False
+        limit = abs(x * px + y * py) + 1
         f = LaurentElement.monomial((x, y))
         for _ in range(limit):
             f = rule.apply(f)
@@ -140,6 +137,22 @@ def roots_by_double_loop(sigma: Cone2, ray_index: int, bound: int) -> list[tuple
             if ex * p[0] + ey * p[1] == -1 and ex * q[0] + ey * q[1] >= 0:
                 out.append((ex, ey))
     return sorted(out)
+
+
+def dual_ray_swap_by_cramer(sigma: Cone2) -> LatticeMap | None:
+    """The swap of the dual rays ``w1 <-> w2``, each matrix row solved by
+    Cramer's rule in ``Fraction``s; None unless all four entries are integers."""
+    w1, w2 = sigma.dual().rays
+    d = w1.x * w2.y - w1.y * w2.x
+
+    def solve(b1: int, b2: int) -> tuple[Fraction, Fraction]:
+        # [[w1.x, w1.y], [w2.x, w2.y]] . row = (b1, b2)
+        return (Fraction(b1 * w2.y - b2 * w1.y, d), Fraction(w1.x * b2 - w2.x * b1, d))
+
+    entries = (*solve(w2.x, w1.x), *solve(w2.y, w1.y))
+    if any(t.denominator != 1 for t in entries):
+        return None
+    return LatticeMap(*(int(t) for t in entries))
 
 
 def hilbert_basis_by_sieve(cone: Cone2) -> list[LatticePoint]:
@@ -179,8 +192,6 @@ def comult_by_comb(rule: ComultRule, u) -> TensorElement:
     a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
-    if rule.orientation is Orientation.MINUS:
-        b = -b
     n = rule.n
     return TensorElement(
         [(((a - i, b + n * i), (i, b)), comb(a, i)) for i in range(a + 1)]
@@ -189,7 +200,11 @@ def comult_by_comb(rule: ComultRule, u) -> TensorElement:
 
 def comult_from_root_pair_by_comb(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     """The root-pair comultiplication with every binomial from ``math.comb``,
-    built through the checking ``TensorElement`` constructor."""
+    built through the checking ``TensorElement`` constructor.
+
+    Takes no root check of its own: every term's exponents are checked for
+    membership in the dual cone, which a pair of roots never fails, so a
+    failure is an ``AssertionError``."""
     dual = sigma.dual()
     ux, uy = int_xy(u, M)
     if not dual.contains((ux, uy)):
@@ -203,11 +218,7 @@ def comult_from_root_pair_by_comb(sigma: Cone2, pair: RootPair, u) -> TensorElem
         left = (ux + j * e2[0], uy + j * e2[1])
         right = (ux + (d - j) * e1[0], uy + (d - j) * e1[1])
         for exponent in (left, right):
-            if not dual.contains(exponent):
-                raise ConeClosureError(
-                    f"expansion of ({ux}, {uy}) leaves the cone at {exponent}; "
-                    f"the root pair is not valid for {sigma}"
-                )
+            assert dual.contains(exponent), f"expansion of ({ux}, {uy}) leaves the cone at {exponent}"
         terms.append(((left, right), comb(d, j)))
     return TensorElement(terms)
 

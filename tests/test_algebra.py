@@ -364,9 +364,22 @@ class TestLocalNilpotency:
 
         assert all(nilpotent((-1, k), (1, 0)) for k in range(-9, 10))
         assert nilpotent((-1, 3), (2, 0))
-        assert not nilpotent((-1, 3), (-1, 0))
+        assert nilpotent((-1, 3), (-1, 0))
         assert nilpotent((5, 5), (0, 0))
         assert not nilpotent((-2, 0), (1, 0)) and not nilpotent((-1, 0), (0, 1))
+
+    def test_opposite_ray_derivation_dies(self):
+        # chi^(x, y) -> -x chi^(x - 1, y + 3): minus the root derivation at (1, 0)
+        rule = DerivationRule(LatticePoint(-1, 3, M), LatticePoint(-1, 0, N))
+        f = LaurentElement.monomial((3, 2))
+        iterates = []
+        for _ in range(4):
+            f = rule.apply(f)
+            iterates.append(f)
+        assert iterates[2] == LaurentElement([((0, 11), -6)])
+        assert not iterates[3]
+        assert is_locally_nilpotent_on(rule, HalfPlane(), 4)
+        assert lnd_by_probe(rule, HalfPlane(), 4)
 
     def test_region_in_n_refused(self):
         for region in (Cone2.from_rays((1, 0), (0, 1), N), HalfPlane(N)):

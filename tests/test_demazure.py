@@ -25,7 +25,7 @@ from toricmonoids import (
     roots_up_to,
 )
 
-from oracles import roots_by_double_loop
+from oracles import dual_ray_swap_by_cramer, roots_by_double_loop
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1), N)
 
@@ -223,6 +223,22 @@ class TestDualRaySwap:
             w1, w2 = sigma.dual().rays
             assert swap.apply(w1) == w2 and swap.apply(w2) == w1
             assert swap.det == -1
+
+
+    def test_matches_cramer_oracle_on_seeded_cones(self):
+        rng = random.Random(14)
+        found = 0
+        for _ in range(2000):
+            r1 = (rng.randint(-9, 9), rng.randint(-9, 9))
+            r2 = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if r1[0] * r2[1] == r1[1] * r2[0]:
+                continue
+            sigma = Cone2.from_rays(r1, r2, N)
+            swap = dual_ray_swap(sigma)
+            assert swap == dual_ray_swap_by_cramer(sigma), sigma
+            found += swap is not None
+        # Both answers occur.
+        assert 0 < found < 2000
 
 
 class TestPairEquivalence:

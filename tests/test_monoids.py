@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from toricmonoids import (
     ComultRule,
     Cone2,
-    ConeClosureError,
     DegenerateConeError,
     DemazureRoot,
     Family,
@@ -21,7 +20,6 @@ from toricmonoids import (
     MonoidSpec,
     N,
     NotAMonoidError,
-    Orientation,
     RationalPoint,
     RootPair,
     TensorElement,
@@ -191,13 +189,14 @@ class TestComult:
         # the chart generators of Y(n,1,b) expand to the lattice-coordinate tensors
         for n in (1, 2):
             for b in (0, 1, 2):
-                rule = ComultRule(n, Orientation.MINUS)
-                t = comult(rule, (1, b + n))
+                # the 1/y-chart monomial (a, c) is the lattice monomial (a, -c)
+                rule = ComultRule(n)
+                t = comult(rule, (1, -b - n))
                 expected = TensorElement.monomial((1, -b - n), (0, -b - n)) + TensorElement.monomial(
                     (0, -b), (1, -b - n)
                 )
                 assert t == expected
-                assert comult(rule, (0, 1)) == TensorElement.monomial((0, -1), (0, -1))
+                assert comult(rule, (0, -1)) == TensorElement.monomial((0, -1), (0, -1))
 
     def test_monomial_membership_enforced(self):
         s = MonoidSpec.x(1, 2, 3)
@@ -280,12 +279,31 @@ class TestComultFromRootPair:
         assert checked == 540
 
     def test_invalid_pair_escapes_cone(self):
-        # raw-constructed non-root: expansion must leave the cone and say so
+        # raw-constructed non-root, whose expansion would leave the cone: refused
         bogus = RootPair(
             DemazureRoot(LatticePoint(-1, -1, M), 1), DemazureRoot(LatticePoint(-1, -1, M), 1)
         )
-        with pytest.raises(ConeClosureError):
+        with pytest.raises(ValueError, match=r"\(-1, -1\) is not a Demazure root"):
             comult_from_root_pair(self.QUADRANT, bogus, (1, 0))
+
+    @pytest.mark.parametrize(
+        "e1, e2, bad",
+        [
+            ((5, 5), (-1, 1), (5, 5)),  # would give y^2 (x) x*y + x*y (x) x^6*y^6
+            ((0, 0), (0, 0), (0, 0)),  # would give 4*x^2*y^3 (x) x^2*y^3
+            ((-1, -1), (-1, -1), (-1, -1)),
+            ((-1, 0), (-3, 0), (-3, 0)),  # a root, then a non-root
+            ((2, 2), (-3, 0), (2, 2)),  # e1 is checked first
+        ],
+    )
+    def test_non_roots_refused(self, e1, e2, bad):
+        i = self.QUADRANT.ray_index((1, 0))
+        pair = RootPair(*(DemazureRoot(LatticePoint(*e, M), i) for e in (e1, e2)))
+        message = f"{LatticePoint(*bad, M)} is not a Demazure root of {self.QUADRANT} at ray {i}"
+        for u in ((2, 3), (-1, 2)):  # the roots are checked before the monomial
+            with pytest.raises(ValueError) as info:
+                comult_from_root_pair(self.QUADRANT, pair, u)
+            assert str(info.value) == message
 
 
 def canonical(t: TensorElement) -> str:
@@ -303,10 +321,9 @@ class TestExpansionOracles:
         st.integers(0, 60),
         st.integers(-50, 50),
         st.integers(1, 6),
-        st.sampled_from(list(Orientation)),
     )
-    def test_comult(self, a, b, n, orientation):
-        rule = ComultRule(n, orientation)
+    def test_comult(self, a, b, n):
+        rule = ComultRule(n)
         assert canonical(comult(rule, (a, b))) == canonical(comult_by_comb(rule, (a, b)))
 
     @settings(max_examples=60)
@@ -329,8 +346,9 @@ class TestExpansionOracles:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_root_pair_closure_from_segment_ends(self, data):
-        # roots and arbitrary characters mixed, so both valid and escaping
-        # pairs occur; the error must name the same first escaping exponent
+        # Roots and arbitrary characters mixed: a pair is refused exactly when
+        # an inline pairing test finds a non-root; a pair of roots expands as
+        # the oracle does, which checks every term for closure in the cone.
         ray = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
         try:
             sigma = Cone2.from_rays(data.draw(ray), data.draw(ray), N)
@@ -339,34 +357,46 @@ class TestExpansionOracles:
         i = data.draw(st.integers(0, 1))
         roots = [r.e.xy for r in roots_up_to(sigma, i, 6)]
         root_like = st.one_of(st.sampled_from(roots), ray) if roots else ray
-        e1, e2 = (DemazureRoot(LatticePoint(*data.draw(root_like), M), i) for _ in range(2))
-        pair = RootPair(e1, e2)
+        e1, e2 = (data.draw(root_like) for _ in range(2))
+        pair = RootPair(*(DemazureRoot(LatticePoint(*e, M), i) for e in (e1, e2)))
         u = data.draw(st.sampled_from(box_lattice_points(sigma.dual(), 5)))
-        outcomes = []
-        for route in (comult_from_root_pair, comult_from_root_pair_by_comb):
-            try:
-                outcomes.append(canonical(route(sigma, pair, u)))
-            except ConeClosureError as exc:
-                outcomes.append(("ConeClosureError", str(exc)))
-        assert outcomes[0] == outcomes[1]
+        (px, py), (qx, qy) = sigma.rays[i].xy, sigma.rays[1 - i].xy
+        is_root = [x * px + y * py == -1 and x * qx + y * qy >= 0 for x, y in (e1, e2)]
+        if all(is_root):
+            assert canonical(comult_from_root_pair(sigma, pair, u)) == canonical(
+                comult_from_root_pair_by_comb(sigma, pair, u)
+            )
+        else:
+            bad = e1 if not is_root[0] else e2
+            with pytest.raises(ValueError, match=rf"^\({bad[0]}, {bad[1]}\) is not a Demazure root"):
+                comult_from_root_pair(sigma, pair, u)
 
     @pytest.mark.parametrize(
         "ray, e1, e2, u, n_terms",
         [
             ((0, 1), (0, -1), (2, -1), (1, 4), 5),
             ((1, 0), (-1, 2), (-1, 0), (3, 1), 4),
-            ((1, 0), (-1, 1), (0, 0), (3, 1), 4),
-            ((0, 1), (1, -1), (0, 0), (1, 3), 4),
-            ((1, 0), (0, 0), (0, 0), (2, 3), 1),
+            ((1, 0), (-1, 1), (-1, 1), (3, 1), 4),
+            ((0, 1), (1, -1), (1, -1), (1, 3), 4),
+            ((0, 1), (2, -1), (0, -1), (1, 4), 5),
+            # A zero character is no root: refused before any term is built.
+            ((1, 0), (-1, 1), (0, 0), (3, 1), None),
+            ((0, 1), (1, -1), (0, 0), (1, 3), None),
+            ((1, 0), (0, 0), (0, 0), (2, 3), None),
         ],
-        ids=["e2-above-zero", "e2-below-zero", "e2-zero-e1-below-zero", "e2-zero-e1-above-zero",
+        ids=["e2-above-zero", "e2-below-zero", "equal-roots-below-zero", "equal-roots-above-zero",
+             "e2-x-zero-below-zero", "e2-zero-e1-below-zero", "e2-zero-e1-above-zero",
              "e1-e2-zero"],
     )
     def test_root_pair_term_order(self, ray, e1, e2, u, n_terms):
-        """Keys ascend or descend in j with the sign of the step (e2, -e1); a zero step merges."""
+        """Keys ascend or descend in j with the sign of the step (e2, -e1)."""
         sigma = Cone2.from_rays((1, 0), (0, 1), N)
         i = sigma.ray_index(ray)
         pair = RootPair(*(DemazureRoot(LatticePoint(*e, M), i) for e in (e1, e2)))
+        if n_terms is None:
+            with pytest.raises(ValueError, match=r"^\(0, 0\) is not a Demazure root"):
+                comult_from_root_pair(sigma, pair, u)
+            return
         t = comult_from_root_pair(sigma, pair, u)
         assert canonical(t) == canonical(comult_from_root_pair_by_comb(sigma, pair, u))
         assert t.to_json_text() == canonical(t)
@@ -412,6 +442,11 @@ class TestClassify:
 
     def test_half_plane_is_group(self):
         assert classify_cone(HalfPlane(), 5) == MonoidSpec.group(5)
+
+    @pytest.mark.parametrize("region", [HalfPlane(N), Cone2.from_rays((0, 1), (2, 3), N)])
+    def test_region_in_n_refused(self, region):
+        with pytest.raises(ValueError, match="^the restriction condition applies to exponent cones in M$"):
+            classify_cone(region, 2)
 
     def test_not_a_monoid(self):
         with pytest.raises(NotAMonoidError) as exc:
@@ -883,16 +918,15 @@ class TestPackedMultiplicativity:
         a=st.integers(1, 6),
         b=st.integers(0, 6),
         weight=st.integers(1, 6),
-        orientation=st.sampled_from(list(Orientation)),
         box=st.integers(1, 6),
     )
-    def test_matches_reexpansion(self, family, n, a, b, weight, orientation, box):
+    def test_matches_reexpansion(self, family, n, a, b, weight, box):
         if family is Family.GROUP:
             spec = MonoidSpec.group(n)
         else:
             assume(gcd(a, b) == 1)
             spec = MonoidSpec(family, n, a, b)
-        region, rule = cone_of_spec(spec), ComultRule(weight, orientation)
+        region, rule = cone_of_spec(spec), ComultRule(weight)
         assert (
             verify_comultiplication(region, rule, box).to_json()
             == verify_by_reexpansion(region, rule, box).to_json()
@@ -974,6 +1008,10 @@ def products(monkeypatch):
 
     monkeypatch.setattr(TensorElement, "__mul__", spy)
     return calls
+
+
+# Ids of the real-spec rows below: ``plus`` is the y chart, the one ``ComultRule`` reads.
+REAL_SPEC_IDS = ["group-plus", "x-plus", "y-plus", "x-one-term-box-plus"]
 
 
 def _verify_and_count(products, region, rule, box):
@@ -1096,7 +1134,6 @@ class TestKroneckerMultiplicativity:
         report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
         assert taken > 0 and not report.checks[-1].passed
 
-    @pytest.mark.parametrize("orientation", list(Orientation))
     @pytest.mark.parametrize(
         "spec, box",
         [
@@ -1105,10 +1142,10 @@ class TestKroneckerMultiplicativity:
             (MonoidSpec.y(2, 1, 1), 4),
             (MonoidSpec.x(1, 1, 3), 1),
         ],
-        ids=["group", "x", "y", "x-one-term-box"],
+        ids=REAL_SPEC_IDS,
     )
-    def test_real_spec_takes_no_products(self, products, spec, box, orientation):
-        rule = ComultRule(spec.n, orientation)
+    def test_real_spec_takes_no_products(self, products, spec, box):
+        rule = ComultRule(spec.n)
         _, taken = _verify_and_count(products, cone_of_spec(spec), rule, box)
         assert taken == 0
 
@@ -1146,15 +1183,14 @@ class TestOnePassCode:
     of ``oracles.code_by_lookup``, which they replaced, gives the same codes
     and the same ``None``."""
 
-    @pytest.mark.parametrize("orientation", list(Orientation))
     @pytest.mark.parametrize(
         "spec, box",
         [(MonoidSpec.group(2), 3), (MonoidSpec.x(2, 3, 2), 4), (MonoidSpec.y(1, 2, 1), 4),
          (MonoidSpec.x(1, 1, 3), 1)],
-        ids=["group", "x", "y", "x-one-term-box"],
+        ids=REAL_SPEC_IDS,
     )
-    def test_real_expansions_and_targets(self, spec, box, orientation):
-        rule = ComultRule(spec.n, orientation)
+    def test_real_expansions_and_targets(self, spec, box):
+        rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
         expansions = {u: comult(rule, u) for u in points}
         codes = monoids._box_codes(expansions)

@@ -30,7 +30,6 @@ from toricmonoids import (
     M,
     MonoidSpec,
     N,
-    Orientation,
     RationalPoint,
     RootPair,
     VerificationReport,
@@ -98,12 +97,7 @@ TABLE = [
         "MonoidSpec(family=<Family.GROUP: 'Group'>, n=2, a=None, b=None)",
     ),
     (HalfPlane, {"ambient": M}, {"ambient": M}, "HalfPlane(ambient='M')"),
-    (
-        ComultRule,
-        {"n": 2, "orientation": Orientation.MINUS},
-        {"orientation": Orientation.PLUS},
-        "ComultRule(n=2, orientation=<Orientation.MINUS: 'minus'>)",
-    ),
+    (ComultRule, {"n": 2}, {}, "ComultRule(n=2)"),
     (
         BoundaryInfo,
         {"left_weight": 5, "right_weight": 3, "has_zero": True, "idempotent_line": False},
