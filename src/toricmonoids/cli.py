@@ -223,16 +223,18 @@ def _positive_int(text: str) -> int:
 
 @contextmanager
 def _output(args):
-    """The output stream: standard output, or the ``--json-out`` file."""
+    """The output stream: standard output, or the ``--json-out`` file.
+
+    Failing to open, write or close the file is a :class:`UsageError`.
+    """
     if args.json_out is None:
         yield sys.stdout
         return
     try:
-        fh = open(args.json_out, "w", encoding="utf-8")
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {args.json_out}: {exc.strerror}") from None
-    with fh:
-        yield fh
 
 
 def _write(args, text: str) -> None:
@@ -512,11 +514,16 @@ def run() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early (``catalog | head``).  Point stdout
-        # at devnull so the interpreter's final flush cannot fail again.
+    except OSError as exc:
+        # The reader closed the pipe early (``catalog | head``), or standard
+        # output cannot be written (``>/dev/full``).  Point stdout at devnull
+        # so the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_DOMAIN
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_DOMAIN
+        else:
+            print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+            code = EXIT_USAGE
     sys.exit(code)
 
 

@@ -46,8 +46,8 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
 
     ``e`` is a character: a :class:`LatticePoint` in M or an exact integer
     pair read in M.  A ``tuple`` of two ``int`` (what :func:`roots_up_to`
-    passes) is tested with two inline dot products, building no point; every
-    other ``e`` is validated as a point first, with the same errors.
+    passes) is used as it is; every other ``e`` is read by :func:`_root_point`
+    first, with its errors.  Either way the test is two dot products.
     """
     if sigma.ambient != N:
         raise ValueError("Demazure roots are taken for a cone in N")
@@ -56,12 +56,11 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     rays = sigma.rays
     p_i = rays[ray_index]
     p_j = rays[1 - ray_index]
-    if type(e) is tuple and len(e) == 2:
+    if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
         x, y = e
-        if type(x) is int and type(y) is int:
-            return x * p_i.x + y * p_i.y == -1 and x * p_j.x + y * p_j.y >= 0
-    point = _root_point(e)
-    return pairing(point, p_i) == -1 and pairing(point, p_j) >= 0
+    else:
+        x, y = _root_point(e).xy
+    return x * p_i.x + y * p_i.y == -1 and x * p_j.x + y * p_j.y >= 0
 
 
 def _require_root(sigma: Cone2, ray_index: int, e) -> None:

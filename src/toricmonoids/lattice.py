@@ -11,7 +11,8 @@ Cones here are always full-dimensional and strongly convex, stored by their
 two primitive ray generators in a normalized (lexicographic) order so that
 structural equality coincides with mathematical equality.  The one degenerate
 region the package needs, the half plane ``{u : u_x >= 0}``, is represented by
-a dedicated descriptor in :mod:`toricmonoids.monoids`, not by :class:`Cone2`.
+a dedicated descriptor in :mod:`toricmonoids.monoids`, not by :class:`Cone2`,
+though it shares the cone's membership test.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _lexicographic(compare):
 
     def method(self, other):
         if other.__class__ is self.__class__:
-            return compare((self.x, self.y, self.ambient), (other.x, other.y, other.ambient))
+            return compare(self._key(self), self._key(other))
         return NotImplemented
 
     return method
@@ -180,16 +181,6 @@ class LatticePoint(_Record):
         _setattr(self, "x", x)
         _setattr(self, "y", y)
         _setattr(self, "ambient", ambient)
-
-    # Written out rather than inherited: points are compared and hashed in
-    # the scans, and direct attribute reads beat the generic field getter.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.ambient) == (other.x, other.y, other.ambient)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.ambient))
 
     __lt__ = _lexicographic(operator.lt)
     __le__ = _lexicographic(operator.le)
@@ -272,14 +263,15 @@ def primitive(v: LatticePoint) -> LatticePoint:
 class Cone2(_Record):
     """A full-dimensional strongly convex rational cone in a rank-2 lattice.
 
-    Stored by its two primitive ray generators sorted lexicographically, so
-    equal cones compare (and hash) equal.  Use :meth:`from_rays` to build one
-    from arbitrary ray data.
+    Stored by its two primitive ray generators, as a tuple sorted
+    lexicographically, so equal cones compare (and hash) equal.  Use
+    :meth:`from_rays` to build one from arbitrary ray data.
     """
 
     _fields = ("rays", "ambient")
 
-    def __init__(self, rays: tuple[LatticePoint, LatticePoint], ambient: str = M):
+    def __init__(self, rays: Sequence[LatticePoint], ambient: str = M):
+        rays = tuple(rays)
         _setattr(self, "rays", rays)
         _setattr(self, "ambient", ambient)
         _check_ambient(ambient)
@@ -346,37 +338,29 @@ class Cone2(_Record):
         return (Fraction(x * r2.y - y * r2.x, d), Fraction(r1.x * y - r1.y * x, d))
 
     def contains(self, q: PointLike) -> bool:
-        """Membership test: is ``q`` a nonnegative rational combination of the rays?
+        """Membership test: does ``q`` pair nonnegatively with both stored inward normals?
 
-        A ``tuple`` of two ``int`` (what :func:`box_lattice_points` passes)
-        costs two dot products with the stored inward normals, about 0.2 us on
-        CPython 3.11.  Every other ``q`` is validated by :func:`exact_xy`
-        first: a point of the other ambient and a ``bool``, ``float`` or
-        ``str`` coordinate raise ``ValueError``.
+        A ``tuple`` of two ``int`` (what :func:`box_lattice_points` passes) is
+        used as it is; every other ``q`` is read by :func:`exact_xy`, so a point
+        of the other ambient and a ``bool``, ``float`` or ``str`` coordinate
+        raise ``ValueError``.  :class:`~toricmonoids.monoids.HalfPlane` shares
+        this test through its padded normals.
         """
-        if type(q) is tuple and len(q) == 2:
+        if type(q) is tuple and len(q) == 2 and type(q[0]) is int and type(q[1]) is int:
             x, y = q
-            if type(x) is int and type(y) is int:
-                a, b, c, d = self._normals
-                return a * x + b * y >= 0 and c * x + d * y >= 0
-        x, y = exact_xy(q, self.ambient)
+        else:
+            x, y = exact_xy(q, self.ambient)
         a, b, c, d = self._normals
         return a * x + b * y >= 0 and c * x + d * y >= 0
 
     def dual(self) -> "Cone2":
-        """The dual cone, with primitive rays, in the other ambient lattice.
+        """The dual cone, spanned by the stored inward normals, in the other ambient.
 
         For a full-dimensional strongly convex 2D cone the dual is again
         full-dimensional and strongly convex; duality is an involution.
         """
-        r1, r2 = self.rays
-        if self._det > 0:
-            w1 = (-r1.y, r1.x)
-            w2 = (r2.y, -r2.x)
-        else:
-            w1 = (r1.y, -r1.x)
-            w2 = (-r2.y, r2.x)
-        return Cone2.from_rays(w1, w2, ambient=other_ambient(self.ambient))
+        a, b, c, d = self._normals
+        return Cone2.from_rays((a, b), (c, d), ambient=other_ambient(self.ambient))
 
     def to_json(self) -> dict:
         return {"rays": [r.to_json() for r in self.rays], "ambient": self.ambient}

@@ -45,7 +45,6 @@ from .lattice import (
     _setattr,
     as_int,
     box_lattice_points,
-    exact_xy,
     int_xy,
     parse_rational,
 )
@@ -124,7 +123,7 @@ class MonoidSpec(_Record):
     def from_json(cls, data: dict) -> "MonoidSpec":
         family = Family(data["family"])
         if family is Family.GROUP:
-            return cls(family, as_int(data["n"]))
+            return cls(family, as_int(data["n"]), data.get("a"), data.get("b"))
         return cls(family, as_int(data["n"]), as_int(data["a"]), as_int(data["b"]))
 
     def __str__(self) -> str:
@@ -136,24 +135,19 @@ class MonoidSpec(_Record):
 class HalfPlane(_Record):
     """The exponent region of the group family: ``{u in M_Q : u_x >= 0}``.
 
-    Not a :class:`Cone2` (it is not strongly convex); supports the membership
-    test the rest of the package needs, with the same ambient checks.
+    Not a :class:`Cone2` (it is not strongly convex), but it stores normals
+    the way a cone does, its one inward facet normal ``(1, 0)`` padded with a
+    zero one, so it shares :meth:`Cone2.contains`, reads and checks included.
     """
 
     _fields = ("ambient",)
-    # Its one inward facet normal and a zero one, as in ``Cone2``; not a field.
+    # Not a field, as in ``Cone2``.
     _normals = (1, 0, 0, 0)
 
     def __init__(self, ambient: str = M):
         _setattr(self, "ambient", _check_ambient(ambient))
 
-    def contains(self, q) -> bool:
-        """Membership test, with the fast path and the checks of :meth:`Cone2.contains`."""
-        if type(q) is tuple and len(q) == 2:
-            x, y = q
-            if type(x) is int and type(y) is int:
-                return x >= 0
-        return exact_xy(q, self.ambient)[0] >= 0
+    contains = Cone2.contains
 
     def to_json(self) -> dict:
         return {"halfplane": True, "ambient": self.ambient}

@@ -529,6 +529,50 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
 
 
+def test_group_spec_with_a_exit_2(capsys):
+    code, out, err = run_cli(capsys, "opposite", '{"family":"Group","n":2,"a":"x"}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not a monoid spec payload: ") and len(err.splitlines()) == 1
+
+
+def _run_script(argv, **kwargs):
+    """The ``toricmonoids`` script's entry point, ``cli.run``, in a child interpreter."""
+    src = str(Path(toricmonoids.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "from toricmonoids.cli import run; run()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], stderr=subprocess.PIPE, env=env, timeout=60, **kwargs
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullDevice:
+    """A write that fails (no space left) exits 2 with one stderr line, never a traceback."""
+
+    ARGVS = [
+        pytest.param(("opposite", '{"family":"X","n":1,"a":1,"b":0}'), id="opposite"),
+        pytest.param(("catalog",), id="catalog"),
+        pytest.param(("classify", '{"rays":[[1,1],[1,-1]],"ambient":"M"}', "--n", "1"), id="domain-failure"),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_json_out(self, argv):
+        proc = _run_script([*argv, "--json-out", "/dev/full"], stdout=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().startswith("error: cannot write /dev/full: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_stdout(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = _run_script(argv, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestCatalogStreaming:
     def test_lines_written_as_produced(self, capsys, monkeypatch):
         """A failure at the second entry leaves the first line already written."""

@@ -144,6 +144,12 @@ class TestCone2:
         assert twin == c
         assert [twin.contains(q) for q in ((1, 0), (0, -1), (3, -1))] == [True, False, True]
 
+    def test_rays_stored_as_a_tuple(self):
+        c = Cone2([mk(0, 1), mk(1, 0)])
+        assert c.rays == (mk(0, 1), mk(1, 0))
+        assert c == Cone2.from_rays((0, 1), (1, 0))
+        assert hash(c) == hash(Cone2.from_rays((0, 1), (1, 0)))
+
 
 class TestDualCone:
     def test_quadrant_self_dual(self):

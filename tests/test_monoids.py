@@ -107,6 +107,13 @@ class TestMonoidSpec:
         with pytest.raises(ValueError):
             MonoidSpec.from_json({"family": "X", "n": 2.5, "a": 1, "b": 1})
 
+    def test_group_json_with_a_or_b_refused(self):
+        for extra in ({"a": "x"}, {"a": 1, "b": 0}, {"b": 0}):
+            with pytest.raises(ValueError, match="no \\(a, b\\)"):
+                MonoidSpec.from_json({"family": "Group", "n": 2, **extra})
+        null = {"family": "Group", "n": 2, "a": None, "b": None}
+        assert MonoidSpec.from_json(null) == MonoidSpec.group(2)
+
 
 class TestConeOfSpec:
     def test_x_family(self):
