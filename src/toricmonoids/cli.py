@@ -183,6 +183,13 @@ def _payload_cone(args) -> Cone2 | HalfPlane:
         raise UsageError(f"not a cone payload: {exc}") from None
 
 
+def _payload_n_cone(args, what: str) -> Cone2:
+    cone = _payload_cone(args)
+    if isinstance(cone, HalfPlane) or cone.ambient != N:
+        raise UsageError(f"{what} needs a strongly convex cone in N")
+    return cone
+
+
 def _payload_spec(args) -> MonoidSpec:
     data = _load_payload(args)
     try:
@@ -268,9 +275,7 @@ def _cmd_classify(args) -> int:
 def _cmd_roots(args) -> int:
     if args.bound > MAX_ROOT_BOUND:
         raise UsageError(f"--bound is at most {MAX_ROOT_BOUND}, got {args.bound}")
-    cone = _payload_cone(args)
-    if isinstance(cone, HalfPlane) or cone.ambient != N:
-        raise UsageError("root enumeration needs a strongly convex cone in N")
+    cone = _payload_n_cone(args, "root enumeration")
     roots = roots_up_to(cone, args.ray, args.bound)
     _emit(args, [r.to_json() for r in roots])
     return EXIT_OK
@@ -279,9 +284,7 @@ def _cmd_roots(args) -> int:
 def _cmd_comult(args) -> int:
     monomial = _parse_monomial(args.monomial)
     if args.pair is not None:
-        cone = _payload_cone(args)
-        if isinstance(cone, HalfPlane) or cone.ambient != N:
-            raise UsageError("the root-pair mode needs a strongly convex cone in N")
+        cone = _payload_n_cone(args, "the root-pair mode")
         pair_data = _parse_obj(args.pair, "root pair")
         if not isinstance(pair_data, list) or len(pair_data) != 2:
             raise UsageError("a root pair is a JSON list of two roots")
@@ -358,19 +361,21 @@ def _cmd_multiply(args) -> int:
 def _verify_terms(spec: MonoidSpec, box: int) -> int:
     """Total comultiplication terms of the monomials ``verify --box`` checks.
 
-    A monomial ``(x, y)`` expands to ``x + 1`` terms, and the region's points
-    in column ``x`` of the box form one interval of ``y``: all of
-    ``[-box, box]`` for the group, ``y >= ceil(b*x/a)`` for X and
-    ``y <= floor(-(n*a + b)*x/a)`` for Y.  So the sum costs O(box) steps,
-    with no scan of the box.
+    A monomial ``(x, y)`` expands to ``x + 1`` terms, and every spec region
+    lies in ``x >= 0``.  Each stored normal ``(nx, ny)`` asks
+    ``nx*x + ny*y >= 0``: a lower end of column ``x``'s interval of ``y`` when
+    ``ny > 0``, an upper end when ``ny < 0``, and nothing when ``ny = 0``
+    (then ``nx >= 0``).  So the sum costs O(box) steps, with no box scan.
     """
+    a, b, c, d = cone_of_spec(spec)._normals
     total = 0
     for x in range(box + 1):
         lo, hi = -box, box
-        if spec.family is Family.X:
-            lo = max(lo, -((-spec.b * x) // spec.a))
-        elif spec.family is Family.Y:
-            hi = min(hi, (-(spec.n * spec.a + spec.b) * x) // spec.a)
+        for nx, ny in ((a, b), (c, d)):
+            if ny > 0:
+                lo = max(lo, -(nx * x // ny))
+            elif ny < 0:
+                hi = min(hi, nx * x // -ny)
         if hi >= lo:
             total += (x + 1) * (hi - lo + 1)
     return total

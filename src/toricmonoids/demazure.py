@@ -15,7 +15,6 @@ from __future__ import annotations
 from .algebra import DerivationRule
 from .lattice import (
     Cone2,
-    LatticeMap,
     LatticePoint,
     M,
     N,
@@ -24,7 +23,6 @@ from .lattice import (
     _setattr,
     as_int,
     int_xy,
-    pairing,
 )
 
 
@@ -49,13 +47,10 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     passes) is used as it is; every other ``e`` is read by :func:`_root_point`
     first, with its errors.  Either way the test is two dot products.
     """
-    if sigma.ambient != N:
-        raise ValueError("Demazure roots are taken for a cone in N")
+    _check_sigma(sigma)
     if type(ray_index) is not int or ray_index not in (0, 1):
         raise ValueError("ray_index must be 0 or 1")
-    rays = sigma.rays
-    p_i = rays[ray_index]
-    p_j = rays[1 - ray_index]
+    p_i, p_j = sigma.rays if ray_index == 0 else sigma.rays[::-1]
     if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
         x, y = e
     else:
@@ -141,16 +136,15 @@ def roots_up_to(sigma: Cone2, ray_index: int, bound: int) -> list[DemazureRoot]:
 
 
 def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticePoint]:
-    """The lattice basis ``(-e, v)`` attached to a root.
+    """The lattice basis ``(-e, v)`` attached to a root, of determinant +1 or -1.
 
-    ``v`` is the primitive ray of the dual cone orthogonal to the root's
-    distinguished ray; the pair always has determinant +1 or -1.  A
+    ``v`` is the stored normal (a dual ray) orthogonal to the root's ray.  A
     character that is not a root at that ray raises ``ValueError``.
     """
     _require_root(sigma, root.ray_index, root.e)
-    p = sigma.rays[root.ray_index]
-    v = next(w for w in sigma.dual().rays if pairing(w, p) == 0)
-    return (-root.e, v)
+    normals = sigma._normals  # orthogonal to rays[1], then to rays[0]
+    v = normals[:2] if root.ray_index else normals[2:]
+    return (-root.e, LatticePoint(*v, M))
 
 
 def derivation_for(sigma: Cone2, root: DemazureRoot, scale=1) -> DerivationRule:
@@ -159,33 +153,34 @@ def derivation_for(sigma: Cone2, root: DemazureRoot, scale=1) -> DerivationRule:
     return DerivationRule(root=root.e, ray=sigma.rays[root.ray_index], scale=scale)
 
 
-def dual_ray_swap(sigma: Cone2) -> LatticeMap | None:
-    """The linear map exchanging the two rays of the dual cone, if it preserves M.
+def _pair_key(sigma: Cone2, pair: RootPair) -> tuple[str, int, int, int]:
+    """``(family, |k|, a, b)``: the pair is X(|k|, a, b) for k > 0, its opposite
+    Y for k < 0, and the commutative C(a, b) for k = 0.
 
-    With dual rays ``w1 = (p, q)``, ``w2 = (r, s)`` and ``d = p*s - q*r``, the
-    swap is ``(r*s - p*q, p*p - r*r, s*s - q*q, p*q - r*s) / d``; returns it
-    when ``d`` divides all four entries, else None.  The swap is an involution
-    of determinant -1, so integral entries already give an integer inverse.
+    ``v``, ``w`` are the stored normals orthogonal to ``p = rays[i]`` and to the
+    other ray ``q``.  Then ``e2 - e1 = k*v``, and ``w = a*(-base) + b*v`` in the
+    basis of :func:`root_basis`, so ``<w, q> = 0`` gives ``b``.  Both divisions
+    are exact.
     """
-    (p, q), (r, s) = (w.xy for w in _check_sigma(sigma).dual().rays)
-    d = p * s - q * r
-    entries = (r * s - p * q, p * p - r * r, s * s - q * q, p * q - r * s)
-    if any(t % d for t in entries):
-        return None
-    return LatticeMap(*(t // d for t in entries))
+    i = pair.ray_index
+    e1, e2 = pair.e1.e, pair.e2.e
+    _require_root(sigma, i, e1)
+    _require_root(sigma, i, e2)
+    p, q = sigma.rays if i == 0 else sigma.rays[::-1]
+    vx, vy, wx, wy = sigma._normals[2:] + sigma._normals[:2] if i == 0 else sigma._normals
+    vq = vx * q.x + vy * q.y
+    k = ((e2.x - e1.x) * q.x + (e2.y - e1.y) * q.y) // vq
+    base = e1 if k >= 0 else e2
+    a = wx * p.x + wy * p.y
+    b = a * (base.x * q.x + base.y * q.y) // vq
+    return ("C" if k == 0 else "X" if k > 0 else "Y", abs(k), a, b)
 
 
 def pair_equivalence(sigma: Cone2, p: RootPair, q: RootPair) -> bool:
     """Do two root pairs induce isomorphic monoid structures on the surface?
 
-    True when the pairs are equal, or when the ray-swapping map preserves the
-    lattice and carries one ordered pair onto the other.  Reflexive and
-    symmetric (the swap map is an involution).
+    True exactly when their classification keys ``(family, |k|, a, b)`` agree
+    (family X, Y, or C when ``e1 = e2``; see :func:`_pair_key`), at O(1) integer
+    steps each.  A character that is not a root at its pair's ray raises ``ValueError``.
     """
-    _check_sigma(sigma)
-    if p == q:
-        return True
-    swap = dual_ray_swap(sigma)
-    if swap is None:
-        return False
-    return swap.apply(q.e1.e) == p.e1.e and swap.apply(q.e2.e) == p.e2.e
+    return _pair_key(sigma, p) == _pair_key(sigma, q)

@@ -27,6 +27,7 @@ from toricmonoids import (
     monoids,
 )
 from toricmonoids.algebra import _merge
+from toricmonoids.demazure import _check_sigma
 from toricmonoids.lattice import int_xy
 from toricmonoids.monoids import _require_surface_family
 
@@ -137,6 +138,38 @@ def roots_by_double_loop(sigma: Cone2, ray_index: int, bound: int) -> list[tuple
             if ex * p[0] + ey * p[1] == -1 and ex * q[0] + ey * q[1] >= 0:
                 out.append((ex, ey))
     return sorted(out)
+
+
+def dual_ray_swap(sigma: Cone2) -> LatticeMap | None:
+    """The linear map exchanging the two rays of the dual cone, if it preserves M.
+
+    With dual rays ``w1 = (p, q)``, ``w2 = (r, s)`` and ``d = p*s - q*r``, the
+    swap is ``(r*s - p*q, p*p - r*r, s*s - q*q, p*q - r*s) / d``; returns it
+    when ``d`` divides all four entries, else None.  The swap is an involution
+    of determinant -1, so integral entries already give an integer inverse.
+    """
+    (p, q), (r, s) = (w.xy for w in _check_sigma(sigma).dual().rays)
+    d = p * s - q * r
+    entries = (r * s - p * q, p * p - r * r, s * s - q * q, p * q - r * s)
+    if any(t % d for t in entries):
+        return None
+    return LatticeMap(*(t // d for t in entries))
+
+
+def pair_equivalence_by_swap(sigma: Cone2, p: RootPair, q: RootPair) -> bool:
+    """Do two root pairs induce isomorphic monoid structures on the surface?
+
+    True when the pairs are equal, or when the ray-swapping map preserves the
+    lattice and carries one ordered pair onto the other.  Reflexive and
+    symmetric (the swap map is an involution).
+    """
+    _check_sigma(sigma)
+    if p == q:
+        return True
+    swap = dual_ray_swap(sigma)
+    if swap is None:
+        return False
+    return swap.apply(q.e1.e) == p.e1.e and swap.apply(q.e2.e) == p.e2.e
 
 
 def dual_ray_swap_by_cramer(sigma: Cone2) -> LatticeMap | None:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,10 +14,11 @@ from toricmonoids import (
     LatticeMap,
     LatticePoint,
     M,
+    MonoidSpec,
     N,
     RootPair,
+    cone_of_spec,
     derivation_for,
-    dual_ray_swap,
     is_demazure_root,
     is_locally_nilpotent_on,
     pair_equivalence,
@@ -25,7 +27,12 @@ from toricmonoids import (
     roots_up_to,
 )
 
-from oracles import dual_ray_swap_by_cramer, roots_by_double_loop
+from oracles import (
+    dual_ray_swap,
+    dual_ray_swap_by_cramer,
+    pair_equivalence_by_swap,
+    roots_by_double_loop,
+)
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1), N)
 
@@ -298,6 +305,80 @@ class TestPairEquivalence:
             for p in pairs:
                 for q in pairs:
                     assert pair_equivalence(sigma, p, q) == pair_equivalence(sigma, q, p)
+
+
+def _seeded_root_pairs(seed: int, cones: int = 150, coord: int = 7):
+    """``cones`` random N cones with rays in ``[-coord, coord]``, each with every
+    ordered pair of its first five roots per ray (bound 9), commutative pairs included."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < cones:
+        r1, r2 = [(rng.randint(-coord, coord), rng.randint(-coord, coord)) for _ in range(2)]
+        if r1[0] * r2[1] == r1[1] * r2[0]:
+            continue
+        sigma = Cone2.from_rays(r1, r2, N)
+        pairs = []
+        for i in (0, 1):
+            roots = roots_up_to(sigma, i, 9)[:5]
+            pairs += [RootPair(r, s) for r in roots for s in roots]
+        out.append((sigma, pairs))
+    return out
+
+
+class TestPairKey:
+    """``pair_equivalence`` is equality of the classification key ``(family, |k|, a, b)``."""
+
+    def test_matches_swap_oracle_on_seeded_cones(self):
+        compared = commutative = cross_ray = equal = 0
+        for sigma, pairs in _seeded_root_pairs(16):
+            for p in pairs:
+                for q in pairs:
+                    got = pair_equivalence(sigma, p, q)
+                    assert got == pair_equivalence_by_swap(sigma, p, q), (sigma, p, q)
+                    compared += 1
+                    commutative += p.e1 == p.e2 or q.e1 == q.e2
+                    cross_ray += got and p.ray_index != q.ray_index
+                    equal += got
+        assert compared >= 100_000
+        assert commutative > 0 and cross_ray > 0 and compared > equal > 0
+
+    def test_keys_are_coprime_surface_parameters(self):
+        for sigma, pairs in _seeded_root_pairs(17, cones=60):
+            for pair in pairs:
+                family, k, a, b = demazure._pair_key(sigma, pair)
+                assert (family == "C") == (k == 0) == (pair.e1 == pair.e2)
+                assert a > 0 and b >= 0 and gcd(a, b) == 1, (sigma, pair)
+
+    def test_basis_carries_the_dual_cone_onto_the_x_cone(self):
+        # phi: -base -> (1, 0), v -> (0, 1) maps the dual cone onto the exponent cone of
+        # X(|k|, a, b); that cone does not depend on n, so C pairs use n = 1.
+        for sigma, pairs in _seeded_root_pairs(18, cones=40):
+            for pair in pairs:
+                family, k, a, b = demazure._pair_key(sigma, pair)
+                base = pair.e1 if family != "Y" else pair.e2
+                minus_base, v = root_basis(sigma, base)
+                phi = LatticeMap(minus_base.x, v.x, minus_base.y, v.y).inverse()
+                assert phi.image_cone(sigma.dual()) == cone_of_spec(MonoidSpec.x(max(k, 1), a, b))
+
+    def test_swapping_the_roots_exchanges_x_and_y(self):
+        swapped = 0
+        for sigma, pairs in _seeded_root_pairs(19, cones=40):
+            for pair in pairs:
+                family, k, a, b = demazure._pair_key(sigma, pair)
+                if k:
+                    flipped = demazure._pair_key(sigma, RootPair(pair.e2, pair.e1))
+                    assert flipped == ({"X": "Y", "Y": "X"}[family], k, a, b)
+                    swapped += 1
+        assert swapped > 0
+
+    @pytest.mark.parametrize("e", [(5, 5), (-1, -1), (0, 1)])
+    def test_non_root_raises(self, e):
+        i = QUADRANT.ray_index((1, 0))
+        root = DemazureRoot.validated(QUADRANT, i, (-1, 0))
+        bad = RootPair(root, DemazureRoot(LatticePoint(*e, M), i))
+        for p, q in ((bad, bad), (bad, RootPair(root, root)), (RootPair(root, root), bad)):
+            with pytest.raises(ValueError, match="not a Demazure root"):
+                pair_equivalence(QUADRANT, p, q)
 
 
 @pytest.mark.parametrize("ray_index", [True, False, 1.0, 0.0], ids=["true", "false", "1.0", "0.0"])

@@ -1,4 +1,4 @@
-"""The README's library tour runs as written.
+"""The README's library tour runs as written, and its removed names stay removed.
 
 Run against an installed package too, from outside the checkout, so that a
 public name the tour uses cannot be removed without updating the README.
@@ -7,6 +7,8 @@ public name the tour uses cannot be removed without updating the README.
 import re
 from pathlib import Path
 
+import toricmonoids
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,12 @@ def test_library_tour_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_removed_names_are_gone():
+    section = re.search(r"^### Removed names\n(.*?)^#", README.read_text(encoding="utf-8"), re.M | re.S)
+    names = re.findall(r"^\* `([^`]+)`", section.group(1), re.M)
+    assert "dual_ray_swap" in names
+    for name in names:
+        assert name not in toricmonoids.__all__
+        assert not hasattr(toricmonoids, name)
