@@ -175,9 +175,15 @@ def _payload_cone(args) -> Cone2 | HalfPlane:
     data = _load_payload(args)
     if not isinstance(data, dict):
         raise UsageError("not a cone payload: expected a JSON object")
+    # Only JSON true selects the half plane; false or no key reads the rays.
+    flag = data.get("halfplane", False)
     try:
-        if data.get("halfplane"):
+        if flag is True:
+            if "rays" in data:
+                raise ValueError("a half plane has no rays")
             return HalfPlane(data.get("ambient", M))
+        if flag is not False:
+            raise ValueError(f"halfplane must be true or false, got {json.dumps(flag)}")
         return Cone2.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"not a cone payload: {exc}") from None

@@ -68,7 +68,7 @@ class NotAMonoidError(ValueError):
 
 
 class UnsupportedChartError(ValueError):
-    """Point-level multiplication is implemented only for the explicit charts."""
+    """The chart functions know only the plane charts ``a = 1`` and the quadric ``X(n, 2, b)``."""
 
 
 class Family(str, enum.Enum):
@@ -302,20 +302,12 @@ def classify_cone(cone: Cone2 | HalfPlane, n: int) -> MonoidSpec:
     failure = restriction_failure(cone, n)
     if failure is not None:
         raise NotAMonoidError(failure[0], failure[1], n)
-    up = LatticePoint(0, 1, M)
-    down = LatticePoint(0, -1, M)
-    if up in cone.rays:
-        other = cone.rays[1 - cone.rays.index(up)]
-        a, b = other.x, other.y
-        assert a > 0 and b >= 0 and gcd(a, b) == 1
-        return MonoidSpec.x(n, a, b)
-    if down in cone.rays:
-        other = cone.rays[1 - cone.rays.index(down)]
-        a = other.x
-        b = -n * a - other.y
-        assert a > 0 and b >= 0 and gcd(a, b) == 1
-        return MonoidSpec.y(n, a, b)
-    raise AssertionError(f"{cone} passed the restriction test without a vertical ray")
+    # A cone that passes has the ray (0, 1) or (0, -1), and its other ray has
+    # x > 0; rays sort lexicographically, so the axis ray comes first.
+    axis, other = cone.rays
+    if axis.y > 0:
+        return MonoidSpec.x(n, other.x, other.y)
+    return MonoidSpec.y(n, other.x, -n * other.x - other.y)
 
 
 def _require_surface_family(spec: MonoidSpec, what: str) -> None:
@@ -445,6 +437,22 @@ def boundary(spec: MonoidSpec) -> BoundaryInfo:
     )
 
 
+def _chart(spec: MonoidSpec, what: str) -> tuple[tuple[int, int], ...]:
+    """The chart's monomials, one per coordinate: the only family dispatch of the charts.
+
+    ``X(n, 1, b)``: ``chi^(1, b), chi^(0, 1)``; ``Y(n, 1, b)``:
+    ``chi^(1, -b-n), chi^(0, -1)``; the quadric ``X(n, 2, b)``:
+    ``chi^(0, 1), chi^(1, (b+1)/2), chi^(2, b)`` (``b`` is odd by coprimality).
+    """
+    _require_surface_family(spec, what)
+    n, a, b = spec.n, spec.a, spec.b
+    if a == 1:
+        return ((1, b), (0, 1)) if spec.family is Family.X else ((1, -b - n), (0, -1))
+    if spec.family is Family.X and a == 2:
+        return ((0, 1), (1, (b + 1) // 2), (2, b))
+    raise UnsupportedChartError(f"no explicit chart for {spec}")
+
+
 def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[int | Fraction, ...]:
     coords = tuple(parse_rational(v) for v in p)
     if len(coords) != arity:
@@ -452,94 +460,80 @@ def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[int | Fraction, ...]:
     return coords
 
 
-def _quadric_k(spec: MonoidSpec) -> int:
-    # X(n, 2, b) has odd b by coprimality; write b = 2k + 1.
-    return (spec.b - 1) // 2
+def _powers(chart: tuple, ux: int, uy: int) -> tuple[int, ...]:
+    """The exponents of ``chi^u`` over the chart's monomials; one is negative off the cone.
+
+    A plane chart ``((1, s), (0, t))``, ``t = +-1``, gives ``u`` uniquely as
+    ``u_x*(1, s) + t*(u_y - u_x*s)*(0, t)``.  The quadric takes ``divmod(u_x, 2)``
+    copies of ``chi^(2, b)`` and ``chi^(1, h)``, the rest on ``chi^(0, 1)``.
+    """
+    if len(chart) == 2:
+        (_, s), (_, t) = chart
+        return (ux, t * (uy - ux * s))
+    _, (_, h), (_, b) = chart
+    g3, g2 = divmod(ux, 2)
+    return (uy - g2 * h - g3 * b, g2, g3)
+
+
+def _value(point: tuple, powers: tuple[int, ...], factor=1) -> int | Fraction:
+    """``factor`` times the chart coordinates to the given powers; zero powers are skipped."""
+    for c, e in zip(point, powers):
+        if e:
+            factor *= c**e
+    return factor
 
 
 def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
-    """Exact chart-level product of two points.
+    """Exact chart-level product of two points, an ``int`` per coordinate when integral.
 
-    Supported charts: the affine-plane charts ``X(n, 1, b)`` and
-    ``Y(n, 1, b)``, and the quadric-cone chart ``X(n, 2, b)`` whose points
-    ``(x, y, z)`` satisfy ``x*z = y^2``.  General parameters would require an
-    embedding choice and are rejected.
+    Coordinate ``i`` is the comultiplication of the chart's ``i``-th monomial
+    evaluated at ``(p, q)``: the sum of ``coef * chi^left(p) * chi^right(q)``.
+    Supported charts: the planes ``X(n, 1, b)`` and ``Y(n, 1, b)``, and the
+    quadric cone ``X(n, 2, b)`` whose points ``(x, y, z)`` satisfy ``x*z = y^2``.
     """
-    _require_surface_family(spec, "point multiplication")
-    n, a, b = spec.n, spec.a, spec.b
-    if a == 1:
-        p1, p2 = _chart_point(spec, p, 2)
-        q1, q2 = _chart_point(spec, q, 2)
-        if spec.family is Family.X:
-            return (p1 * q2**b + p2 ** (b + n) * q1, p2 * q2)
-        return (p1 * q2 ** (b + n) + p2**b * q1, p2 * q2)
-    if spec.family is Family.X and a == 2:
-        k = _quadric_k(spec)
-        px, py, pz = _chart_point(spec, p, 3)
-        qx, qy, qz = _chart_point(spec, q, 3)
-        for (cx, cy, cz) in ((px, py, pz), (qx, qy, qz)):
+    chart = _chart(spec, "point multiplication")
+    p = _chart_point(spec, p, len(chart))
+    q = _chart_point(spec, q, len(chart))
+    if len(chart) == 3:
+        for (cx, cy, cz) in (p, q):
             if cx * cz != cy**2:
                 raise ValueError(f"({cx}, {cy}, {cz}) violates the chart relation x*z = y^2")
-        out = (
-            px * qx,
-            py * qx ** (k + 1) + px ** (n + k + 1) * qy,
-            pz * qx ** (2 * k + 1)
-            + 2 * px ** (n + k) * py * qx**k * qy
-            + px ** (2 * n + 2 * k + 1) * qz,
-        )
+    rule = ComultRule(spec.n)
+    out = []
+    for g in chart:
+        total = 0
+        for ((lx, ly), (rx, ry)), coef in comult(rule, g)._terms.items():
+            total += _value(q, _powers(chart, rx, ry), _value(p, _powers(chart, lx, ly), coef))
+        out.append(total.numerator if total.denominator == 1 else total)
+    if len(chart) == 3:
         assert out[0] * out[2] == out[1] ** 2
-        return out
-    raise UnsupportedChartError(f"no explicit chart multiplication for {spec}")
+    return tuple(out)
 
 
 def chart_unit(spec: MonoidSpec) -> tuple[Fraction, ...]:
-    """The unit element of a supported chart."""
-    _require_surface_family(spec, "the chart unit")
-    if spec.a == 1:
-        return (Fraction(0), Fraction(1))
-    if spec.family is Family.X and spec.a == 2:
-        return (Fraction(1), Fraction(0), Fraction(0))
-    raise UnsupportedChartError(f"no explicit chart for {spec}")
+    """The unit element of a supported chart: each chart monomial at its counit."""
+    return tuple(counit(g) for g in _chart(spec, "the chart unit"))
 
 
 def chart_zero(spec: MonoidSpec) -> tuple[Fraction, ...]:
-    """The chart origin (the absorbing zero when the boundary carries one)."""
-    _require_surface_family(spec, "the chart zero")
-    if spec.a == 1:
-        return (Fraction(0), Fraction(0))
-    if spec.family is Family.X and spec.a == 2:
-        return (Fraction(0), Fraction(0), Fraction(0))
-    raise UnsupportedChartError(f"no explicit chart for {spec}")
+    """The chart origin, 0 per chart monomial (the absorbing zero when the boundary has one)."""
+    return tuple(Fraction(0) for _ in _chart(spec, "the chart zero"))
 
 
-def chart_monomial_value(spec: MonoidSpec, u, point) -> Fraction:
+def chart_monomial_value(spec: MonoidSpec, u, point) -> int | Fraction:
     """Value of the cone monomial ``chi^u`` at a chart point.
 
-    Writes ``u`` as a nonnegative combination of the chart's generating
-    monomials and evaluates; on the quadric the decomposition is only unique
-    up to the chart relation, which does not affect the value.
+    Writes ``u`` as a nonnegative combination of the chart's monomials and
+    evaluates; on the quadric the decomposition is only unique up to the
+    chart relation, which does not affect the value.
     """
-    _require_surface_family(spec, "chart evaluation")
+    chart = _chart(spec, "chart evaluation")
     ux, uy = int_xy(u, M)
-    n, a, b = spec.n, spec.a, spec.b
-    if a == 1:
-        c1, c2 = _chart_point(spec, point, 2)
-        if spec.family is Family.X:
-            beta = uy - ux * b
-        else:
-            beta = -uy - ux * (b + n)
-        if ux < 0 or beta < 0:
-            raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
-        return c1**ux * c2**beta
-    if spec.family is Family.X and a == 2:
-        k = _quadric_k(spec)
-        c1, c2, c3 = _chart_point(spec, point, 3)
-        g3, g2 = divmod(ux, 2)
-        g1 = uy - g2 * (k + 1) - g3 * (2 * k + 1)
-        if ux < 0 or g1 < 0:
-            raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
-        return c1**g1 * c2**g2 * c3**g3
-    raise UnsupportedChartError(f"no explicit chart for {spec}")
+    point = _chart_point(spec, point, len(chart))
+    powers = _powers(chart, ux, uy)
+    if min(powers) < 0:
+        raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
+    return _value(point, powers)
 
 
 def tensor_chart_value(spec: MonoidSpec, t: TensorElement, p, q) -> Fraction:

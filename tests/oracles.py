@@ -21,6 +21,7 @@ from toricmonoids import (
     LaurentElement,
     RootPair,
     TensorElement,
+    UnsupportedChartError,
     VerificationReport,
     box_lattice_points,
     cone_of_spec,
@@ -29,7 +30,7 @@ from toricmonoids import (
 from toricmonoids.algebra import _merge
 from toricmonoids.demazure import _check_sigma
 from toricmonoids.lattice import int_xy
-from toricmonoids.monoids import _require_surface_family
+from toricmonoids.monoids import _chart_point, _require_surface_family
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -254,6 +255,45 @@ def comult_from_root_pair_by_comb(sigma: Cone2, pair: RootPair, u) -> TensorElem
             assert dual.contains(exponent), f"expansion of ({ux}, {uy}) leaves the cone at {exponent}"
         terms.append(((left, right), comb(d, j)))
     return TensorElement(terms)
+
+
+def _quadric_k(spec: MonoidSpec) -> int:
+    # X(n, 2, b) has odd b by coprimality; write b = 2k + 1.
+    return (spec.b - 1) // 2
+
+
+def multiply_points_by_formula(spec: MonoidSpec, p, q) -> tuple:
+    """Chart-level products by the hand-written formulas of the three charts.
+
+    The plane charts ``X(n, 1, b)`` and ``Y(n, 1, b)``, and the quadric chart
+    ``X(n, 2, b)`` whose points ``(x, y, z)`` satisfy ``x*z = y^2``; the
+    library evaluates the comultiplication instead.
+    """
+    _require_surface_family(spec, "point multiplication")
+    n, a, b = spec.n, spec.a, spec.b
+    if a == 1:
+        p1, p2 = _chart_point(spec, p, 2)
+        q1, q2 = _chart_point(spec, q, 2)
+        if spec.family is Family.X:
+            return (p1 * q2**b + p2 ** (b + n) * q1, p2 * q2)
+        return (p1 * q2 ** (b + n) + p2**b * q1, p2 * q2)
+    if spec.family is Family.X and a == 2:
+        k = _quadric_k(spec)
+        px, py, pz = _chart_point(spec, p, 3)
+        qx, qy, qz = _chart_point(spec, q, 3)
+        for (cx, cy, cz) in ((px, py, pz), (qx, qy, qz)):
+            if cx * cz != cy**2:
+                raise ValueError(f"({cx}, {cy}, {cz}) violates the chart relation x*z = y^2")
+        out = (
+            px * qx,
+            py * qx ** (k + 1) + px ** (n + k + 1) * qy,
+            pz * qx ** (2 * k + 1)
+            + 2 * px ** (n + k) * py * qx**k * qy
+            + px ** (2 * n + 2 * k + 1) * qz,
+        )
+        assert out[0] * out[2] == out[1] ** 2
+        return out
+    raise UnsupportedChartError(f"no explicit chart multiplication for {spec}")
 
 
 def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationReport:

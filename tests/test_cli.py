@@ -389,6 +389,15 @@ class TestRejectedInput:
                 "comult", QUADRANT_N, "--monomial", "[1,1]",
                 "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[0,-1],"ray_index":0}]',
             ),
+            ("classify", '{"halfplane": "false"}', "--n", "1"),
+            ("classify", '{"halfplane": 1}', "--n", "1"),
+            ("classify", '{"halfplane": "no"}', "--n", "1"),
+            ("classify", '{"halfplane": [0]}', "--n", "1"),
+            ("classify", '{"halfplane": true, "rays": [[1,0],[0,1]], "ambient": "M"}', "--n", "1"),
+            ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[1,2,3]"),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '{"a":1}', "--q", "[1,2]"),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[{ROOT_1}]"),
+            ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", ROOT_1),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
@@ -398,7 +407,9 @@ class TestRejectedInput:
              "comult-pair-degree-15000", "multiply-b-20000", "catalog-k-max-1e8",
              "catalog-n-max-101", "catalog-a-max-101", "catalog-b-max-101", "invariants-k-max-1001",
              "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit",
-             "pair-roots-on-different-rays"],
+             "pair-roots-on-different-rays", "halfplane-string-false", "halfplane-one",
+             "halfplane-string-no", "halfplane-list", "halfplane-with-rays", "monomial-triple",
+             "point-object", "pair-of-one-root", "pair-not-a-list"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -527,6 +538,14 @@ class TestErrorContract:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
+
+
+def test_non_utf8_json_in_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"halfplane": true, "note": "\xe9"}')
+    code, out, err = run_cli(capsys, "classify", "--n", "1", "--json-in", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
 def test_group_spec_with_a_exit_2(capsys):

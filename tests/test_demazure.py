@@ -395,6 +395,11 @@ def test_ray_index_is_an_int(ray_index):
             call()
 
 
+def test_root_in_n_refused():
+    with pytest.raises(ValueError, match="^a Demazure root is a character, i.e. a point of M$"):
+        DemazureRoot(LatticePoint(1, 0, N), 0)
+
+
 def test_root_json_round_trip():
     r = DemazureRoot(LatticePoint(-1, 2, M), 1)
     assert r.to_json() == {"e": [-1, 2], "ray_index": 1}

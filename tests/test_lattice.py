@@ -378,3 +378,20 @@ def test_box_lattice_points():
     q = Cone2.from_rays((1, 0), (0, 1), M)
     pts = box_lattice_points(q, 2)
     assert set(pts) == {(x, y) for x in range(3) for y in range(3)}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: box_lattice_points(Cone2.from_rays((1, 0), (0, 1), M), -1), "bound must be nonnegative"),
+        (lambda: Cone2.from_rays((1, 0), (0, 1), M).ray_index((1, 1)),
+         "(1, 1) is not a ray generator of cone[(0, 1), (1, 0); M]"),
+        (lambda: Cone2.from_json({"rays": [[0, 1], [1, 0], [1, 1]], "ambient": "M"}),
+         "a cone is given by exactly two rays"),
+    ],
+    ids=["box-bound-minus-1", "ray-index-of-a-non-ray", "from-json-three-rays"],
+)
+def test_refused_with_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricmonoids import (
+    BoundaryInfo,
     ComultRule,
     Cone2,
     DegenerateConeError,
@@ -59,6 +61,7 @@ from oracles import (
     comult_by_comb,
     comult_from_root_pair_by_comb,
     image_ideal_codim_search,
+    multiply_points_by_formula,
     rand_fraction,
     rand_nonzero_fraction,
     restriction_scan,
@@ -471,6 +474,24 @@ class TestClassify:
         assert classify_cone(c, 3) == MonoidSpec.y(3, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: restriction_failure(cone_of_spec(MonoidSpec.x(1, 1, 0)), 0),
+         "n must be a positive integer, got 0"),
+        (lambda: restriction_failure(Cone2.from_rays((0, 1), (1, 0), N), 1),
+         "the restriction condition applies to exponent cones in M"),
+        (lambda: image_ideal_codim(MonoidSpec.x(2, 3, 2), 0), "k must be a positive integer, got 0"),
+        (lambda: BoundaryInfo(1, 1, True, True), "exactly one of has_zero / idempotent_line must hold"),
+    ],
+    ids=["restriction-n-0", "restriction-n-cone", "codim-k-0", "boundary-both-flags"],
+)
+def test_refused_with_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestInvariants:
     def test_x_at_k_equals_a(self):
         for s in small_xy_specs(3, 4):
@@ -703,6 +724,42 @@ class TestMultiplyPoints:
         with pytest.raises(UnsupportedChartError):
             multiply_points(MonoidSpec.y(1, 2, 1), (1, 1, 1), (1, 1, 1))
 
+    @pytest.mark.parametrize("chart", ["X1", "Y1", "X2"])
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_matches_formula_oracle_in_normal_form(self, chart, kind):
+        # n and b span the benchmark's range (n <= 5, b in 60..161) and beyond.
+        rng = random.Random(f"{chart}-{kind}")
+
+        def coordinate():
+            if kind == "int":
+                return rng.randint(-9, 9)
+            return rand_fraction(rng, dmax=4)
+
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            if chart == "X2":
+                s = MonoidSpec.x(n, 2, 2 * rng.randint(0, 80) + 1)
+                points = []
+                for _ in range(2):
+                    r, w = coordinate(), coordinate()
+                    points.append((r, r * w, r * w * w))
+            else:
+                b = rng.randint(0, 160)
+                s = MonoidSpec.x(n, 1, b) if chart == "X1" else MonoidSpec.y(n, 1, b)
+                points = [(coordinate(), coordinate()) for _ in range(2)]
+            out = multiply_points(s, *points)
+            assert out == multiply_points_by_formula(s, *points), (s, points)
+            assert all(type(c) is int or c.denominator > 1 for c in out), out
+
+    def test_integral_product_of_fractions_is_an_int(self):
+        s = MonoidSpec.x(1, 1, 1)
+        out = multiply_points(s, (Fraction(1, 2), Fraction(1, 2)), (4, 2))
+        assert out == (2, 1) and [type(c) for c in out] == [int, int]
+        quadric = MonoidSpec.x(1, 2, 1)
+        half = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        out = multiply_points(quadric, half, (4, 4, 4))
+        assert out == (2, 3, Fraction(9, 2)) and [type(c) for c in out] == [int, int, Fraction]
+
 
 class TestChartValues:
     def test_out_of_cone_rejected(self):
@@ -742,6 +799,25 @@ class TestChartValues:
             for g in basis:
                 via_comult = tensor_chart_value(s, comult_monomial(s, g), p, q)
                 assert via_comult == chart_monomial_value(s, g, product)
+
+    def test_quadric_chart_zero(self):
+        assert chart_zero(MonoidSpec.x(1, 2, 1)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("u", [(1, 0), (2, 0), (-1, 5)])
+    def test_quadric_monomial_outside_the_cone_refused(self, u):
+        s = MonoidSpec.x(1, 2, 1)
+        with pytest.raises(ValueError, match=r"^monomial \(.*\) is not in the cone of X\(1,2,1\)$"):
+            chart_monomial_value(s, u, (4, 2, 1))
+
+    @pytest.mark.parametrize("spec", [MonoidSpec.x(1, 3, 1), MonoidSpec.y(1, 2, 1)], ids=str)
+    @pytest.mark.parametrize(
+        "call",
+        [chart_unit, chart_zero, lambda s: chart_monomial_value(s, (0, 1), (1, 1))],
+        ids=["chart_unit", "chart_zero", "chart_monomial_value"],
+    )
+    def test_unsupported_chart(self, spec, call):
+        with pytest.raises(UnsupportedChartError, match=f"^no explicit chart for {re.escape(str(spec))}$"):
+            call(spec)
 
 
 class TestTorusWeights:
