@@ -335,11 +335,11 @@ def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> b
 
     ``True`` for a zero ray.  Otherwise, with ``p`` the ray's primitive
     direction up to sign, ``True`` exactly when ``p`` is an inward facet normal
-    of the region, ``<e, p> = -1`` and ``e`` is nonnegative on the other normal
-    (the half plane has ``(1, 0)`` and a zero normal: every ``e = (-1, k)``).
-    The rays ``p`` and ``-p`` get one answer: their derivations differ in
-    sign only.  O(1); ``probe_bound`` is checked but unused.  A region not in
-    M raises ValueError.
+    ``_normals[i]`` of the region, ``<e, p> = -1`` and ``e`` is nonnegative on
+    its partner ``_normals[1 - i]`` (the half plane has ``(1, 0)`` and a zero
+    normal: every ``e = (-1, k)``).  The rays ``p`` and ``-p`` get one answer:
+    their derivations differ in sign only.  O(1); ``probe_bound`` is checked
+    but unused.  A region not in M raises ValueError.
     """
     if as_int(probe_bound) < 1:
         raise ValueError("probe_bound must be at least 1")
@@ -347,12 +347,10 @@ def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> b
         raise ValueError("local nilpotency is decided on a region of M")
     if rule.ray.xy == (0, 0):
         return True
-    a, b, c, d = region._normals
+    normals = region._normals
     px, py = primitive(rule.ray).xy
-    p = (px, py) if (px, py) in ((a, b), (c, d)) else (-px, -py)
-    if p == (c, d):
-        a, b, c, d = c, d, a, b
-    elif p != (a, b):
-        return False
-    x, y = rule.root.xy
-    return a * x + b * y == -1 and c * x + d * y >= 0
+    for i, (a, b) in enumerate(normals):
+        if (a, b) in ((px, py), (-px, -py)):
+            (c, d), (x, y) = normals[1 - i], rule.root.xy
+            return a * x + b * y == -1 and c * x + d * y >= 0
+    return False

@@ -148,6 +148,8 @@ def _catalog_entries(n_max: int, a_max: int, b_max: int, k_max: int):
 
 def _load_payload(args) -> object:
     if getattr(args, "payload", None) is not None:
+        if args.json_in is not None:
+            raise UsageError("the payload is given twice: as an argument and by --json-in")
         text = args.payload
     elif args.json_in is not None:
         try:
@@ -171,22 +173,29 @@ def _parse_obj(text: str, what: str) -> object:
         raise UsageError(f"{what}: {exc}") from None
 
 
-def _payload_cone(args) -> Cone2 | HalfPlane:
-    data = _load_payload(args)
-    if not isinstance(data, dict):
-        raise UsageError("not a cone payload: expected a JSON object")
+def _read(what: str, build, *objects):
+    """``build(*objects)`` of JSON objects, its shape errors one :class:`UsageError` after ``what``."""
+    try:
+        if not all(isinstance(obj, dict) for obj in objects):
+            raise TypeError("expected a JSON object")
+        return build(*objects)
+    except (KeyError, TypeError, ValueError) as exc:
+        shown = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"{what}: {shown}") from None
+
+
+def _region_of_json(data: dict) -> Cone2 | HalfPlane:
     # Only JSON true selects the half plane; false or no key reads the rays.
     flag = data.get("halfplane", False)
-    try:
-        if flag is True:
-            if "rays" in data:
-                raise ValueError("a half plane has no rays")
-            return HalfPlane(data.get("ambient", M))
-        if flag is not False:
-            raise ValueError(f"halfplane must be true or false, got {json.dumps(flag)}")
-        return Cone2.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"not a cone payload: {exc}") from None
+    if type(flag) is not bool:
+        raise ValueError(f"halfplane must be true or false, got {json.dumps(flag)}")
+    if flag and "rays" in data:
+        raise ValueError("a half plane has no rays")
+    return HalfPlane(data.get("ambient", M)) if flag else Cone2.from_json(data)
+
+
+def _payload_cone(args) -> Cone2 | HalfPlane:
+    return _read("not a cone payload", _region_of_json, _load_payload(args))
 
 
 def _payload_n_cone(args, what: str) -> Cone2:
@@ -197,11 +206,7 @@ def _payload_n_cone(args, what: str) -> Cone2:
 
 
 def _payload_spec(args) -> MonoidSpec:
-    data = _load_payload(args)
-    try:
-        return MonoidSpec.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"not a monoid spec payload: {exc}") from None
+    return _read("not a monoid spec payload", MonoidSpec.from_json, _load_payload(args))
 
 
 def _parse_monomial(text: str) -> tuple[int, int]:
@@ -294,10 +299,7 @@ def _cmd_comult(args) -> int:
         pair_data = _parse_obj(args.pair, "root pair")
         if not isinstance(pair_data, list) or len(pair_data) != 2:
             raise UsageError("a root pair is a JSON list of two roots")
-        try:
-            pair = RootPair(*(DemazureRoot.from_json(item) for item in pair_data))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"not a root pair: {exc}") from None
+        pair = _read("not a root pair", lambda *r: RootPair(*map(DemazureRoot.from_json, r)), *pair_data)
         p = cone.rays[pair.ray_index]
         _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
         tensor = comult_from_root_pair(cone, pair, monomial)
@@ -373,11 +375,11 @@ def _verify_terms(spec: MonoidSpec, box: int) -> int:
     ``ny > 0``, an upper end when ``ny < 0``, and nothing when ``ny = 0``
     (then ``nx >= 0``).  So the sum costs O(box) steps, with no box scan.
     """
-    a, b, c, d = cone_of_spec(spec)._normals
+    normals = cone_of_spec(spec)._normals
     total = 0
     for x in range(box + 1):
         lo, hi = -box, box
-        for nx, ny in ((a, b), (c, d)):
+        for nx, ny in normals:
             if ny > 0:
                 lo = max(lo, -(nx * x // ny))
             elif ny < 0:

@@ -138,13 +138,12 @@ def roots_up_to(sigma: Cone2, ray_index: int, bound: int) -> list[DemazureRoot]:
 def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticePoint]:
     """The lattice basis ``(-e, v)`` attached to a root, of determinant +1 or -1.
 
-    ``v`` is the stored normal (a dual ray) orthogonal to the root's ray.  A
-    character that is not a root at that ray raises ``ValueError``.
+    ``v = sigma._normals[i]`` is the dual ray orthogonal to the root's ray
+    ``p = rays[i]``: ``<-e, p> = 1`` and ``v`` is primitive with ``<v, p> = 0``.
+    A character that is not a root at that ray raises ``ValueError``.
     """
     _require_root(sigma, root.ray_index, root.e)
-    normals = sigma._normals  # orthogonal to rays[1], then to rays[0]
-    v = normals[:2] if root.ray_index else normals[2:]
-    return (-root.e, LatticePoint(*v, M))
+    return (-root.e, LatticePoint(*sigma._normals[root.ray_index], M))
 
 
 def derivation_for(sigma: Cone2, root: DemazureRoot, scale=1) -> DerivationRule:
@@ -157,17 +156,17 @@ def _pair_key(sigma: Cone2, pair: RootPair) -> tuple[str, int, int, int]:
     """``(family, |k|, a, b)``: the pair is X(|k|, a, b) for k > 0, its opposite
     Y for k < 0, and the commutative C(a, b) for k = 0.
 
-    ``v``, ``w`` are the stored normals orthogonal to ``p = rays[i]`` and to the
-    other ray ``q``.  Then ``e2 - e1 = k*v``, and ``w = a*(-base) + b*v`` in the
-    basis of :func:`root_basis`, so ``<w, q> = 0`` gives ``b``.  Both divisions
-    are exact.
+    ``v = _normals[i]`` and ``w = _normals[1 - i]`` are the dual rays orthogonal
+    to ``p = rays[i]`` and to the other ray ``q``.  Then ``e2 - e1 = k*v``, and
+    ``w = a*(-base) + b*v`` in the basis of :func:`root_basis`, so ``<w, q> = 0``
+    gives ``b``.  Both divisions are exact.
     """
     i = pair.ray_index
     e1, e2 = pair.e1.e, pair.e2.e
     _require_root(sigma, i, e1)
     _require_root(sigma, i, e2)
-    p, q = sigma.rays if i == 0 else sigma.rays[::-1]
-    vx, vy, wx, wy = sigma._normals[2:] + sigma._normals[:2] if i == 0 else sigma._normals
+    p, q = sigma.rays[i], sigma.rays[1 - i]
+    (vx, vy), (wx, wy) = sigma._normals[i], sigma._normals[1 - i]
     vq = vx * q.x + vy * q.y
     k = ((e2.x - e1.x) * q.x + (e2.y - e1.y) * q.y) // vq
     base = e1 if k >= 0 else e2

@@ -290,12 +290,12 @@ class Cone2(_Record):
             )
         if not (r1.x, r1.y) < (r2.x, r2.y):
             raise ValueError("cone rays must be sorted in the canonical order")
-        # The inward normals of the two edges, ``sign(d) * (r2.y, -r2.x)`` and
-        # ``sign(d) * (-r1.y, r1.x)``: ``q`` is in the cone iff it pairs
-        # nonnegatively with both.  Not a field, so equality, hash and repr
-        # see only the rays and the ambient; pickle keeps it with them.
+        # The inward normals, one per ray: ``_normals[i]`` is orthogonal to
+        # ``rays[i]`` and pairs positively with the other ray, and ``q`` is in
+        # the cone iff it pairs nonnegatively with both.  Not a field, so
+        # equality, hash and repr see the rays and the ambient; pickle keeps it.
         s = 1 if d > 0 else -1
-        _setattr(self, "_normals", (s * r2.y, -s * r2.x, -s * r1.y, s * r1.x))
+        _setattr(self, "_normals", ((-s * r1.y, s * r1.x), (s * r2.y, -s * r2.x)))
 
     @classmethod
     def from_rays(cls, r1: PointLike, r2: PointLike, ambient: str | None = None) -> "Cone2":
@@ -350,7 +350,7 @@ class Cone2(_Record):
             x, y = q
         else:
             x, y = exact_xy(q, self.ambient)
-        a, b, c, d = self._normals
+        (a, b), (c, d) = self._normals
         return a * x + b * y >= 0 and c * x + d * y >= 0
 
     def dual(self) -> "Cone2":
@@ -359,8 +359,7 @@ class Cone2(_Record):
         For a full-dimensional strongly convex 2D cone the dual is again
         full-dimensional and strongly convex; duality is an involution.
         """
-        a, b, c, d = self._normals
-        return Cone2.from_rays((a, b), (c, d), ambient=other_ambient(self.ambient))
+        return Cone2.from_rays(*self._normals, ambient=other_ambient(self.ambient))
 
     def to_json(self) -> dict:
         return {"rays": [r.to_json() for r in self.rays], "ambient": self.ambient}
@@ -369,8 +368,11 @@ class Cone2(_Record):
     def from_json(cls, data: dict) -> "Cone2":
         ambient = _check_ambient(data.get("ambient", M))
         rays = data["rays"]
-        if len(rays) != 2:
+        if not isinstance(rays, (list, tuple)) or len(rays) != 2:
             raise ValueError("a cone is given by exactly two rays")
+        for r in rays:
+            if not isinstance(r, (list, tuple)) or len(r) != 2:
+                raise ValueError(f"ray {r!r} is not a pair of integers")
         return cls.from_rays(rays[0], rays[1], ambient)
 
     def __str__(self) -> str:

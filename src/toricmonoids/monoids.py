@@ -136,13 +136,13 @@ class HalfPlane(_Record):
     """The exponent region of the group family: ``{u in M_Q : u_x >= 0}``.
 
     Not a :class:`Cone2` (it is not strongly convex), but it stores normals
-    the way a cone does, its one inward facet normal ``(1, 0)`` padded with a
+    the way a cone does, its one inward facet normal ``(1, 0)`` paired with a
     zero one, so it shares :meth:`Cone2.contains`, reads and checks included.
     """
 
     _fields = ("ambient",)
     # Not a field, as in ``Cone2``.
-    _normals = (1, 0, 0, 0)
+    _normals = ((1, 0), (0, 0))
 
     def __init__(self, ambient: str = M):
         _setattr(self, "ambient", _check_ambient(ambient))
@@ -460,8 +460,8 @@ def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[int | Fraction, ...]:
     return coords
 
 
-def _powers(chart: tuple, ux: int, uy: int) -> tuple[int, ...]:
-    """The exponents of ``chi^u`` over the chart's monomials; one is negative off the cone.
+def _powers(spec: MonoidSpec, chart: tuple, ux: int, uy: int) -> tuple[int, ...]:
+    """The exponents of ``chi^u`` over the chart's monomials; off the cone, ``ValueError``.
 
     A plane chart ``((1, s), (0, t))``, ``t = +-1``, gives ``u`` uniquely as
     ``u_x*(1, s) + t*(u_y - u_x*s)*(0, t)``.  The quadric takes ``divmod(u_x, 2)``
@@ -469,10 +469,14 @@ def _powers(chart: tuple, ux: int, uy: int) -> tuple[int, ...]:
     """
     if len(chart) == 2:
         (_, s), (_, t) = chart
-        return (ux, t * (uy - ux * s))
-    _, (_, h), (_, b) = chart
-    g3, g2 = divmod(ux, 2)
-    return (uy - g2 * h - g3 * b, g2, g3)
+        powers = (ux, t * (uy - ux * s))
+    else:
+        _, (_, h), (_, b) = chart
+        g3, g2 = divmod(ux, 2)
+        powers = (uy - g2 * h - g3 * b, g2, g3)
+    if min(powers) < 0:
+        raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
+    return powers
 
 
 def _value(point: tuple, powers: tuple[int, ...], factor=1) -> int | Fraction:
@@ -481,6 +485,15 @@ def _value(point: tuple, powers: tuple[int, ...], factor=1) -> int | Fraction:
         if e:
             factor *= c**e
     return factor
+
+
+def _pair_value(spec: MonoidSpec, chart: tuple, terms, p: tuple, q: tuple) -> int | Fraction:
+    """``sum(coef * chi^left(p) * chi^right(q))`` over tensor terms, an ``int`` when integral."""
+    total = 0
+    for ((lx, ly), (rx, ry)), coef in terms:
+        left = _value(p, _powers(spec, chart, lx, ly), coef)
+        total += _value(q, _powers(spec, chart, rx, ry), left)
+    return total.numerator if total.denominator == 1 else total
 
 
 def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
@@ -499,15 +512,10 @@ def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
             if cx * cz != cy**2:
                 raise ValueError(f"({cx}, {cy}, {cz}) violates the chart relation x*z = y^2")
     rule = ComultRule(spec.n)
-    out = []
-    for g in chart:
-        total = 0
-        for ((lx, ly), (rx, ry)), coef in comult(rule, g)._terms.items():
-            total += _value(q, _powers(chart, rx, ry), _value(p, _powers(chart, lx, ly), coef))
-        out.append(total.numerator if total.denominator == 1 else total)
+    out = tuple(_pair_value(spec, chart, comult(rule, g)._terms.items(), p, q) for g in chart)
     if len(chart) == 3:
         assert out[0] * out[2] == out[1] ** 2
-    return tuple(out)
+    return out
 
 
 def chart_unit(spec: MonoidSpec) -> tuple[Fraction, ...]:
@@ -530,18 +538,18 @@ def chart_monomial_value(spec: MonoidSpec, u, point) -> int | Fraction:
     chart = _chart(spec, "chart evaluation")
     ux, uy = int_xy(u, M)
     point = _chart_point(spec, point, len(chart))
-    powers = _powers(chart, ux, uy)
-    if min(powers) < 0:
-        raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
-    return _value(point, powers)
+    return _value(point, _powers(spec, chart, ux, uy))
 
 
-def tensor_chart_value(spec: MonoidSpec, t: TensorElement, p, q) -> Fraction:
-    """Value of a tensor element at a pair of chart points."""
-    total = Fraction(0)
-    for (left, right), coef in t.terms():
-        total += coef * chart_monomial_value(spec, left, p) * chart_monomial_value(spec, right, q)
-    return total
+def tensor_chart_value(spec: MonoidSpec, t: TensorElement, p, q) -> int | Fraction:
+    """Value of a tensor element at a pair of chart points, an ``int`` when integral.
+
+    A leg off the cone raises ``ValueError``, as in :func:`chart_monomial_value`.
+    """
+    chart = _chart(spec, "chart evaluation")
+    p = _chart_point(spec, p, len(chart))
+    q = _chart_point(spec, q, len(chart))
+    return _pair_value(spec, chart, t._terms.items(), p, q)
 
 
 def counit(u) -> Fraction:

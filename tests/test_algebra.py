@@ -432,3 +432,8 @@ def test_str_smoke():
     assert str(f)
     t = TensorElement.monomial((1, 0), (0, 0)) + TensorElement.monomial((0, 1), (1, 0))
     assert "(x)" in str(t)
+
+
+@pytest.mark.parametrize("zero", [LaurentElement.zero(), TensorElement.zero()], ids=["laurent", "tensor"])
+def test_str_of_zero(zero):
+    assert str(zero) == "0"

@@ -398,6 +398,8 @@ class TestRejectedInput:
             ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '{"a":1}', "--q", "[1,2]"),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[{ROOT_1}]"),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", ROOT_1),
+            ("classify", '{"halfplane": true}', "--n", "1", "--json-in", __file__),
+            ("classify", '{"halfplane": true}', "--n", "1", "--json-in", "no-such-file.json"),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
@@ -409,13 +411,37 @@ class TestRejectedInput:
              "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit",
              "pair-roots-on-different-rays", "halfplane-string-false", "halfplane-one",
              "halfplane-string-no", "halfplane-list", "halfplane-with-rays", "monomial-triple",
-             "point-object", "pair-of-one-root", "pair-not-a-list"],
+             "point-object", "pair-of-one-root", "pair-not-a-list", "payload-and-json-in",
+             "payload-and-missing-json-in"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("classify", "{}", "--n", "1"), "not a cone payload: missing key 'rays'"),
+            (("classify", '{"rays": 5}', "--n", "1"), "not a cone payload: a cone is given by exactly two rays"),
+            (("classify", '{"rays": [[1,0],5]}', "--n", "1"), "not a cone payload: ray 5 is not a pair of integers"),
+            (("opposite", "[]"), "not a monoid spec payload: expected a JSON object"),
+            (("opposite", '{"n": 1}'), "not a monoid spec payload: missing key 'family'"),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0]}},{ROOT_1}]'),
+                "not a root pair: missing key 'ray_index'",
+            ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[7,{ROOT_1}]"),
+                "not a root pair: expected a JSON object",
+            ),
+        ],
+        ids=["cone-no-rays", "cone-rays-a-number", "cone-ray-a-number", "spec-a-list", "spec-no-family",
+             "root-no-ray-index", "root-a-number"],
+    )
+    def test_shape_errors_in_the_payload_words(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -755,6 +781,45 @@ _pair = st.builds(
     *[_number, _number, _mostly(st.sampled_from(["0", "1"]), st.just('"1"'))] * 2,
 )
 _monomial = st.builds("[{}, {}]".format, _natural, _number)
+
+
+def _normal(x, y, ox, oy):
+    """The primitive normal to the primitive ``(x, y)`` that pairs positively with ``(ox, oy)``."""
+    s = 1 if x * oy - y * ox > 0 else -1
+    return (-s * y, s * x)
+
+
+@st.composite
+def _root_pair_parts(draw):
+    """``(cone, monomial, pair)`` texts of a root-pair expansion that does the work.
+
+    The cone in N has primitive rays in [-6, 6]^2.  With ``p`` the drawn ray,
+    ``q`` the other, ``v`` and ``w`` the normals to ``p`` and to ``q``: both roots
+    lie on ``p``'s root half-line ``e0 + j*v``, ``j >= 0``, where ``<e0, p> = -1``
+    and ``0 <= <e0, q> < <v, q>``, and the monomial ``a*v + b*w`` lies in the dual cone.
+    """
+    ray = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda r: gcd(*r) == 1)
+    rays = draw(
+        st.lists(ray, min_size=2, max_size=2).filter(lambda r: r[0][0] * r[1][1] != r[0][1] * r[1][0])
+    )
+    rays.sort()
+    i = draw(st.integers(0, 1))
+    (px, py), (qx, qy) = rays[i], rays[1 - i]
+    (vx, vy), (wx, wy) = _normal(px, py, qx, qy), _normal(qx, qy, px, py)
+    ex, ey = next((-s, -t) for s in range(-6, 7) for t in range(-6, 7) if s * px + t * py == 1)
+    k = -((ex * qx + ey * qy) // (vx * qx + vy * qy))
+    ex, ey = ex + k * vx, ey + k * vy
+    j1, j2, a, b = (draw(st.integers(0, 3)) for _ in range(4))
+    cone = json.dumps({"rays": rays, "ambient": "N"})
+    pair = json.dumps([{"e": [ex + j * vx, ey + j * vy], "ray_index": i} for j in (j1, j2)])
+    return cone, f"[{a * vx + b * wx}, {a * vy + b * wy}]", pair
+
+
+# One draw per test case, shared by the payload and both flags; nine times in
+# ten a valid cone with two roots at one ray, else independent draws.
+_pair_parts = st.shared(
+    _mostly(_root_pair_parts(), st.tuples(_cone("N"), _monomial, _pair)), key="comult-pair"
+)
 _rational = _mostly(_number, st.sampled_from(['"1/2"', '"-3/4"', '"1/0"', '"x"']))
 _point = st.builds("[{}, {}]".format, _rational, _rational)
 # Per subcommand: the payload it expects, and its flags with their values.
@@ -763,7 +828,10 @@ _COMMANDS = {
     "classify": (_mostly(_cone("M"), st.just('{"halfplane": true}')), [("--n", _size)]),
     "roots": (_cone("N"), [("--ray", _mostly(st.sampled_from("01"), st.just("2"))), ("--bound", _size)]),
     "comult": (_spec, [("--monomial", _monomial)]),
-    "comult-pair": (_cone("N"), [("--monomial", _monomial), ("--pair", _pair)]),
+    "comult-pair": (
+        _pair_parts.map(lambda t: t[0]),
+        [("--monomial", _pair_parts.map(lambda t: t[1])), ("--pair", _pair_parts.map(lambda t: t[2]))],
+    ),
     "invariants": (_spec, [("--k-max", _size)]),
     "quotient": (_spec, [("--m", _size)]),
     "opposite": (_spec, []),
@@ -821,3 +889,15 @@ class TestArgvFuzz:
 
         draw()
         assert 0 in codes, codes
+
+    def test_root_pairs_reach_the_work(self):
+        # Fixed draws: most comult --pair calls expand a root pair and exit 0.
+        codes = []
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(_argv(names=("comult-pair",)))
+        def draw(call):
+            codes.append(run_captured(*call)[0])
+
+        draw()
+        assert codes.count(0) * 2 > len(codes), codes

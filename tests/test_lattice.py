@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -143,6 +144,23 @@ class TestCone2:
         twin = pickle.loads(pickle.dumps(c))
         assert twin == c
         assert [twin.contains(q) for q in ((1, 0), (0, -1), (3, -1))] == [True, False, True]
+
+    @pytest.mark.parametrize("ambient", [M, N])
+    def test_normals_stored_one_per_ray(self, ambient):
+        # _normals[i] is the primitive dual ray orthogonal to rays[i]: it pairs
+        # to 0 with rays[i] and positively with the other ray.
+        rng = random.Random(f"normals-{ambient}")
+        for _ in range(300):
+            u, v = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)]
+            if u[0] * v[1] == u[1] * v[0]:
+                continue
+            c = Cone2.from_rays(u, v, ambient)
+            assert len(c._normals) == 2
+            for i, (nx, ny) in enumerate(c._normals):
+                p, q = c.rays[i], c.rays[1 - i]
+                assert type(nx) is int and type(ny) is int and gcd(nx, ny) == 1, c
+                assert nx * p.x + ny * p.y == 0, c
+                assert nx * q.x + ny * q.y > 0, c
 
     def test_rays_stored_as_a_tuple(self):
         c = Cone2([mk(0, 1), mk(1, 0)])
@@ -294,6 +312,15 @@ class TestLatticeMap:
         p = LatticeMap(0, 1, 1, 0).apply(mk(2, 5, N))
         assert p == mk(5, 2, N)
 
+    def test_str(self):
+        assert str(LatticeMap(1, 0, -2, -1)) == "[[1, 0], [-2, -1]]"
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_points_of_two_lattices_do_not_add(op):
+    with pytest.raises(TypeError):
+        mk(1, 2, M) + mk(3, 4, N) if op == "+" else mk(1, 2, M) - mk(3, 4, N)
+
 
 class TestHilbertBasis:
     def test_smooth_cone(self):
@@ -388,8 +415,16 @@ def test_box_lattice_points():
          "(1, 1) is not a ray generator of cone[(0, 1), (1, 0); M]"),
         (lambda: Cone2.from_json({"rays": [[0, 1], [1, 0], [1, 1]], "ambient": "M"}),
          "a cone is given by exactly two rays"),
+        (lambda: Cone2((mk(0, 1), mk(1, 0, N)), M), "cone rays must be lattice points of the cone's ambient"),
+        (lambda: Cone2((mk(0, 0), mk(1, 0)), M), "zero vector is not a ray generator"),
+        (lambda: Cone2.from_json({"rays": 5}), "a cone is given by exactly two rays"),
+        (lambda: Cone2.from_json({"rays": "ab"}), "a cone is given by exactly two rays"),
+        (lambda: Cone2.from_json({"rays": [[1, 0], 5]}), "ray 5 is not a pair of integers"),
+        (lambda: Cone2.from_json({"rays": [[1, 0, 2], [0, 1]]}), "ray [1, 0, 2] is not a pair of integers"),
     ],
-    ids=["box-bound-minus-1", "ray-index-of-a-non-ray", "from-json-three-rays"],
+    ids=["box-bound-minus-1", "ray-index-of-a-non-ray", "from-json-three-rays", "ray-of-the-other-lattice",
+         "zero-ray", "from-json-rays-a-number", "from-json-rays-a-string", "from-json-ray-a-number",
+         "from-json-ray-a-triple"],
 )
 def test_refused_with_value_error(call, message):
     with pytest.raises(ValueError) as exc:

@@ -110,6 +110,9 @@ class TestMonoidSpec:
         with pytest.raises(ValueError):
             MonoidSpec.from_json({"family": "X", "n": 2.5, "a": 1, "b": 1})
 
+    def test_group_str(self):
+        assert str(MonoidSpec.group(3)) == "Group(3)"
+
     def test_group_json_with_a_or_b_refused(self):
         for extra in ({"a": "x"}, {"a": 1, "b": 0}, {"b": 0}):
             with pytest.raises(ValueError, match="no \\(a, b\\)"):
@@ -130,6 +133,9 @@ class TestConeOfSpec:
         assert isinstance(region, HalfPlane)
         assert region.contains((0, -7)) and region.contains((3, 2))
         assert not region.contains((-1, 0))
+
+    def test_half_plane_json(self):
+        assert HalfPlane().to_json() == {"halfplane": True, "ambient": "M"}
 
     def test_half_plane_checks_ambients_like_a_cone(self):
         with pytest.raises(ValueError, match="ambient must be"):
@@ -483,8 +489,16 @@ class TestClassify:
          "the restriction condition applies to exponent cones in M"),
         (lambda: image_ideal_codim(MonoidSpec.x(2, 3, 2), 0), "k must be a positive integer, got 0"),
         (lambda: BoundaryInfo(1, 1, True, True), "exactly one of has_zero / idempotent_line must hold"),
+        (lambda: multiply_points(MonoidSpec.x(1, 1, 1), (1, 2, 3), (1, 2)),
+         "X(1,1,1) chart points have 2 coordinates, got 3"),
+        (lambda: tensor_chart_value(MonoidSpec.x(1, 1, 2), TensorElement.monomial((1, 2), (1, 1)), (1, 1), (1, 1)),
+         "monomial (1, 1) is not in the cone of X(1,1,2)"),
+        (lambda: tensor_chart_value(MonoidSpec.x(1, 2, 1), TensorElement.monomial((2, 0), (0, 1)), (4, 2, 1), (1, 1, 1)),
+         "monomial (2, 0) is not in the cone of X(1,2,1)"),
     ],
-    ids=["restriction-n-0", "restriction-n-cone", "codim-k-0", "boundary-both-flags"],
+    ids=["restriction-n-0", "restriction-n-cone", "codim-k-0", "boundary-both-flags",
+         "multiply-triple-on-a-plane-chart", "tensor-value-right-leg-off-the-cone",
+         "tensor-value-left-leg-off-the-cone"],
 )
 def test_refused_with_value_error(call, message):
     with pytest.raises(ValueError) as exc:
@@ -800,6 +814,29 @@ class TestChartValues:
                 via_comult = tensor_chart_value(s, comult_monomial(s, g), p, q)
                 assert via_comult == chart_monomial_value(s, g, product)
 
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_tensor_value_is_the_sum_of_leg_values_in_normal_form(self, kind):
+        rng = random.Random(f"tensor-value-{kind}")
+
+        def coordinate():
+            return rng.randint(-9, 9) if kind == "int" else rand_fraction(rng, dmax=4)
+
+        for s in [MonoidSpec.x(3, 1, 120), MonoidSpec.y(2, 1, 5), MonoidSpec.x(2, 2, 3)]:
+            for _ in range(10):
+                if s.a == 1:
+                    p, q = [(coordinate(), coordinate()) for _ in range(2)]
+                else:
+                    p, q = [(r, r * w, r * w * w) for r, w in [(coordinate(), coordinate()) for _ in range(2)]]
+                for g in hilbert_basis(cone_of_spec(s)):
+                    t = comult_monomial(s, g)
+                    value = tensor_chart_value(s, t, p, q)
+                    by_legs = sum(
+                        c * chart_monomial_value(s, left, p) * chart_monomial_value(s, right, q)
+                        for (left, right), c in t.terms()
+                    )
+                    assert value == by_legs, (s, g, p, q)
+                    assert type(value) is int or value.denominator > 1, value
+
     def test_quadric_chart_zero(self):
         assert chart_zero(MonoidSpec.x(1, 2, 1)) == (0, 0, 0)
 
@@ -889,6 +926,10 @@ class TestVerify:
         assert failure.name == "cone-closure"
         assert failure.witness is not None
         assert "monomial" in failure.witness and "escaped" in failure.witness
+
+    def test_passing_report_has_no_first_failure(self):
+        report = verify_bialgebra(MonoidSpec.x(1, 1, 1), 2)
+        assert report.passed and report.first_failure() is None
 
     def test_report_json_shape(self):
         report = verify_bialgebra(MonoidSpec.x(1, 1, 1), 2)
