@@ -330,7 +330,7 @@ class DerivationRule(_Record):
         return self.apply(f)
 
 
-def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> bool:
+def is_locally_nilpotent_on(rule: DerivationRule, region) -> bool:
     """Demazure's criterion: is ``rule`` a root derivation of the region's algebra?
 
     ``True`` for a zero ray.  Otherwise, with ``p`` the ray's primitive
@@ -338,11 +338,9 @@ def is_locally_nilpotent_on(rule: DerivationRule, region, probe_bound: int) -> b
     ``_normals[i]`` of the region, ``<e, p> = -1`` and ``e`` is nonnegative on
     its partner ``_normals[1 - i]`` (the half plane has ``(1, 0)`` and a zero
     normal: every ``e = (-1, k)``).  The rays ``p`` and ``-p`` get one answer:
-    their derivations differ in sign only.  O(1); ``probe_bound`` is checked
-    but unused.  A region not in M raises ValueError.
+    their derivations differ in sign only.  O(1) from the stored normals, with
+    no search.  A region not in M raises ValueError.
     """
-    if as_int(probe_bound) < 1:
-        raise ValueError("probe_bound must be at least 1")
     if region.ambient != M:
         raise ValueError("local nilpotency is decided on a region of M")
     if rule.ray.xy == (0, 0):

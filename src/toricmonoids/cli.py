@@ -27,20 +27,16 @@ from .lattice import (
     M,
     N,
     Cone2,
-    LatticePoint,
-    _Record,
-    _setattr,
-    as_int,
     hilbert_basis,
     int_xy,
     parse_rational,
 )
 from .monoids import (
-    BoundaryInfo,
     Family,
     HalfPlane,
     MonoidSpec,
     NotAMonoidError,
+    _chart,
     boundary,
     classify_cone,
     comult_from_root_pair,
@@ -87,48 +83,14 @@ class UsageError(Exception):
     """Malformed payloads and other recoverable input problems (exit code 2)."""
 
 
-class CatalogEntry(_Record):
-    """One classified monoid with its cone, generators, invariants, and boundary."""
+def _catalog(n_max: int, a_max: int, b_max: int, k_max: int):
+    """The catalog's JSON objects: each X/Y spec with coprime (a, b) within the bounds, once.
 
-    _fields = ("spec", "cone", "basis", "invariants", "info")
-
-    def __init__(
-        self,
-        spec: MonoidSpec,
-        cone: Cone2,
-        basis: list[LatticePoint],
-        invariants: list[int],
-        info: BoundaryInfo,
-    ):
-        _setattr(self, "spec", spec)
-        _setattr(self, "cone", cone)
-        _setattr(self, "basis", basis)
-        _setattr(self, "invariants", invariants)
-        _setattr(self, "info", info)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "cone": self.cone.to_json(),
-            "hilbert_basis": [g.to_json() for g in self.basis],
-            "invariants": self.invariants,
-            "boundary": self.info.to_json(),
-        }
-
-
-def iter_catalog(n_max: int, a_max: int, b_max: int, k_max: int):
-    """All X/Y specs with coprime (a, b) within the bounds, each exactly once.
-
-    Canonical enumeration order: n, then a, then b, then family (X before Y);
-    the entries are pairwise non-isomorphic.  The bounds are checked when this
-    is called; the entries are computed lazily, one per step of the iterator.
+    Canonical order: n, then a, then b, then family (X before Y); the specs
+    are pairwise non-isomorphic.  Each object holds the spec, its cone, the
+    cone's Hilbert basis, the invariants for k = 1..k_max and the boundary
+    data, and is computed only when the generator reaches it.
     """
-    if min(n_max, a_max, k_max) < 1 or b_max < 0:
-        raise ValueError("catalog bounds must be at least 1 (b may reach 0)")
-    return _catalog_entries(n_max, a_max, b_max, k_max)
-
-
-def _catalog_entries(n_max: int, a_max: int, b_max: int, k_max: int):
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):
             for b in range(0, b_max + 1):
@@ -137,13 +99,13 @@ def _catalog_entries(n_max: int, a_max: int, b_max: int, k_max: int):
                 for family in (Family.X, Family.Y):
                     spec = MonoidSpec(family, n, a, b)
                     cone = cone_of_spec(spec)
-                    yield CatalogEntry(
-                        spec=spec,
-                        cone=cone,
-                        basis=hilbert_basis(cone),
-                        invariants=[image_ideal_codim(spec, k) for k in range(1, k_max + 1)],
-                        info=boundary(spec),
-                    )
+                    yield {
+                        "spec": spec.to_json(),
+                        "cone": cone.to_json(),
+                        "hilbert_basis": [g.to_json() for g in hilbert_basis(cone)],
+                        "invariants": [image_ideal_codim(spec, k) for k in range(1, k_max + 1)],
+                        "boundary": boundary(spec).to_json(),
+                    }
 
 
 def _load_payload(args) -> object:
@@ -362,6 +324,10 @@ def _cmd_multiply(args) -> int:
             raise UsageError(
                 f"a {bits}-bit coordinate to the power {power} is over {MAX_POWER_BITS} bits"
             )
+    arity = len(_chart(spec, "point multiplication"))
+    for what, point in (("point p", p), ("point q", q)):
+        if len(point) != arity:
+            raise UsageError(f"{what}: {spec} chart points have {arity} coordinates, got {len(point)}")
     _emit(args, [str(c) for c in multiply_points(spec, p, q)])
     return EXIT_OK
 
@@ -409,13 +375,11 @@ def _cmd_catalog(args) -> int:
     bound = max(args.n_max, args.a_max, args.b_max)
     if bound > MAX_CATALOG_BOUND:
         raise UsageError(f"catalog bounds are at most {MAX_CATALOG_BOUND}, got {bound}")
-    try:
-        entries = iter_catalog(args.n_max, args.a_max, args.b_max, args.k_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if min(args.n_max, args.a_max) < 1 or args.b_max < 0:
+        raise UsageError("catalog bounds must be at least 1 (b may reach 0)")
     with _output(args) as out:
-        for entry in entries:
-            out.write(json.dumps(entry.to_json()) + "\n")
+        for entry in _catalog(args.n_max, args.a_max, args.b_max, args.k_max):
+            out.write(json.dumps(entry) + "\n")
             out.flush()
     return EXIT_OK
 

@@ -92,7 +92,10 @@ class DemazureRoot(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "DemazureRoot":
-        return cls(LatticePoint.from_json(data["e"], M), as_int(data["ray_index"]))
+        e = data["e"]
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"root e {e!r} is not a pair of integers")
+        return cls(LatticePoint.from_json(e, M), as_int(data["ray_index"]))
 
 
 class RootPair(_Record):

@@ -394,20 +394,19 @@ class BoundaryInfo(_Record):
     (weights measured against the chart's own torus coordinate).  When
     ``b = 0`` (which forces ``a = 1``) the line consists of idempotents
     instead; the weights then differ by ``a*n`` but only one side acts by
-    scaling.
+    scaling.  So ``idempotent_line`` is not stored: it is ``not has_zero``.
     """
 
-    _fields = ("left_weight", "right_weight", "has_zero", "idempotent_line")
+    _fields = ("left_weight", "right_weight", "has_zero")
 
-    def __init__(
-        self, left_weight: int, right_weight: int, has_zero: bool, idempotent_line: bool
-    ):
-        if has_zero == idempotent_line:
-            raise ValueError("exactly one of has_zero / idempotent_line must hold")
+    def __init__(self, left_weight: int, right_weight: int, has_zero: bool):
         _setattr(self, "left_weight", left_weight)
         _setattr(self, "right_weight", right_weight)
         _setattr(self, "has_zero", has_zero)
-        _setattr(self, "idempotent_line", idempotent_line)
+
+    @property
+    def idempotent_line(self) -> bool:
+        return not self.has_zero
 
     def to_json(self) -> dict:
         return {
@@ -429,12 +428,7 @@ def boundary(spec: MonoidSpec) -> BoundaryInfo:
     light = spec.b
     if spec.family is Family.Y:
         heavy, light = light, heavy
-    return BoundaryInfo(
-        left_weight=heavy,
-        right_weight=light,
-        has_zero=spec.b > 0,
-        idempotent_line=spec.b == 0,
-    )
+    return BoundaryInfo(heavy, light, has_zero=spec.b > 0)
 
 
 def _chart(spec: MonoidSpec, what: str) -> tuple[tuple[int, int], ...]:
@@ -562,16 +556,28 @@ def counit(u) -> Fraction:
 
 
 class CheckResult(_Record):
-    _fields = ("name", "status", "witness")
+    """One axiom check, failed exactly when it holds a non-empty witness dict.
 
-    def __init__(self, name: str, status: str, witness: dict | None = None):
+    ``status`` (``"pass"`` or ``"fail"``) and ``passed`` are read from the
+    witness, so no result can contradict itself.  A witness that is neither
+    ``None`` nor a ``dict`` raises ``ValueError``.
+    """
+
+    _fields = ("name", "witness")
+
+    def __init__(self, name: str, witness: dict | None = None):
+        if witness is not None and not isinstance(witness, dict):
+            raise ValueError(f"a check's witness is a dict or None, got {witness!r}")
         _setattr(self, "name", name)
-        _setattr(self, "status", status)  # "pass" | "fail"
         _setattr(self, "witness", witness)
 
     @property
+    def status(self) -> str:
+        return "fail" if self.witness else "pass"
+
+    @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.witness
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status, "witness": self.witness}
@@ -661,7 +667,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
                 break
         if witness:
             break
-    checks.append(_result("cone-closure", witness))
+    checks.append(CheckResult("cone-closure", witness))
 
     for name, side in (("counit-left", 0), ("counit-right", 1)):
         witness = None
@@ -670,7 +676,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             if collapsed != {u: 1}:
                 witness = {"monomial": list(u)}
                 break
-        checks.append(_result(name, witness))
+        checks.append(CheckResult(name, witness))
 
     witness = None
     for u, t in expansions.items():
@@ -687,7 +693,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
         if any(diff.values()):
             witness = {"monomial": list(u)}
             break
-    checks.append(_result("coassociativity", witness))
+    checks.append(CheckResult("coassociativity", witness))
 
     codes = _box_codes(expansions)
     if codes is None:
@@ -717,7 +723,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
                     break
             if witness:
                 break
-    checks.append(_result("multiplicativity", witness))
+    checks.append(CheckResult("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
 
@@ -794,10 +800,6 @@ def _box_codes(expansions: dict) -> tuple | None:
         if code is None:
             return None
     return step, bits, codes
-
-
-def _result(name: str, witness: dict | None) -> CheckResult:
-    return CheckResult(name, "fail" if witness else "pass", witness)
 
 
 def verify_bialgebra(spec: MonoidSpec, box: int) -> VerificationReport:

@@ -314,7 +314,7 @@ def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationRep
                 break
         if witness:
             break
-    checks.append(_result("cone-closure", witness))
+    checks.append(CheckResult("cone-closure", witness))
 
     for name, keep in (("counit-left", "right"), ("counit-right", "left")):
         witness = None
@@ -329,7 +329,7 @@ def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationRep
             if collapsed != LaurentElement.monomial(u):
                 witness = {"monomial": list(u)}
                 break
-        checks.append(_result(name, witness))
+        checks.append(CheckResult(name, witness))
 
     witness = None
     for u, t in expansions.items():
@@ -341,7 +341,7 @@ def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationRep
         if _merge(lhs) != _merge(rhs):
             witness = {"monomial": list(u)}
             break
-    checks.append(_result("coassociativity", witness))
+    checks.append(CheckResult("coassociativity", witness))
 
     witness = None
     for u, v in combinations_with_replacement(points, 2):
@@ -349,7 +349,7 @@ def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationRep
         if product != expansions[u] * expansions[v]:
             witness = {"pair": [list(u), list(v)]}
             break
-    checks.append(_result("multiplicativity", witness))
+    checks.append(CheckResult("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
 
@@ -415,10 +415,6 @@ def box_codes_by_lookup(expansions: dict) -> tuple | None:
     bits = (s_max * s_max).bit_length()
     codes = {u: (*first, kronecker(digits, bits)) for u, (first, digits) in runs.items()}
     return step, bits, codes
-
-
-def _result(name: str, witness: dict | None) -> CheckResult:
-    return CheckResult(name, "fail" if witness else "pass", witness)
 
 
 def rand_fraction(rng, lo: int = -9, hi: int = 9, dmax: int = 7) -> Fraction:

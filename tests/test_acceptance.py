@@ -282,7 +282,7 @@ def test_criterion_09_demazure_roots_drive_the_structure():
         for i in (0, 1):
             for root in roots_up_to(sigma, i, 4):
                 rule = derivation_for(sigma, root)
-                if not is_locally_nilpotent_on(rule, dual, 8):
+                if not is_locally_nilpotent_on(rule, dual):
                     failures.append(("nilpotent", str(sigma), root.e.xy))
                 minus_e, v = root_basis(sigma, root)
                 if minus_e.x * v.y - minus_e.y * v.x not in (1, -1):

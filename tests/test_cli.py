@@ -436,12 +436,48 @@ class TestRejectedInput:
                 ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[7,{ROOT_1}]"),
                 "not a root pair: expected a JSON object",
             ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":5,"ray_index":1}},{ROOT_1}]'),
+                "not a root pair: root e 5 is not a pair of integers",
+            ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":null,"ray_index":1}},{ROOT_1}]'),
+                "not a root pair: root e None is not a pair of integers",
+            ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":{{"x":1}},"ray_index":1}},{ROOT_1}]'),
+                "not a root pair: root e {'x': 1} is not a pair of integers",
+            ),
         ],
         ids=["cone-no-rays", "cone-rays-a-number", "cone-ray-a-number", "spec-a-list", "spec-no-family",
-             "root-no-ray-index", "root-a-number"],
+             "root-no-ray-index", "root-a-number", "root-e-a-number", "root-e-null", "root-e-an-object"],
     )
     def test_shape_errors_in_the_payload_words(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec, p, q, message",
+        [
+            ('{"family":"X","n":1,"a":1,"b":1}', "[1,2]", "[1,2,3]",
+             "point q: X(1,1,1) chart points have 2 coordinates, got 3"),
+            ('{"family":"X","n":1,"a":1,"b":1}', "[1,2,3]", "[1,2]",
+             "point p: X(1,1,1) chart points have 2 coordinates, got 3"),
+            ('{"family":"X","n":1,"a":2,"b":1}', "[1,1]", "[1,1,1]",
+             "point p: X(1,2,1) chart points have 3 coordinates, got 2"),
+        ],
+        ids=["multiply-triple-on-a-plane-chart", "multiply-triple-p-on-a-plane-chart",
+             "multiply-pair-on-the-quadric"],
+    )
+    def test_point_of_the_wrong_arity(self, capsys, spec, p, q, message):
+        assert run_cli(capsys, "multiply", spec, "--p", p, "--q", q) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec", ['{"family":"Group","n":1}', '{"family":"Y","n":1,"a":2,"b":1}'], ids=["group", "no-chart"]
+    )
+    def test_spec_without_a_chart_is_refused_before_the_arity(self, capsys, spec):
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", "[1,2,3,4]", "--q", "[1]")
+        assert (code, err) == (1, "")
+        assert list(json.loads(out)) == ["error"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -616,6 +652,54 @@ class TestFullDevice:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error: cannot write standard output: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestGoldenBytes:
+    """Exact stdout of commands whose output the value classes build."""
+
+    def test_catalog(self, capsys):
+        code, out, err = run_cli(
+            capsys, "catalog", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--k-max", "2"
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_CATALOG
+
+    @pytest.mark.parametrize(
+        "b, line",
+        [
+            ("0", '{"left_weight": 1, "right_weight": 0, "has_zero": false, "idempotent_line": true}\n'),
+            ("1", '{"left_weight": 2, "right_weight": 1, "has_zero": true, "idempotent_line": false}\n'),
+        ],
+        ids=["X(1,1,0)", "X(1,1,1)"],
+    )
+    def test_boundary(self, capsys, b, line):
+        assert run_cli(capsys, "boundary", f'{{"family":"X","n":1,"a":1,"b":{b}}}') == (0, line, "")
+
+    def test_passing_verify(self, capsys):
+        expected = (
+            '{"checks": [{"name": "cone-closure", "status": "pass", "witness": null}, '
+            '{"name": "counit-left", "status": "pass", "witness": null}, '
+            '{"name": "counit-right", "status": "pass", "witness": null}, '
+            '{"name": "coassociativity", "status": "pass", "witness": null}, '
+            '{"name": "multiplicativity", "status": "pass", "witness": null}]}\n'
+        )
+        assert run_cli(capsys, "verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "2") == (0, expected, "")
+
+
+GOLDEN_CATALOG = (
+    '{"spec": {"family": "X", "n": 1, "a": 1, "b": 0}, "cone": {"rays": [[0, 1], [1, 0]], "ambient": "M"}, '
+    '"hilbert_basis": [[0, 1], [1, 0]], "invariants": [0, 0], '
+    '"boundary": {"left_weight": 1, "right_weight": 0, "has_zero": false, "idempotent_line": true}}\n'
+    '{"spec": {"family": "Y", "n": 1, "a": 1, "b": 0}, "cone": {"rays": [[0, -1], [1, -1]], "ambient": "M"}, '
+    '"hilbert_basis": [[0, -1], [1, -1]], "invariants": [1, 2], '
+    '"boundary": {"left_weight": 0, "right_weight": 1, "has_zero": false, "idempotent_line": true}}\n'
+    '{"spec": {"family": "X", "n": 1, "a": 1, "b": 1}, "cone": {"rays": [[0, 1], [1, 1]], "ambient": "M"}, '
+    '"hilbert_basis": [[0, 1], [1, 1]], "invariants": [1, 2], '
+    '"boundary": {"left_weight": 2, "right_weight": 1, "has_zero": true, "idempotent_line": false}}\n'
+    '{"spec": {"family": "Y", "n": 1, "a": 1, "b": 1}, "cone": {"rays": [[0, -1], [1, -2]], "ambient": "M"}, '
+    '"hilbert_basis": [[0, -1], [1, -2]], "invariants": [2, 4], '
+    '"boundary": {"left_weight": 1, "right_weight": 2, "has_zero": true, "idempotent_line": false}}\n'
+)
 
 
 class TestCatalogStreaming:

@@ -207,7 +207,7 @@ class TestDerivations:
         for i in (0, 1):
             for root in roots_up_to(sigma, i, 4):
                 rule = derivation_for(sigma, root)
-                assert is_locally_nilpotent_on(rule, dual, 8)
+                assert is_locally_nilpotent_on(rule, dual)
 
 
 class TestDualRaySwap:

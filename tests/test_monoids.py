@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricmonoids import (
-    BoundaryInfo,
     ComultRule,
     Cone2,
     DegenerateConeError,
@@ -488,7 +487,6 @@ class TestClassify:
         (lambda: restriction_failure(Cone2.from_rays((0, 1), (1, 0), N), 1),
          "the restriction condition applies to exponent cones in M"),
         (lambda: image_ideal_codim(MonoidSpec.x(2, 3, 2), 0), "k must be a positive integer, got 0"),
-        (lambda: BoundaryInfo(1, 1, True, True), "exactly one of has_zero / idempotent_line must hold"),
         (lambda: multiply_points(MonoidSpec.x(1, 1, 1), (1, 2, 3), (1, 2)),
          "X(1,1,1) chart points have 2 coordinates, got 3"),
         (lambda: tensor_chart_value(MonoidSpec.x(1, 1, 2), TensorElement.monomial((1, 2), (1, 1)), (1, 1), (1, 1)),
@@ -496,7 +494,7 @@ class TestClassify:
         (lambda: tensor_chart_value(MonoidSpec.x(1, 2, 1), TensorElement.monomial((2, 0), (0, 1)), (4, 2, 1), (1, 1, 1)),
          "monomial (2, 0) is not in the cone of X(1,2,1)"),
     ],
-    ids=["restriction-n-0", "restriction-n-cone", "codim-k-0", "boundary-both-flags",
+    ids=["restriction-n-0", "restriction-n-cone", "codim-k-0",
          "multiply-triple-on-a-plane-chart", "tensor-value-right-leg-off-the-cone",
          "tensor-value-left-leg-off-the-cone"],
 )
@@ -926,6 +924,18 @@ class TestVerify:
         assert failure.name == "cone-closure"
         assert failure.witness is not None
         assert "monomial" in failure.witness and "escaped" in failure.witness
+
+    def test_failing_report_json(self):
+        cone = cone_of_spec(MonoidSpec.y(2, 1, 1))
+        assert verify_comultiplication(cone, ComultRule(5), 4).to_json() == {
+            "checks": [
+                {"name": "cone-closure", "status": "fail", "witness": {"monomial": [1, -4], "escaped": [0, 1]}},
+                {"name": "counit-left", "status": "pass", "witness": None},
+                {"name": "counit-right", "status": "pass", "witness": None},
+                {"name": "coassociativity", "status": "pass", "witness": None},
+                {"name": "multiplicativity", "status": "pass", "witness": None},
+            ]
+        }
 
     def test_passing_report_has_no_first_failure(self):
         report = verify_bialgebra(MonoidSpec.x(1, 1, 1), 2)

@@ -34,10 +34,8 @@ from toricmonoids import (
     RootPair,
     VerificationReport,
 )
-from toricmonoids.cli import CatalogEntry
 from toricmonoids.monoids import Family
 
-P = LatticePoint(1, -2)
 ROOT = DemazureRoot(LatticePoint(-1, 0), 1)
 ROOT_2 = DemazureRoot(LatticePoint(-1, 1), 1)
 
@@ -100,37 +98,21 @@ TABLE = [
     (ComultRule, {"n": 2}, {}, "ComultRule(n=2)"),
     (
         BoundaryInfo,
-        {"left_weight": 5, "right_weight": 3, "has_zero": True, "idempotent_line": False},
+        {"left_weight": 5, "right_weight": 3, "has_zero": True},
         {},
-        "BoundaryInfo(left_weight=5, right_weight=3, has_zero=True, idempotent_line=False)",
+        "BoundaryInfo(left_weight=5, right_weight=3, has_zero=True)",
     ),
     (
         CheckResult,
-        {"name": "counit-left", "status": "fail", "witness": None},
+        {"name": "counit-left", "witness": None},
         {"witness": None},
-        "CheckResult(name='counit-left', status='fail', witness=None)",
+        "CheckResult(name='counit-left', witness=None)",
     ),
     (
         VerificationReport,
-        {"checks": (CheckResult("cone-closure", "pass"),)},
+        {"checks": (CheckResult("cone-closure"),)},
         {},
-        "VerificationReport(checks=(CheckResult(name='cone-closure', status='pass',"
-        " witness=None),))",
-    ),
-    (
-        CatalogEntry,
-        {
-            "spec": MonoidSpec.group(1),
-            "cone": HalfPlane(),
-            "basis": [P],
-            "invariants": [1, 2],
-            "info": BoundaryInfo(1, 0, False, True),
-        },
-        {},
-        "CatalogEntry(spec=MonoidSpec(family=<Family.GROUP: 'Group'>, n=1, a=None, b=None),"
-        " cone=HalfPlane(ambient='M'), basis=[LatticePoint(x=1, y=-2, ambient='M')],"
-        " invariants=[1, 2], info=BoundaryInfo(left_weight=1, right_weight=0, has_zero=False,"
-        " idempotent_line=True))",
+        "VerificationReport(checks=(CheckResult(name='cone-closure', witness=None),))",
     ),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(TABLE)]
@@ -140,7 +122,7 @@ def test_table_covers_every_value_class():
     assert {cls for cls, *_ in TABLE} == {
         LatticePoint, RationalPoint, Cone2, LatticeMap, DerivationRule, DemazureRoot,
         RootPair, MonoidSpec, HalfPlane, ComultRule, BoundaryInfo, CheckResult,
-        VerificationReport, CatalogEntry,
+        VerificationReport,
     }
 
 
@@ -200,6 +182,42 @@ class TestValueClassParity:
             return
         with pytest.raises(TypeError):
             cls(**{k: v for k, v in fields.items() if k != required[0]})
+
+
+class TestDerivedValues:
+    """Values read from other fields are properties, never stored or given."""
+
+    @pytest.mark.parametrize("has_zero", [True, False])
+    def test_idempotent_line_is_not_has_zero(self, has_zero):
+        info = BoundaryInfo(2, 1, has_zero)
+        assert info.idempotent_line is (not has_zero)
+        assert info.to_json() == {
+            "left_weight": 2, "right_weight": 1, "has_zero": has_zero, "idempotent_line": not has_zero,
+        }
+        with pytest.raises(AttributeError):
+            info.idempotent_line = has_zero
+
+    def test_four_argument_boundary_info_refused(self):
+        with pytest.raises(TypeError):
+            BoundaryInfo(1, 0, False, True)
+
+    @pytest.mark.parametrize(
+        "witness, status",
+        [(None, "pass"), ({"monomial": [1, 0]}, "fail"), ({"pair": [[0, 1], [1, 0]]}, "fail")],
+        ids=["none", "monomial", "pair"],
+    )
+    def test_check_status_and_passed_read_from_the_witness(self, witness, status):
+        check = CheckResult("coassociativity", witness)
+        assert (check.status, check.passed) == (status, status == "pass")
+        assert check.to_json() == {"name": "coassociativity", "status": status, "witness": witness}
+        for name in ("status", "passed"):
+            with pytest.raises(AttributeError):
+                setattr(check, name, "pass")
+
+    @pytest.mark.parametrize("witness", ["pass", "fail", [1, 0], 0, True])
+    def test_check_witness_that_is_not_a_dict_refused(self, witness):
+        with pytest.raises(ValueError, match="witness is a dict or None"):
+            CheckResult("cone-closure", witness)
 
 
 def test_points_of_two_classes_with_equal_fields_are_unequal():
