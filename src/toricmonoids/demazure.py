@@ -20,6 +20,7 @@ from .lattice import (
     N,
     RationalPoint,
     _Record,
+    _quoted,
     _setattr,
     as_int,
     int_xy,
@@ -94,7 +95,7 @@ class DemazureRoot(_Record):
     def from_json(cls, data: dict) -> "DemazureRoot":
         e = data["e"]
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"root e {e!r} is not a pair of integers")
+            raise ValueError(f"root e {_quoted(e)} is not a pair of integers")
         return cls(LatticePoint.from_json(e, M), as_int(data["ray_index"]))
 
 

@@ -17,6 +17,7 @@ though it shares the cone's membership test.
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
@@ -36,6 +37,14 @@ def _check_ambient(ambient: str) -> str:
     if ambient not in _AMBIENTS:
         raise ValueError(f"ambient must be {M!r} or {N!r}, got {ambient!r}")
     return ambient
+
+
+def _quoted(value) -> str:
+    """A payload value as JSON text, the words the user wrote; its repr when it is no JSON value."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def other_ambient(ambient: str) -> str:
@@ -372,7 +381,7 @@ class Cone2(_Record):
             raise ValueError("a cone is given by exactly two rays")
         for r in rays:
             if not isinstance(r, (list, tuple)) or len(r) != 2:
-                raise ValueError(f"ray {r!r} is not a pair of integers")
+                raise ValueError(f"ray {_quoted(r)} is not a pair of integers")
         return cls.from_rays(rays[0], rays[1], ambient)
 
     def __str__(self) -> str:

@@ -636,10 +636,15 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     and its code is ``code_u * code_v``; a target that is no such run equals
     no product and fails.  Each target is checked and encoded once per
     distinct sum (a sum inside the box reuses its box code), by one pass over
-    its terms in the order ``comult`` built them (:func:`_code`), and a pair
-    costs four int adds and one big-int product.  When some box expansion
-    is not a run (only a corrupted ``comult`` gives one), every pair is
-    checked by the ``TensorElement`` product instead.
+    its terms in the order ``comult`` built them (:func:`_code`).  Before
+    any pair, :func:`_codes_match_reference` compares the code of every box
+    monomial and of every sum with the code of the true ``comult`` at weight
+    ``rule.n``, one comparison per distinct sum; when all agree, every pair
+    provably passes (the proof is in its docstring).  Only otherwise does
+    :func:`_first_failing_pair` run, where a pair costs four int adds and
+    one big-int product, and it gives the first failing pair.  When some box
+    expansion is not a run (only a corrupted ``comult`` gives one), every
+    pair is checked by the ``TensorElement`` product instead.
     """
     box = as_int(box)
     if box < 1:
@@ -709,23 +714,113 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
         step, bits, code_of = codes
         # A sum inside the box is a box monomial: its run is already encoded.
         targets: dict[tuple[int, int], tuple | None] = dict(code_of)
-        rows = [(*v, *code_of[v]) for v in points]
-        witness = None
-        for i, (u0, u1, a0, a1, a2, a3, cu) in enumerate(rows):
-            for v0, v1, b0, b1, b2, b3, cv in rows[i:]:
-                s = (u0 + v0, u1 + v1)
-                try:
-                    target = targets[s]
-                except KeyError:
-                    target = targets[s] = _code(expand(s)._terms, step, bits)
-                if target != (a0 + b0, a1 + b1, a2 + b2, a3 + b3, cu * cv):
-                    witness = {"pair": [[u0, u1], [v0, v1]]}
-                    break
-            if witness:
-                break
+        if _codes_match_reference(points, targets, expand, rule.n, step, bits):
+            witness = None
+        else:
+            witness = _first_failing_pair(points, targets, expand, step, bits)
     checks.append(CheckResult("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
+
+
+def _runs(points) -> list[list[int]]:
+    """``points`` as maximal runs ``[x, lo, hi]``: the points ``(x, y)``, ``lo <= y <= hi``.
+
+    A run grows while the next point is the one above it, so the points of a
+    convex region in a box, listed column by column as
+    :func:`box_lattice_points` lists them, give one run per column.
+    """
+    runs: list[list[int]] = []
+    for x, y in points:
+        if runs and runs[-1][0] == x and runs[-1][2] == y - 1:
+            runs[-1][2] = y
+        else:
+            runs.append([x, y, y])
+    return runs
+
+
+def _sum_runs(runs) -> list[list[int]]:
+    """The sums ``u + v`` of two points of ``runs`` (repeats allowed), as disjoint sorted runs.
+
+    Two runs at ``x1`` and ``x2`` sum to the one run ``[lo1 + lo2, hi1 + hi2]``
+    at ``x1 + x2``, and the runs that meet one sum column are merged where
+    they overlap or touch.  No pair of points is visited: for ``R`` runs this
+    costs O(R^2 log R) plus one step per run of the result.
+    """
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, (x1, lo1, hi1) in enumerate(runs):
+        for x2, lo2, hi2 in runs[i:]:
+            columns.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
+    merged: list[list[int]] = []
+    for x in sorted(columns):
+        for lo, hi in sorted(columns[x]):
+            if merged and merged[-1][0] == x and lo <= merged[-1][2] + 1:
+                merged[-1][2] = max(merged[-1][2], hi)
+            else:
+                merged.append([x, lo, hi])
+    return merged
+
+
+def _codes_match_reference(points, targets: dict, expand, n: int, step, bits: int) -> bool:
+    """Whether every box monomial and every sum of two has the code of the reference ``H``.
+
+    ``H(u) = (0, u_y + n*u_x, u_x, u_y, h**u_x)`` with ``h = 1 + 2**bits`` is
+    the first key and Kronecker code of ``comult(rule, u)`` at weight ``n``:
+    its terms start at ``y^(u_y + n*u_x) (x) x^u_x y^u_y`` and its digits are
+    the binomial row ``C(u_x, i)``, the digits of ``(1 + z)**u_x`` at
+    ``z = 2**bits``.  ``H`` is a homomorphism, ``H(u + v) = H(u) o H(v)``,
+    where ``o`` adds the first keys and multiplies the codes.
+
+    *Proof that a pass decides multiplicativity.*  The pair test of
+    :func:`_first_failing_pair` asks, for box monomials ``u`` and ``v``, that
+    ``F(u + v) = F(u) o F(v)``, where ``F`` reads a code from ``targets``.
+    If ``F = H`` on the box ``B`` and on the sum set ``B + B``, then for
+    every pair ``F(u + v) = H(u + v) = H(u) o H(v) = F(u) o F(v)``: every
+    pair passes, and the check's witness is ``None``.  A failure proves
+    nothing, and the pair loop then runs unchanged, so the report is the
+    one the pair loop alone gives.
+
+    The box codes are compared first, before any target is expanded.  The
+    sums are enumerated by :func:`_sum_runs`, one code each: a sum inside
+    the box reuses its box code, any other is encoded once from
+    ``expand(s)`` and stored in ``targets`` for the pair loop.  The scan
+    stops at the first mismatch.  So the cost is O(|B + B|) code
+    comparisons, where the pair loop makes one big-int product per pair.
+    """
+    h = 1 + (1 << bits)
+    runs = _runs(points)
+    # The box runs come first: their codes are all in targets, so no target
+    # is expanded before every box code has passed.
+    for x, lo, hi in runs + _sum_runs(runs):
+        hx = h**x
+        for y in range(lo, hi + 1):
+            code = targets.get((x, y))
+            if code is None:
+                code = targets[x, y] = _code(expand((x, y))._terms, step, bits)
+            if code != (0, y + n * x, x, y, hx):
+                return False
+    return True
+
+
+def _first_failing_pair(points, targets: dict, expand, step, bits: int) -> dict | None:
+    """The pair witness of the Kronecker pair test, in pair order, or ``None``.
+
+    Each pair ``(u, v)`` of box monomials, ``u`` not after ``v``, passes when
+    the code of ``u + v`` is ``(first_u + first_v, code_u * code_v)``
+    (see :func:`verify_comultiplication`); ``targets`` holds the box codes
+    and every target encoded so far, and a new one is stored there.
+    """
+    rows = [(*v, *targets[v]) for v in points]
+    for i, (u0, u1, a0, a1, a2, a3, cu) in enumerate(rows):
+        for v0, v1, b0, b1, b2, b3, cv in rows[i:]:
+            s = (u0 + v0, u1 + v1)
+            try:
+                target = targets[s]
+            except KeyError:
+                target = targets[s] = _code(expand(s)._terms, step, bits)
+            if target != (a0 + b0, a1 + b1, a2 + b2, a3 + b3, cu * cv):
+                return {"pair": [[u0, u1], [v0, v1]]}
+    return None
 
 
 def _code(terms: dict, step, bits: int) -> tuple | None:

@@ -442,11 +442,11 @@ class TestRejectedInput:
             ),
             (
                 ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":null,"ray_index":1}},{ROOT_1}]'),
-                "not a root pair: root e None is not a pair of integers",
+                "not a root pair: root e null is not a pair of integers",
             ),
             (
                 ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":{{"x":1}},"ray_index":1}},{ROOT_1}]'),
-                "not a root pair: root e {'x': 1} is not a pair of integers",
+                'not a root pair: root e {"x": 1} is not a pair of integers',
             ),
         ],
         ids=["cone-no-rays", "cone-rays-a-number", "cone-ray-a-number", "spec-a-list", "spec-no-family",

@@ -404,3 +404,14 @@ def test_root_json_round_trip():
     r = DemazureRoot(LatticePoint(-1, 2, M), 1)
     assert r.to_json() == {"e": [-1, 2], "ray_index": 1}
     assert DemazureRoot.from_json(r.to_json()) == r
+
+
+@pytest.mark.parametrize(
+    "e, quoted",
+    [(None, "null"), ({"x": 1}, '{"x": 1}'), ("ab", '"ab"'), ({1, 2}, "{1, 2}")],
+    ids=["null", "object", "string", "set-keeps-its-repr"],
+)
+def test_root_json_error_quotes_the_value_as_json(e, quoted):
+    with pytest.raises(ValueError) as exc:
+        DemazureRoot.from_json({"e": e, "ray_index": 0})
+    assert str(exc.value) == f"root e {quoted} is not a pair of integers"

@@ -421,10 +421,14 @@ def test_box_lattice_points():
         (lambda: Cone2.from_json({"rays": "ab"}), "a cone is given by exactly two rays"),
         (lambda: Cone2.from_json({"rays": [[1, 0], 5]}), "ray 5 is not a pair of integers"),
         (lambda: Cone2.from_json({"rays": [[1, 0, 2], [0, 1]]}), "ray [1, 0, 2] is not a pair of integers"),
+        (lambda: Cone2.from_json({"rays": [[1, 0], None]}), "ray null is not a pair of integers"),
+        (lambda: Cone2.from_json({"rays": [[1, 0], {"x": 1}]}), 'ray {"x": 1} is not a pair of integers'),
+        # A library caller's value that is no JSON value keeps its repr.
+        (lambda: Cone2.from_json({"rays": [[1, 0], {1, 2}]}), "ray {1, 2} is not a pair of integers"),
     ],
     ids=["box-bound-minus-1", "ray-index-of-a-non-ray", "from-json-three-rays", "ray-of-the-other-lattice",
          "zero-ray", "from-json-rays-a-number", "from-json-rays-a-string", "from-json-ray-a-number",
-         "from-json-ray-a-triple"],
+         "from-json-ray-a-triple", "from-json-ray-null", "from-json-ray-an-object", "from-json-ray-a-set"],
 )
 def test_refused_with_value_error(call, message):
     with pytest.raises(ValueError) as exc:

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import combinations_with_replacement
 from fractions import Fraction
 from math import comb, gcd
 
@@ -1369,6 +1370,124 @@ class TestOnePassCode:
             # The same expansion in the box: no digit bound there, bits follow the sums.
             boxed = {**expansions, w: corrupt} if w in expansions else expansions
             assert monoids._box_codes(boxed) == box_codes_by_lookup(boxed)
+
+
+PRECHECK_REGIONS = [
+    MonoidSpec.group(1),
+    MonoidSpec.group(3),
+    MonoidSpec.x(1, 1, 0),
+    MonoidSpec.x(2, 3, 2),
+    MonoidSpec.x(1, 2, 5),
+    MonoidSpec.y(2, 1, 1),
+    MonoidSpec.y(3, 2, 1),
+    MonoidSpec.y(1, 5, 3),
+]
+
+
+def _run_points(runs):
+    return [(x, y) for x, lo, hi in runs for y in range(lo, hi + 1)]
+
+
+def _sum_run_points(runs):
+    """The points of ``_sum_runs(runs)``, checked to be maximal runs: none touches the next."""
+    sums = monoids._sum_runs(runs)
+    assert all(x1 != x2 or hi1 + 1 < lo2 for (x1, _, hi1), (x2, lo2, _) in zip(sums, sums[1:]))
+    return _run_points(sums)
+
+
+class TestReferencePrecheck:
+    """Multiplicativity first compares every code on the box and its sum set
+    with the true comultiplication's; the pair loop runs only when that fails,
+    and the report is the re-expanding oracle's either way."""
+
+    @pytest.mark.parametrize("box", range(1, 9))
+    @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
+    def test_sum_runs_are_the_sum_set(self, spec, box):
+        points = box_lattice_points(cone_of_spec(spec), box)
+        runs = monoids._runs(points)
+        assert len(runs) == len({x for x, _ in points})  # one run per column
+        assert _run_points(runs) == points
+        sums = _sum_run_points(runs)
+        assert sums == sorted(set(sums))  # disjoint runs, in order
+        assert set(sums) == {(u[0] + v[0], u[1] + v[1]) for u in points for v in points}
+
+    def test_sum_runs_of_gapped_columns(self):
+        # Random point sets with gaps in their columns: several runs per column.
+        rng = random.Random(21)
+        for _ in range(200):
+            points = sorted({(rng.randint(0, 4), rng.randint(-5, 5)) for _ in range(rng.randint(1, 20))})
+            sums = _sum_run_points(monoids._runs(points))
+            assert sums == sorted({(u[0] + v[0], u[1] + v[1]) for u in points for v in points})
+
+    @pytest.mark.parametrize("weight", [1, 2, 5])
+    @pytest.mark.parametrize("box", [1, 3, 5])
+    @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
+    def test_real_comult_never_takes_the_pair_loop(self, monkeypatch, spec, box, weight):
+        def refuse(*args):
+            raise AssertionError("the pair loop ran on a real comultiplication")
+
+        monkeypatch.setattr(monoids, "_first_failing_pair", refuse)
+        region, rule = cone_of_spec(spec), ComultRule(weight)
+        report = verify_comultiplication(region, rule, box)
+        assert report.checks[-1].passed
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+
+    @pytest.mark.parametrize(
+        "change",
+        [_drop_middle, _add_off_the_run, _fold_top_digit, _zero_past_the_top, _shift_run],
+        ids=["missing-middle-term", "extra-term-off-the-run", "coefficient-above-limit", "stored-zero",
+             "shifted-run"],
+    )
+    @pytest.mark.parametrize("w", [(5, 6), (4, 2), (6, 6)], ids=str)
+    def test_one_corrupted_sum_outside_the_box(self, monkeypatch, change, w):
+        spec, box = MonoidSpec.x(1, 1, 0), 3
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        points = box_lattice_points(region, box)
+        assert w not in points
+        bits = monoids._box_codes({u: comult(rule, u) for u in points})[1]
+        exact, pair_loop, runs = monoids.comult, monoids._first_failing_pair, []
+
+        def corrupt(rule, u):
+            t = exact(rule, u)
+            if u != w:
+                return t
+            terms = dict(t._terms)
+            change(terms, sorted(terms), bits)
+            return TensorElement._of(terms)
+
+        def counted(*args):
+            runs.append(1)
+            return pair_loop(*args)
+
+        monkeypatch.setattr(monoids, "comult", corrupt)
+        monkeypatch.setattr(monoids, "_first_failing_pair", counted)
+        report = verify_comultiplication(region, rule, box)
+        assert runs == [1]
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        first = next(
+            [list(u), list(v)]
+            for u, v in combinations_with_replacement(points, 2)
+            if (u[0] + v[0], u[1] + v[1]) == w
+        )
+        assert report.first_failure() is report.checks[-1]
+        assert report.checks[-1].witness == {"pair": first}
+
+    def test_box_codes_are_compared_before_any_target(self):
+        # A shifted run at a box monomial still encodes, so the pair route is
+        # Kronecker's; the reference check rejects it without expanding a sum.
+        spec, box, u0 = MonoidSpec.x(1, 1, 0), 3, (2, 3)
+        rule = ComultRule(spec.n)
+        points = box_lattice_points(cone_of_spec(spec), box)
+        expansions = {u: comult(rule, u) for u in points}
+        terms = dict(expansions[u0]._terms)
+        _shift_run(terms, sorted(terms), 0)
+        expansions[u0] = TensorElement._of(terms)
+        step, bits, code_of = monoids._box_codes(expansions)
+
+        def expand(u):
+            raise AssertionError(f"target {u} expanded")
+
+        assert not monoids._codes_match_reference(points, dict(code_of), expand, rule.n, step, bits)
 
 
 class TestOneDictCoassociativity:
