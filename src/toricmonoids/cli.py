@@ -71,11 +71,11 @@ MAX_POWER_BITS = 1 << 20
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.03 s at this box), and multiplicativity costs one code
-# comparison per distinct sum of two box monomials; the pair loop, one big-int
-# product per pair, runs only when a code differs from the true
-# comultiplication's.  At 2,500 expansion terms a passing run takes about
-# 0.04 s for ``Y(1,6,25) --box 68`` (490 monomials) and about 0.065 s for the
+# tests (about 0.03 s at this box), and multiplicativity costs one closed-form
+# comparison per distinct sum of two box monomials; the product loop, one
+# ``TensorElement`` product per pair, runs only when an expansion differs from
+# the rule's.  At 2,500 expansion terms a passing run takes about
+# 0.03 s for ``Y(1,6,25) --box 68`` (490 monomials) and about 0.06 s for the
 # slowest found, ``X(1,2,55) --box 197`` (812 monomials, half of it the box
 # scan; in-process, minimum of 5, Python 3.11.7).
 MAX_VERIFY_BOX = 200

@@ -512,14 +512,14 @@ def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
     return out
 
 
-def chart_unit(spec: MonoidSpec) -> tuple[Fraction, ...]:
-    """The unit element of a supported chart: each chart monomial at its counit."""
+def chart_unit(spec: MonoidSpec) -> tuple[int, ...]:
+    """The unit element of a supported chart: each chart monomial at its counit, an ``int``."""
     return tuple(counit(g) for g in _chart(spec, "the chart unit"))
 
 
-def chart_zero(spec: MonoidSpec) -> tuple[Fraction, ...]:
-    """The chart origin, 0 per chart monomial (the absorbing zero when the boundary has one)."""
-    return tuple(Fraction(0) for _ in _chart(spec, "the chart zero"))
+def chart_zero(spec: MonoidSpec) -> tuple[int, ...]:
+    """The chart origin, ``int`` 0 per chart monomial (the absorbing zero when the boundary has one)."""
+    return tuple(0 for _ in _chart(spec, "the chart zero"))
 
 
 def chart_monomial_value(spec: MonoidSpec, u, point) -> int | Fraction:
@@ -546,13 +546,14 @@ def tensor_chart_value(spec: MonoidSpec, t: TensorElement, p, q) -> int | Fracti
     return _pair_value(spec, chart, t._terms.items(), p, q)
 
 
-def counit(u) -> Fraction:
+def counit(u) -> int:
     """Counit of a cone monomial: evaluation at the unit element ``(x, y) = (0, 1)``.
 
-    Equals 1 when the x-exponent vanishes and 0 otherwise.
+    The ``int`` 1 when the x-exponent vanishes and 0 otherwise, in the normal
+    form of the other chart values.
     """
     x, _ = int_xy(u, M)
-    return Fraction(1) if x == 0 else Fraction(0)
+    return 1 if x == 0 else 0
 
 
 class CheckResult(_Record):
@@ -620,31 +621,12 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     and fails exactly when a value is non-zero: the arithmetic is exact, so
     this is the comparison of the two sums.
 
-    Multiplicativity runs by Kronecker substitution.  An expansion is a *run*
-    when its keys, flattened to ``(l0, l1, r0, r1)``, are exactly
-    ``first + i*step`` for ``i < L`` (``first`` the least key, ``step`` one
-    lexicographically positive vector shared by all box expansions) and its
-    coefficients ``c_i`` are positive integers; its code is
-    ``sum(c_i << bits*i)`` with ``bits = (S*S).bit_length()``, ``S`` the
-    largest coefficient sum of a box expansion.  The product of two runs is
-    the run at ``first_u + first_v`` whose coefficients, the coefficients of
-    the product of the two polynomials ``sum(c_i z^i)``, are all positive and
-    at most ``S*S``, so below ``2**bits``: its code is ``code_u * code_v``,
-    and no other run with coefficients below ``2**bits`` has that code.  So
-    a pair ``(u, v)`` passes exactly when ``comult(u + v)`` is a run with
-    coefficients below ``2**bits``, its first key is ``first_u + first_v``
-    and its code is ``code_u * code_v``; a target that is no such run equals
-    no product and fails.  Each target is checked and encoded once per
-    distinct sum (a sum inside the box reuses its box code), by one pass over
-    its terms in the order ``comult`` built them (:func:`_code`).  Before
-    any pair, :func:`_codes_match_reference` compares the code of every box
-    monomial and of every sum with the code of the true ``comult`` at weight
-    ``rule.n``, one comparison per distinct sum; when all agree, every pair
-    provably passes (the proof is in its docstring).  Only otherwise does
-    :func:`_first_failing_pair` run, where a pair costs four int adds and
-    one big-int product, and it gives the first failing pair.  When some box
-    expansion is not a run (only a corrupted ``comult`` gives one), every
-    pair is checked by the ``TensorElement`` product instead.
+    Multiplicativity is one closed-form comparison per distinct sum: when
+    every expansion on the box and on its sum set is, term for term, the
+    weight-``rule.n`` rule, every pair provably passes and no product is
+    taken (:func:`_agrees_with_rule`, whose docstring has the proof).  Only
+    otherwise does the ``TensorElement`` product loop run over all pairs, in
+    order, and name the first failing pair; it is the check's definition.
     """
     box = as_int(box)
     if box < 1:
@@ -700,8 +682,9 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             break
     checks.append(CheckResult("coassociativity", witness))
 
-    codes = _box_codes(expansions)
-    if codes is None:
+    if _agrees_with_rule(points, expand, rule.n):
+        witness = None
+    else:
         witness = next(
             (
                 {"pair": [list(u), list(v)]}
@@ -710,14 +693,6 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             ),
             None,
         )
-    else:
-        step, bits, code_of = codes
-        # A sum inside the box is a box monomial: its run is already encoded.
-        targets: dict[tuple[int, int], tuple | None] = dict(code_of)
-        if _codes_match_reference(points, targets, expand, rule.n, step, bits):
-            witness = None
-        else:
-            witness = _first_failing_pair(points, targets, expand, step, bits)
     checks.append(CheckResult("multiplicativity", witness))
 
     return VerificationReport(tuple(checks))
@@ -761,140 +736,37 @@ def _sum_runs(runs) -> list[list[int]]:
     return merged
 
 
-def _codes_match_reference(points, targets: dict, expand, n: int, step, bits: int) -> bool:
-    """Whether every box monomial and every sum of two has the code of the reference ``H``.
+def _agrees_with_rule(points, expand, n: int) -> bool:
+    """Whether ``expand`` is, term for term, the weight-``n`` rule on the box and its sum set.
 
-    ``H(u) = (0, u_y + n*u_x, u_x, u_y, h**u_x)`` with ``h = 1 + 2**bits`` is
-    the first key and Kronecker code of ``comult(rule, u)`` at weight ``n``:
-    its terms start at ``y^(u_y + n*u_x) (x) x^u_x y^u_y`` and its digits are
-    the binomial row ``C(u_x, i)``, the digits of ``(1 + z)**u_x`` at
-    ``z = 2**bits``.  ``H`` is a homomorphism, ``H(u + v) = H(u) o H(v)``,
-    where ``o`` adds the first keys and multiplies the codes.
+    The rule is ``R(u) = (X + Y)^u_x * (y (x) y)^u_y`` with ``X = x (x) 1``
+    and ``Y = y^n (x) x``; by the binomial theorem its ``k``-th term, in the
+    order :func:`comult` builds them, is
+    ``C(u_x, k) x^k y^(u_y + n*(u_x - k)) (x) x^(u_x - k) y^u_y``.  Any other
+    term count, order, key or coefficient gives ``False``.
 
-    *Proof that a pass decides multiplicativity.*  The pair test of
-    :func:`_first_failing_pair` asks, for box monomials ``u`` and ``v``, that
-    ``F(u + v) = F(u) o F(v)``, where ``F`` reads a code from ``targets``.
-    If ``F = H`` on the box ``B`` and on the sum set ``B + B``, then for
-    every pair ``F(u + v) = H(u + v) = H(u) o H(v) = F(u) o F(v)``: every
-    pair passes, and the check's witness is ``None``.  A failure proves
-    nothing, and the pair loop then runs unchanged, so the report is the
-    one the pair loop alone gives.
+    *Proof that ``True`` decides multiplicativity.*  ``X`` and ``Y`` commute,
+    so ``R(u) * R(v) = R(u + v)``.  If ``expand = R`` on the box ``B`` and on
+    the sum set ``B + B``, then for every pair of box monomials
+    ``expand(u) * expand(v) = R(u + v) = expand(u + v)``: every pair passes.
+    ``False`` proves nothing, and the caller's product loop decides.
 
-    The box codes are compared first, before any target is expanded.  The
-    sums are enumerated by :func:`_sum_runs`, one code each: a sum inside
-    the box reuses its box code, any other is encoded once from
-    ``expand(s)`` and stored in ``targets`` for the pair loop.  The scan
-    stops at the first mismatch.  So the cost is O(|B + B|) code
-    comparisons, where the pair loop makes one big-int product per pair.
+    The points are walked as :func:`_runs`, the box runs before the
+    :func:`_sum_runs`, so no sum is expanded before every box monomial
+    agrees, and each distinct sum is compared once.
     """
-    h = 1 + (1 << bits)
     runs = _runs(points)
-    # The box runs come first: their codes are all in targets, so no target
-    # is expanded before every box code has passed.
     for x, lo, hi in runs + _sum_runs(runs):
-        hx = h**x
+        row = _binomials(x)
         for y in range(lo, hi + 1):
-            code = targets.get((x, y))
-            if code is None:
-                code = targets[x, y] = _code(expand((x, y))._terms, step, bits)
-            if code != (0, y + n * x, x, y, hx):
+            terms = expand((x, y))._terms
+            if list(terms.values()) != row:  # the term count and each coefficient
                 return False
+            top = y + n * x
+            for k, ((lx, ly), (rx, ry)) in enumerate(terms):
+                if lx != k or ly != top - n * k or rx != x - k or ry != y:
+                    return False
     return True
-
-
-def _first_failing_pair(points, targets: dict, expand, step, bits: int) -> dict | None:
-    """The pair witness of the Kronecker pair test, in pair order, or ``None``.
-
-    Each pair ``(u, v)`` of box monomials, ``u`` not after ``v``, passes when
-    the code of ``u + v`` is ``(first_u + first_v, code_u * code_v)``
-    (see :func:`verify_comultiplication`); ``targets`` holds the box codes
-    and every target encoded so far, and a new one is stored there.
-    """
-    rows = [(*v, *targets[v]) for v in points]
-    for i, (u0, u1, a0, a1, a2, a3, cu) in enumerate(rows):
-        for v0, v1, b0, b1, b2, b3, cv in rows[i:]:
-            s = (u0 + v0, u1 + v1)
-            try:
-                target = targets[s]
-            except KeyError:
-                target = targets[s] = _code(expand(s)._terms, step, bits)
-            if target != (a0 + b0, a1 + b1, a2 + b2, a3 + b3, cu * cv):
-                return {"pair": [[u0, u1], [v0, v1]]}
-    return None
-
-
-def _code(terms: dict, step, bits: int) -> tuple | None:
-    """``(*first, code)`` when ``terms`` is a run along ``step`` with digits below ``2**bits``.
-
-    ``first`` is the least key, flattened, and ``code`` is
-    ``sum(c_i << bits*i)`` for the coefficient ``c_i`` at ``first + i*step``,
-    which must be a positive integer (an ``int``, or a ``Fraction`` or
-    ``bool`` of integral value) below ``2**bits``.  Without a step (``None``)
-    only one-term expansions are runs; otherwise ``None`` means no run.  The
-    walk starts at the first key, the least one for the terms ``comult``
-    builds in order; only when that walk fails is it repeated in sorted key
-    order, from ``min(terms)``.
-    """
-    if not terms or (step is None and len(terms) > 1):
-        return None
-    code = _walk(terms.items(), step, bits)
-    if code is None:
-        code = _walk(sorted(terms.items()), step, bits)
-    return code
-
-
-def _walk(items, step, bits: int) -> tuple | None:
-    """:func:`_code` of ``(key, coefficient)`` pairs taken in the given order, in one pass.
-
-    Each key must be the one before it plus ``step``, and each coefficient
-    is checked, and shifted into the code, where it is read.
-    """
-    (d0, d1), (d2, d3) = step or ((0, 0), (0, 0))
-    first = None
-    code = shift = 0
-    for ((k0, k1), (k2, k3)), c in items:
-        if first is None:
-            first = l0, l1, r0, r1 = (k0, k1, k2, k3)
-        elif k0 != l0 or k1 != l1 or k2 != r0 or k3 != r1:
-            return None
-        if type(c) is not int:
-            if not (isinstance(c, (int, Fraction)) and c.denominator == 1):
-                return None
-            c = c.numerator
-        if c < 1 or c >> bits:
-            return None
-        code |= c << shift
-        shift += bits
-        l0 += d0
-        l1 += d1
-        r0 += d2
-        r1 += d3
-    return (*first, code)
-
-
-def _box_codes(expansions: dict) -> tuple | None:
-    """``(step, bits, {u: (*first, code)})`` when every box expansion is a run, else ``None``.
-
-    ``step`` is the difference of the two least keys of the first expansion
-    with more than one term (``None`` when there is none).  ``bits`` comes
-    from the largest coefficient sum ``S`` before any expansion is walked;
-    when every walk succeeds, each coefficient is a positive integer, so
-    ``S`` is the largest digit sum.
-    """
-    step = None
-    for t in expansions.values():
-        if len(t._terms) > 1:
-            ((a0, a1), (a2, a3)), ((b0, b1), (b2, b3)) = sorted(t._terms)[:2]
-            step = ((b0 - a0, b1 - a1), (b2 - a2, b3 - a3))
-            break
-    s_max = max((sum(t._terms.values()) for t in expansions.values()), default=1)
-    bits = (s_max * s_max).numerator.bit_length()
-    codes = {}
-    for u, t in expansions.items():
-        code = codes[u] = _code(t._terms, step, bits)
-        if code is None:
-            return None
-    return step, bits, codes
 
 
 def verify_bialgebra(spec: MonoidSpec, box: int) -> VerificationReport:

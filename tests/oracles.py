@@ -354,69 +354,6 @@ def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationRep
     return VerificationReport(tuple(checks))
 
 
-def run_by_lookup(t: TensorElement, step) -> tuple | None:
-    """``(first, digits)`` when ``t`` is a run along ``step``, else ``None``.
-
-    The first route of the run encoding: from the least key, look up the
-    key ``first + i*step`` for each ``i`` below the term count, then check
-    the digits as a list.  ``digits[i]`` must be a positive integer (an
-    ``int``, or a ``Fraction`` or ``bool`` of integral value).  Without a
-    step (``None``) only one-term expansions are runs.
-    """
-    terms = t._terms
-    if not terms or (step is None and len(terms) > 1):
-        return None
-    (l0, l1), (r0, r1) = min(terms)
-    (d0, d1), (d2, d3) = step or ((0, 0), (0, 0))
-    digits = [
-        terms.get(((l0 + i * d0, l1 + i * d1), (r0 + i * d2, r1 + i * d3)))
-        for i in range(len(terms))
-    ]
-    if not set(map(type, digits)) <= {int}:
-        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1 for c in digits):
-            return None
-        digits = [c.numerator for c in digits]
-    if min(digits) < 1:
-        return None
-    return (l0, l1, r0, r1), digits
-
-
-def kronecker(digits: list[int], bits: int) -> int:
-    """``sum(c << bits*i for i, c in enumerate(digits))``, by Horner's rule."""
-    code = 0
-    for c in reversed(digits):
-        code = code << bits | c
-    return code
-
-
-def code_by_lookup(t: TensorElement, step, bits: int) -> tuple | None:
-    """``(*first, code)`` of a run whose digits are all below ``2**bits``, else ``None``."""
-    run = run_by_lookup(t, step)
-    if run is None or max(run[1]) >> bits:
-        return None
-    return (*run[0], kronecker(run[1], bits))
-
-
-def box_codes_by_lookup(expansions: dict) -> tuple | None:
-    """``(step, bits, {u: (*first, code)})`` from the runs of all box expansions, else ``None``.
-
-    ``bits`` comes from the largest digit sum, after every run is found.
-    """
-    step = None
-    for t in expansions.values():
-        if len(t._terms) > 1:
-            ((a0, a1), (a2, a3)), ((b0, b1), (b2, b3)) = sorted(t._terms)[:2]
-            step = ((b0 - a0, b1 - a1), (b2 - a2, b3 - a3))
-            break
-    runs = {u: run_by_lookup(t, step) for u, t in expansions.items()}
-    if None in runs.values():
-        return None
-    s_max = max((sum(digits) for _, digits in runs.values()), default=1)
-    bits = (s_max * s_max).bit_length()
-    codes = {u: (*first, kronecker(digits, bits)) for u, (first, digits) in runs.items()}
-    return step, bits, codes
-
-
 def rand_fraction(rng, lo: int = -9, hi: int = 9, dmax: int = 7) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, dmax))
 

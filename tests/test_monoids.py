@@ -56,8 +56,6 @@ from toricmonoids import (
 from toricmonoids.monoids import _binomials
 
 from oracles import (
-    box_codes_by_lookup,
-    code_by_lookup,
     comult_by_comb,
     comult_from_root_pair_by_comb,
     image_ideal_codim_search,
@@ -836,6 +834,15 @@ class TestChartValues:
                     assert value == by_legs, (s, g, p, q)
                     assert type(value) is int or value.denominator > 1, value
 
+    @pytest.mark.parametrize(
+        "spec", [MonoidSpec.x(2, 1, 3), MonoidSpec.y(1, 1, 2), MonoidSpec.x(2, 2, 3)], ids=str
+    )
+    def test_unit_zero_and_counit_in_normal_form(self, spec):
+        counits = [counit(g) for g in hilbert_basis(cone_of_spec(spec))]
+        values = [*chart_unit(spec), *chart_zero(spec), *counits]
+        assert all(type(value) is int or value.denominator > 1 for value in values), values
+        assert set(counits) == {0, 1}
+
     def test_quadric_chart_zero(self):
         assert chart_zero(MonoidSpec.x(1, 2, 1)) == (0, 0, 0)
 
@@ -1158,6 +1165,27 @@ def _verify_and_count(products, region, rule, box):
     return report, taken
 
 
+def _box_bits(rule, points):
+    """``(S*S).bit_length()`` for the largest coefficient sum ``S`` of a box expansion."""
+    s_max = max(sum(c for _, c in comult(rule, u).terms()) for u in points)
+    return (s_max * s_max).bit_length()
+
+
+def _corrupted_at(w, change, bits):
+    """``comult``, with ``change(terms, sorted keys, bits)`` applied to the expansion at ``w``."""
+    exact = monoids.comult
+
+    def corrupt(rule, u):
+        t = exact(rule, u)
+        if u != w:
+            return t
+        terms = dict(t._terms)
+        change(terms, sorted(terms), bits)
+        return TensorElement._of(terms)
+
+    return corrupt
+
+
 def _drop_middle(terms, keys, bits):
     del terms[keys[len(keys) // 2]]
 
@@ -1167,41 +1195,28 @@ def _add_off_the_run(terms, keys, bits):
 
 
 def _fold_top_digit(terms, keys, bits):
-    # The top coefficient moves one digit down, times 2**bits: the Kronecker
-    # code is unchanged, and only the digit bound tells target from product.
+    # The top coefficient moves one place down, times 2**bits: packed in base
+    # 2**bits, the coefficients would read the same.
     terms[keys[-2]] += terms.pop(keys[-1]) << bits
 
 
 def _zero_past_the_top(terms, keys, bits):
-    # A stored zero one step past the top term leaves the code unchanged too.
+    # A stored zero one step past the top term: the values are unchanged.
     (a0, a1), (a2, a3) = keys[-2]
     (b0, b1), (b2, b3) = keys[-1]
     terms[((2 * b0 - a0, 2 * b1 - a1), (2 * b2 - a2, 2 * b3 - a3))] = 0
 
 
 def _shift_run(terms, keys, bits):
-    # The same digits one step up in the right y-exponent: only the first key differs.
+    # The same coefficients one step up in the right y-exponent: every key differs.
     for left, (r0, r1) in keys:
         terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
 
 
 class TestKroneckerMultiplicativity:
-    """Corrupted targets are decided by Kronecker codes, corrupted box
-    expansions by ``TensorElement`` products; both as the oracle decides."""
-
-    @staticmethod
-    def _corrupt_target(monkeypatch, w, change):
-        exact = monoids.comult
-
-        def corrupt(rule, u):
-            t = exact(rule, u)
-            if u != w:
-                return t
-            terms = dict(t.terms())
-            change(terms, sorted(terms))
-            return TensorElement._of(terms)
-
-        monkeypatch.setattr(monoids, "comult", corrupt)
+    """Corrupted targets and corrupted box expansions fail the closed-form
+    comparison, and the ``TensorElement`` product loop decides them as the
+    oracle does; a real comultiplication takes no product."""
 
     @pytest.mark.parametrize(
         "change",
@@ -1219,11 +1234,8 @@ class TestKroneckerMultiplicativity:
         spec, box = MonoidSpec.x(1, 1, 0), 3
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
-        s_max = max(sum(c for _, c in comult(rule, u).terms()) for u in points)
-        bits = (s_max * s_max).bit_length()
-        self._corrupt_target(monkeypatch, (6, 6), lambda terms, keys: change(terms, keys, bits))
-        report, taken = _verify_and_count(products, cone_of_spec(spec), rule, box)
-        assert taken == 0
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((6, 6), change, _box_bits(rule, points)))
+        report, _ = _verify_and_count(products, cone_of_spec(spec), rule, box)
         assert report.first_failure() is report.checks[-1]
         assert report.checks[-1].witness == {"pair": [[3, 3], [3, 3]]}
 
@@ -1231,26 +1243,25 @@ class TestKroneckerMultiplicativity:
     def test_integral_target_coefficient_passes_without_products(
         self, monkeypatch, products, stored
     ):
-        def change(terms, keys):
+        def change(terms, keys, bits):
             terms[next(k for k in keys if terms[k] == stored)] = stored
 
         # comult(2, 6) = y^8 (x) x^2 y^6 + 2 x y^7 (x) x y^6 + x^2 y^6 (x) y^6,
         # reached only as a sum of two box monomials.
-        self._corrupt_target(monkeypatch, (2, 6), change)
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((2, 6), change, 0))
         spec = MonoidSpec.x(1, 1, 0)
         report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
         assert report.passed and taken == 0
 
     def test_two_term_target_over_one_term_box_fails(self, monkeypatch, products):
         # Box 1 of X(1, 1, 3) holds (0, 0) and (0, 1), whose expansions have
-        # one term each: there is no step, and every product has one term.
-        def change(terms, keys):
+        # one term each, and so has every product of two.
+        def change(terms, keys, bits):
             terms[((1, 2), (0, 0))] = 1
 
-        self._corrupt_target(monkeypatch, (0, 2), change)
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((0, 2), change, 0))
         spec = MonoidSpec.x(1, 1, 3)
-        report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 1)
-        assert taken == 0
+        report, _ = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 1)
         assert report.first_failure().witness == {"pair": [[0, 1], [0, 1]]}
 
     @pytest.mark.parametrize("coef", [-1, Fraction(1, 2)], ids=["negative", "fraction"])
@@ -1286,7 +1297,7 @@ class TestKroneckerMultiplicativity:
 
 
 def _head_not_least(terms, keys, bits):
-    # The least key moves to the end of the dict: the walk from the first key fails.
+    # The least key moves to the end of the dict: same terms, another order.
     terms[keys[0]] = terms.pop(keys[0])
 
 
@@ -1298,78 +1309,6 @@ def _move_middle_right_y(terms, keys, bits):
     # One term off the run in the last key component only.
     left, (r0, r1) = keys[len(keys) // 2]
     terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
-
-
-def _top_bit(terms, keys, bits):
-    terms[keys[0]] = 1 << bits
-
-
-def _fraction_middle(terms, keys, bits):
-    terms[keys[len(keys) // 2]] = Fraction(terms[keys[len(keys) // 2]])
-
-
-def _true_first(terms, keys, bits):
-    assert terms[keys[0]] == 1
-    terms[keys[0]] = True
-
-
-class TestOnePassCode:
-    """``_code`` and ``_box_codes`` walk each expansion once; the lookup route
-    of ``oracles.code_by_lookup``, which they replaced, gives the same codes
-    and the same ``None``."""
-
-    @pytest.mark.parametrize(
-        "spec, box",
-        [(MonoidSpec.group(2), 3), (MonoidSpec.x(2, 3, 2), 4), (MonoidSpec.y(1, 2, 1), 4),
-         (MonoidSpec.x(1, 1, 3), 1)],
-        ids=REAL_SPEC_IDS,
-    )
-    def test_real_expansions_and_targets(self, spec, box):
-        rule = ComultRule(spec.n)
-        points = box_lattice_points(cone_of_spec(spec), box)
-        expansions = {u: comult(rule, u) for u in points}
-        codes = monoids._box_codes(expansions)
-        assert codes is not None and codes == box_codes_by_lookup(expansions)
-        step, bits, _ = codes
-        for u in points:
-            for v in points:
-                t = comult(rule, (u[0] + v[0], u[1] + v[1]))
-                assert monoids._code(t._terms, step, bits) == code_by_lookup(t, step, bits)
-                assert code_by_lookup(t, step, bits) is not None
-
-    @pytest.mark.parametrize(
-        "change, is_run",
-        [
-            (_head_not_least, True),
-            (_drop_middle, False),
-            (_add_off_the_run, False),
-            (_move_middle_right_y, False),
-            (_zero_middle, False),
-            (_zero_past_the_top, False),
-            (_top_bit, False),
-            (_fold_top_digit, False),
-            (_fraction_middle, True),
-            (_true_first, True),
-            (_shift_run, True),
-        ],
-        ids=["head-not-least", "missing-term", "extra-term", "moved-term", "zero", "zero-past-the-top",
-             "digit-2**bits", "folded-top-digit", "fraction-2/1", "true", "shifted-run"],
-    )
-    def test_corrupted_expansions(self, change, is_run):
-        spec, box = MonoidSpec.x(1, 1, 0), 3
-        rule = ComultRule(spec.n)
-        expansions = {u: comult(rule, u) for u in box_lattice_points(cone_of_spec(spec), box)}
-        step, bits, _ = monoids._box_codes(expansions)
-        for w in ((6, 6), (3, 3)):
-            terms = dict(comult(rule, w)._terms)
-            change(terms, sorted(terms), bits)
-            corrupt = TensorElement._of(terms)
-            code = monoids._code(terms, step, bits)
-            assert code == code_by_lookup(corrupt, step, bits)
-            assert (code is not None) == is_run
-            # The same expansion in the box: no digit bound there, bits follow the sums.
-            boxed = {**expansions, w: corrupt} if w in expansions else expansions
-            assert monoids._box_codes(boxed) == box_codes_by_lookup(boxed)
 
 
 PRECHECK_REGIONS = [
@@ -1396,9 +1335,9 @@ def _sum_run_points(runs):
 
 
 class TestReferencePrecheck:
-    """Multiplicativity first compares every code on the box and its sum set
-    with the true comultiplication's; the pair loop runs only when that fails,
-    and the report is the re-expanding oracle's either way."""
+    """Multiplicativity first compares every expansion on the box and its sum
+    set with the rule's closed form; the product loop runs only when that
+    fails, and the report is the re-expanding oracle's either way."""
 
     @pytest.mark.parametrize("box", range(1, 9))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
@@ -1422,15 +1361,11 @@ class TestReferencePrecheck:
     @pytest.mark.parametrize("weight", [1, 2, 5])
     @pytest.mark.parametrize("box", [1, 3, 5])
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
-    def test_real_comult_never_takes_the_pair_loop(self, monkeypatch, spec, box, weight):
-        def refuse(*args):
-            raise AssertionError("the pair loop ran on a real comultiplication")
-
-        monkeypatch.setattr(monoids, "_first_failing_pair", refuse)
+    def test_real_comult_never_takes_the_pair_loop(self, products, spec, box, weight):
         region, rule = cone_of_spec(spec), ComultRule(weight)
-        report = verify_comultiplication(region, rule, box)
+        report, taken = _verify_and_count(products, region, rule, box)
+        assert taken == 0
         assert report.checks[-1].passed
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
 
     @pytest.mark.parametrize(
         "change",
@@ -1439,31 +1374,14 @@ class TestReferencePrecheck:
              "shifted-run"],
     )
     @pytest.mark.parametrize("w", [(5, 6), (4, 2), (6, 6)], ids=str)
-    def test_one_corrupted_sum_outside_the_box(self, monkeypatch, change, w):
+    def test_one_corrupted_sum_outside_the_box(self, monkeypatch, products, change, w):
         spec, box = MonoidSpec.x(1, 1, 0), 3
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         points = box_lattice_points(region, box)
         assert w not in points
-        bits = monoids._box_codes({u: comult(rule, u) for u in points})[1]
-        exact, pair_loop, runs = monoids.comult, monoids._first_failing_pair, []
-
-        def corrupt(rule, u):
-            t = exact(rule, u)
-            if u != w:
-                return t
-            terms = dict(t._terms)
-            change(terms, sorted(terms), bits)
-            return TensorElement._of(terms)
-
-        def counted(*args):
-            runs.append(1)
-            return pair_loop(*args)
-
-        monkeypatch.setattr(monoids, "comult", corrupt)
-        monkeypatch.setattr(monoids, "_first_failing_pair", counted)
-        report = verify_comultiplication(region, rule, box)
-        assert runs == [1]
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, _box_bits(rule, points)))
+        report, taken = _verify_and_count(products, region, rule, box)
+        assert taken > 0
         first = next(
             [list(u), list(v)]
             for u, v in combinations_with_replacement(points, 2)
@@ -1473,8 +1391,8 @@ class TestReferencePrecheck:
         assert report.checks[-1].witness == {"pair": first}
 
     def test_box_codes_are_compared_before_any_target(self):
-        # A shifted run at a box monomial still encodes, so the pair route is
-        # Kronecker's; the reference check rejects it without expanding a sum.
+        # A shifted run at a box monomial fails the comparison before any sum
+        # outside the box is expanded.
         spec, box, u0 = MonoidSpec.x(1, 1, 0), 3, (2, 3)
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
@@ -1482,12 +1400,62 @@ class TestReferencePrecheck:
         terms = dict(expansions[u0]._terms)
         _shift_run(terms, sorted(terms), 0)
         expansions[u0] = TensorElement._of(terms)
-        step, bits, code_of = monoids._box_codes(expansions)
 
         def expand(u):
-            raise AssertionError(f"target {u} expanded")
+            if u not in expansions:
+                raise AssertionError(f"sum {u} expanded")
+            return expansions[u]
 
-        assert not monoids._codes_match_reference(points, dict(code_of), expand, rule.n, step, bits)
+        assert not monoids._agrees_with_rule(points, expand, rule.n)
+
+
+CORRUPTIONS = [
+    _drop_middle,
+    _add_off_the_run,
+    _fold_top_digit,
+    _zero_past_the_top,
+    _shift_run,
+    _head_not_least,
+    _zero_middle,
+    _move_middle_right_y,
+]
+
+
+def _outcome(check, region, rule, box):
+    """The report's JSON, or the ``ValueError`` raised: a stored zero past the
+    top term of a box expansion has a leg of negative x-exponent, which
+    coassociativity cannot expand."""
+    try:
+        return check(region, rule, box).to_json()
+    except ValueError as error:
+        return repr(error)
+
+
+class TestAgreesWithRule:
+    """The closed-form comparison holds for the real comultiplication and
+    fails for each corrupted expansion, at a box monomial or at a sum outside
+    the box; the report is the oracle's either way."""
+
+    @pytest.mark.parametrize("box", range(1, 6))
+    @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
+    def test_real_comult_agrees(self, spec, box):
+        rule = ComultRule(spec.n)
+        points = box_lattice_points(cone_of_spec(spec), box)
+        assert monoids._agrees_with_rule(points, lambda u: comult(rule, u), rule.n)
+
+    @pytest.mark.parametrize("change", CORRUPTIONS, ids=lambda change: change.__name__.strip("_"))
+    @pytest.mark.parametrize("w", [(2, 3), (6, 6)], ids=["box-monomial", "sum-outside-the-box"])
+    def test_corrupted_expansion_disagrees(self, monkeypatch, change, w):
+        spec, box = MonoidSpec.x(1, 1, 0), 3
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        points = box_lattice_points(region, box)
+        assert (w in points) == (w == (2, 3))
+        corrupt = _corrupted_at(w, change, _box_bits(rule, points))
+        assert not monoids._agrees_with_rule(points, lambda u: corrupt(rule, u), rule.n)
+        monkeypatch.setattr(monoids, "comult", corrupt)
+        assert _outcome(verify_comultiplication, region, rule, box) == _outcome(
+            verify_by_reexpansion, region, rule, box
+        )
 
 
 class TestOneDictCoassociativity:
