@@ -71,13 +71,15 @@ MAX_POWER_BITS = 1 << 20
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.03 s at this box), and multiplicativity costs one closed-form
-# comparison per distinct sum of two box monomials; the product loop, one
-# ``TensorElement`` product per pair, runs only when an expansion differs from
-# the rule's.  At 2,500 expansion terms a passing run takes about
-# 0.03 s for ``Y(1,6,25) --box 68`` (490 monomials) and about 0.06 s for the
-# slowest found, ``X(1,2,55) --box 197`` (812 monomials, half of it the box
-# scan; in-process, minimum of 5, Python 3.11.7).
+# tests (about 0.04 s at this box), and every check costs one closed-form
+# comparison per distinct box monomial, leg of their expansions or sum of two;
+# a check's own loop, such as one ``TensorElement`` product per pair, runs only
+# when an expansion differs from the rule's.  At 2,500 expansion terms a
+# passing run takes about 0.02 s for ``Y(1,6,25) --box 68`` (490 monomials)
+# and about 0.05 s for the slowest found, ``X(1,2,55) --box 197`` (812
+# monomials, 70% of it the box scan); past the cap, ``Group(1) --box 16``
+# (5,049 terms) takes about 0.03 s and ``X(3,5,7) --box 60`` (20,253) about
+# 0.12 s (in-process, minimum of 5, Python 3.11.7).
 MAX_VERIFY_BOX = 200
 MAX_VERIFY_TERMS = 2500
 

@@ -612,27 +612,44 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     Checks, in order: closure of every expansion exponent in the region, both
     counit identities, coassociativity, and multiplicativity on all monomial
     pairs.  Failures are reported with the first counterexample, never raised.
-    Each distinct exponent is expanded once per call: the box monomials, the
-    legs in coassociativity and the sums in multiplicativity share one table.
-    The box scan and the closure check take the exact-int fast path of the
-    region's ``contains``.  The counit sums are compared as unsorted dicts.
-    Coassociativity adds each term of ``(comult (x) id)(comult u)`` to one
-    dict and subtracts each term of ``(id (x) comult)(comult u)`` from it,
-    and fails exactly when a value is non-zero: the arithmetic is exact, so
-    this is the comparison of the two sums.
+    The region must lie in the half plane ``u_x >= 0``, where ``comult`` is
+    defined (as :func:`restriction_failure` demands): a box monomial with
+    negative x-exponent raises ``ValueError`` before any expansion.  Each
+    distinct exponent is expanded once per call.
 
-    Multiplicativity is one closed-form comparison per distinct sum: when
-    every expansion on the box and on its sum set is, term for term, the
-    weight-``rule.n`` rule, every pair provably passes and no product is
-    taken (:func:`_agrees_with_rule`, whose docstring has the proof).  Only
-    otherwise does the ``TensorElement`` product loop run over all pairs, in
-    order, and name the first failing pair; it is the check's definition.
+    Each check is decided by agreement (:func:`_agrees`) with the rule's
+    closed form ``R(u) = (X + Y)^u_x * (y (x) y)^u_y``, ``X = x (x) 1`` and
+    ``Y = y^n (x) x``, on the points its proof needs, enumerated as runs with
+    no pair or term loop.  ``X`` and ``Y`` commute, so ``R`` is an algebra map
+    on ``K[x, y, 1/y]``.  With ``B`` the box monomials and ``L`` the legs of
+    their expansions (:func:`_leg_runs`):
+
+    * counits: ``expand = R`` on ``B``.  ``R`` satisfies both counit laws on
+      ``x`` and ``y``, so, being an algebra map, on every monomial.
+    * coassociativity: ``expand = R`` on ``B`` and ``L``.  The two sides are
+      then the algebra maps ``(R (x) id) R`` and ``(id (x) R) R`` at ``u``,
+      equal because they agree on ``x`` and ``y``.
+    * multiplicativity: ``expand = R`` on ``B`` and on ``B + B``
+      (:func:`_sum_runs`), since ``R(u) * R(v) = R(u + v)``.
+    * closure: ``expand = R`` on ``B`` and both ends of every run of ``L`` in
+      the region: the region is convex, so it holds the column between them.
+
+    Only when its premise fails does a check's own loop run, in order, to
+    name the first counterexample; the loops are the checks' definitions, so
+    every report is theirs.  Coassociativity sums ``(comult (x) id)(comult u)``
+    minus ``(id (x) comult)(comult u)`` in one dict; multiplicativity takes
+    one ``TensorElement`` product per pair.
     """
     box = as_int(box)
     if box < 1:
         raise ValueError("box must be at least 1")
     if region.ambient != M:
         raise ValueError("a comultiplication is verified on a region of M")
+    points = box_lattice_points(region, box)
+    if points and points[0][0] < 0:  # points ascend in x
+        raise ValueError(
+            f"box monomial {points[0]} has a negative x-exponent: the region must lie in u_x >= 0"
+        )
     expanded: dict[tuple[int, int], TensorElement] = {}
 
     def expand(u: tuple[int, int]) -> TensorElement:
@@ -641,50 +658,55 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             t = expanded[u] = comult(rule, u)
         return t
 
-    points = box_lattice_points(region, box)
     expansions = {u: expand(u) for u in points}
+    runs = _runs(points)
+    box_agrees = _agrees(runs, expand, rule.n)
+    legs = _leg_runs(runs, rule.n) if box_agrees else []
     checks = []
 
     witness = None
-    for u, t in expansions.items():
-        for (left, right) in t.support():
-            if not (region.contains(left) and region.contains(right)):
-                escaped = left if not region.contains(left) else right
-                witness = {"monomial": list(u), "escaped": list(escaped)}
-                break
-        if witness:
-            break
+    ends = (end for x, lo, hi in legs for end in ((x, lo), (x, hi)))
+    if not (box_agrees and all(region.contains(end) for end in ends)):
+        witness = next(
+            (
+                {"monomial": list(u), "escaped": list(leg)}
+                for u, t in expansions.items()
+                for key in t.support()
+                for leg in key
+                if not region.contains(leg)
+            ),
+            None,
+        )
     checks.append(CheckResult("cone-closure", witness))
 
     for name, side in (("counit-left", 0), ("counit-right", 1)):
         witness = None
-        for u, t in expansions.items():
-            collapsed = _sum((key[1 - side], c) for key, c in t._terms.items() if key[side][0] == 0)
-            if collapsed != {u: 1}:
-                witness = {"monomial": list(u)}
-                break
+        if not box_agrees:
+            witness = next(
+                (
+                    {"monomial": list(u)}
+                    for u, t in expansions.items()
+                    if _sum((key[1 - side], c) for key, c in t._terms.items() if key[side][0] == 0) != {u: 1}
+                ),
+                None,
+            )
         checks.append(CheckResult(name, witness))
 
     witness = None
-    for u, t in expansions.items():
-        # (comult (x) id - id (x) comult) of t, summed in one dict.
-        diff: dict = {}
-        get = diff.get
-        for (left, right), coef in t._terms.items():
-            for (l2, r2), c2 in expand(left)._terms.items():
-                key = (l2, r2, right)
-                diff[key] = get(key, 0) + coef * c2
-            for (l2, r2), c2 in expand(right)._terms.items():
-                key = (left, l2, r2)
-                diff[key] = get(key, 0) - coef * c2
-        if any(diff.values()):
-            witness = {"monomial": list(u)}
-            break
+    if not (box_agrees and _agrees(legs, expand, rule.n)):
+        for u, t in expansions.items():
+            # (comult (x) id - id (x) comult) of t, summed in one dict.
+            terms = []
+            for (left, right), coef in t._terms.items():
+                terms += [((l2, r2, right), coef * c2) for (l2, r2), c2 in expand(left)._terms.items()]
+                terms += [((left, l2, r2), -coef * c2) for (l2, r2), c2 in expand(right)._terms.items()]
+            if _sum(terms):
+                witness = {"monomial": list(u)}
+                break
     checks.append(CheckResult("coassociativity", witness))
 
-    if _agrees_with_rule(points, expand, rule.n):
-        witness = None
-    else:
+    witness = None
+    if not (box_agrees and _agrees(_sum_runs(runs), expand, rule.n)):
         witness = next(
             (
                 {"pair": [list(u), list(v)]}
@@ -714,18 +736,9 @@ def _runs(points) -> list[list[int]]:
     return runs
 
 
-def _sum_runs(runs) -> list[list[int]]:
-    """The sums ``u + v`` of two points of ``runs`` (repeats allowed), as disjoint sorted runs.
-
-    Two runs at ``x1`` and ``x2`` sum to the one run ``[lo1 + lo2, hi1 + hi2]``
-    at ``x1 + x2``, and the runs that meet one sum column are merged where
-    they overlap or touch.  No pair of points is visited: for ``R`` runs this
-    costs O(R^2 log R) plus one step per run of the result.
-    """
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for i, (x1, lo1, hi1) in enumerate(runs):
-        for x2, lo2, hi2 in runs[i:]:
-            columns.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
+def _column_runs(columns: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
+    """The intervals ``(lo, hi)`` of each column ``x``, merged where they overlap
+    or touch, as disjoint sorted maximal runs ``[x, lo, hi]``."""
     merged: list[list[int]] = []
     for x in sorted(columns):
         for lo, hi in sorted(columns[x]):
@@ -736,27 +749,49 @@ def _sum_runs(runs) -> list[list[int]]:
     return merged
 
 
-def _agrees_with_rule(points, expand, n: int) -> bool:
-    """Whether ``expand`` is, term for term, the weight-``n`` rule on the box and its sum set.
+def _sum_runs(runs) -> list[list[int]]:
+    """The sums ``u + v`` of two points of ``runs`` (repeats allowed), as disjoint sorted runs.
 
-    The rule is ``R(u) = (X + Y)^u_x * (y (x) y)^u_y`` with ``X = x (x) 1``
-    and ``Y = y^n (x) x``; by the binomial theorem its ``k``-th term, in the
-    order :func:`comult` builds them, is
-    ``C(u_x, k) x^k y^(u_y + n*(u_x - k)) (x) x^(u_x - k) y^u_y``.  Any other
-    term count, order, key or coefficient gives ``False``.
-
-    *Proof that ``True`` decides multiplicativity.*  ``X`` and ``Y`` commute,
-    so ``R(u) * R(v) = R(u + v)``.  If ``expand = R`` on the box ``B`` and on
-    the sum set ``B + B``, then for every pair of box monomials
-    ``expand(u) * expand(v) = R(u + v) = expand(u + v)``: every pair passes.
-    ``False`` proves nothing, and the caller's product loop decides.
-
-    The points are walked as :func:`_runs`, the box runs before the
-    :func:`_sum_runs`, so no sum is expanded before every box monomial
-    agrees, and each distinct sum is compared once.
+    Two runs at ``x1`` and ``x2`` sum to the one run ``[lo1 + lo2, hi1 + hi2]``
+    at ``x1 + x2``.  No pair of points is visited: for ``R`` runs this costs
+    O(R^2 log R) plus one step per run of the result.
     """
-    runs = _runs(points)
-    for x, lo, hi in runs + _sum_runs(runs):
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, (x1, lo1, hi1) in enumerate(runs):
+        for x2, lo2, hi2 in runs[i:]:
+            columns.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
+    return _column_runs(columns)
+
+
+def _leg_runs(runs, n: int) -> list[list[int]]:
+    """The legs of ``R(u)`` for the points ``u`` of ``runs``, as disjoint sorted runs.
+
+    Term ``k`` of ``R(x, y)`` has the legs ``(k, y + n*(x - k))`` and
+    ``(x - k, y)``, so for each ``k <= x`` a run ``[x, lo, hi]`` gives the runs
+    ``[k, lo + n*(x - k), hi + n*(x - k)]`` and ``[x - k, lo, hi]``; every leg
+    has x-exponent ``>= 0`` when the run has.  No term is visited.
+    """
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for x, lo, hi in runs:
+        for k in range(x + 1):
+            shift = n * (x - k)
+            columns.setdefault(k, []).append((lo + shift, hi + shift))
+            columns.setdefault(x - k, []).append((lo, hi))
+    return _column_runs(columns)
+
+
+def _agrees(runs, expand, n: int) -> bool:
+    """Whether ``expand`` is, term for term, the weight-``n`` rule ``R`` on every point of ``runs``.
+
+    By the binomial theorem the ``k``-th term of ``R(u)``, in the order
+    :func:`comult` builds them, is
+    ``C(u_x, k) x^k y^(u_y + n*(u_x - k)) (x) x^(u_x - k) y^u_y``.  Any other
+    term count, order, key or coefficient gives ``False``, which proves
+    nothing; ``True`` is the premise of the proofs in
+    :func:`verify_comultiplication`.  One binomial row per run; the walk
+    stops at the first point that disagrees.
+    """
+    for x, lo, hi in runs:
         row = _binomials(x)
         for y in range(lo, hi + 1):
             terms = expand((x, y))._terms

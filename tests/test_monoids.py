@@ -974,6 +974,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="region of M"):
             verify_comultiplication(region, ComultRule(1), 2)
 
+    def test_region_left_of_the_axis_refused_before_any_expansion(self, monkeypatch):
+        def refuse(rule, u):
+            raise AssertionError(f"{u} expanded")
+
+        monkeypatch.setattr(monoids, "comult", refuse)
+        region = Cone2.from_rays((-1, 0), (0, 1), M)
+        message = "box monomial (-2, 0) has a negative x-exponent: the region must lie in u_x >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_comultiplication(region, ComultRule(1), 2)
+
 
 @pytest.mark.parametrize("size", [True, 2.0], ids=["bool", "float"])
 @pytest.mark.parametrize(
@@ -1406,7 +1416,8 @@ class TestReferencePrecheck:
                 raise AssertionError(f"sum {u} expanded")
             return expansions[u]
 
-        assert not monoids._agrees_with_rule(points, expand, rule.n)
+        runs = monoids._runs(points)
+        assert not monoids._agrees(runs + monoids._sum_runs(runs), expand, rule.n)
 
 
 CORRUPTIONS = [
@@ -1441,7 +1452,8 @@ class TestAgreesWithRule:
     def test_real_comult_agrees(self, spec, box):
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
-        assert monoids._agrees_with_rule(points, lambda u: comult(rule, u), rule.n)
+        runs = monoids._runs(points)
+        assert monoids._agrees(runs + monoids._sum_runs(runs), lambda u: comult(rule, u), rule.n)
 
     @pytest.mark.parametrize("change", CORRUPTIONS, ids=lambda change: change.__name__.strip("_"))
     @pytest.mark.parametrize("w", [(2, 3), (6, 6)], ids=["box-monomial", "sum-outside-the-box"])
@@ -1451,7 +1463,8 @@ class TestAgreesWithRule:
         points = box_lattice_points(region, box)
         assert (w in points) == (w == (2, 3))
         corrupt = _corrupted_at(w, change, _box_bits(rule, points))
-        assert not monoids._agrees_with_rule(points, lambda u: corrupt(rule, u), rule.n)
+        runs = monoids._runs(points)
+        assert not monoids._agrees(runs + monoids._sum_runs(runs), lambda u: corrupt(rule, u), rule.n)
         monkeypatch.setattr(monoids, "comult", corrupt)
         assert _outcome(verify_comultiplication, region, rule, box) == _outcome(
             verify_by_reexpansion, region, rule, box
@@ -1488,6 +1501,106 @@ class TestOneDictCoassociativity:
         assert coassociativity.passed is passes
         if not passes:
             assert coassociativity.witness == {"monomial": list(w)}
+
+
+def _leg_run_points(runs, n):
+    """The points of ``_leg_runs(runs, n)``, checked to be maximal runs: none touches the next."""
+    legs = monoids._leg_runs(runs, n)
+    assert all(x1 != x2 or hi1 + 1 < lo2 for (x1, _, hi1), (x2, lo2, _) in zip(legs, legs[1:]))
+    points = _run_points(legs)
+    assert points == sorted(set(points))  # disjoint runs, in order
+    return points
+
+
+def _legs_by_terms(points, n):
+    """Both legs of every term of the rule's expansion of every point."""
+    return {leg for x, y in points for k in range(x + 1) for leg in ((k, y + n * (x - k)), (x - k, y))}
+
+
+def _refuse(*args):
+    raise AssertionError("a check's own loop ran")
+
+
+class TestClosedFormPremises:
+    """Closure, both counits and coassociativity are decided by agreement with
+    the rule's closed form on the box and on the legs of its expansions; a
+    check's own loop runs only when its premise fails, and every report is
+    the re-expanding oracle's."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("box", range(1, 9))
+    @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
+    def test_leg_runs_are_the_leg_set(self, spec, box, n):
+        points = box_lattice_points(cone_of_spec(spec), box)
+        assert set(_leg_run_points(monoids._runs(points), n)) == _legs_by_terms(points, n)
+
+    def test_leg_runs_of_gapped_columns(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            points = sorted({(rng.randint(0, 4), rng.randint(-5, 5)) for _ in range(rng.randint(1, 20))})
+            n = rng.randint(1, 4)
+            assert set(_leg_run_points(monoids._runs(points), n)) == _legs_by_terms(points, n)
+
+    @pytest.mark.parametrize("box", range(1, 6))
+    @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
+    def test_real_comult_enters_no_check_loop(self, monkeypatch, products, spec, box):
+        # _sum is read only by the counit and coassociativity loops, support()
+        # only by the closure loop, and a product only by the pair loop.
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        expected = verify_by_reexpansion(region, rule, box).to_json()
+        monkeypatch.setattr(monoids, "_sum", _refuse)
+        monkeypatch.setattr(TensorElement, "support", _refuse)
+        products.clear()
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == expected and report.passed
+        assert not products
+
+    @pytest.mark.parametrize("change", CORRUPTIONS, ids=lambda change: change.__name__.strip("_"))
+    def test_corrupted_left_leg_outside_the_box(self, monkeypatch, change):
+        # (1, 7) is the left leg of term k = 1 of comult(3, 3) at weight 2, and
+        # neither a box monomial nor a sum of two.
+        spec, box, w = MonoidSpec.x(2, 1, 0), 3, (1, 7)
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        points = box_lattice_points(region, box)
+        sums = {(u[0] + v[0], u[1] + v[1]) for u in points for v in points}
+        assert w in _legs_by_terms([(3, 3)], rule.n) and w not in sums
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, _box_bits(rule, points)))
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        # An order change or a stored zero leaves the element, so the sums, unchanged.
+        changed = change not in (_head_not_least, _zero_past_the_top)
+        assert [c.name for c in report.checks if not c.passed] == (["coassociativity"] if changed else [])
+        if changed:
+            assert report.checks[3].witness == {"monomial": [3, 3]}
+
+    @pytest.mark.parametrize(
+        "change, failing",
+        [(_shift_run, ["counit-left"]), (_drop_middle, []), (_zero_middle, [])],
+        ids=["shifted-run", "missing-middle-term", "zero-middle"],
+    )
+    def test_corrupted_box_monomial_gives_the_counit_witness(self, monkeypatch, change, failing):
+        spec, box, w = MonoidSpec.x(1, 1, 0), 3, (2, 3)
+        region, rule = cone_of_spec(spec), ComultRule(spec.n)
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, 0))
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        counits = report.checks[1:3]
+        assert [c.name for c in counits if not c.passed] == failing
+        assert all(c.witness == {"monomial": list(w)} for c in counits if not c.passed)
+
+    def test_seeded_cones_match_the_oracle(self):
+        rng = random.Random(23)
+        escaped = 0
+        for _ in range(200):
+            while True:
+                r1, r2 = [(rng.randint(0, 4), rng.randint(-6, 6)) for _ in range(2)]
+                if (0, 0) not in (r1, r2) and r1[0] * r2[1] != r1[1] * r2[0]:
+                    break
+            region, rule, box = Cone2.from_rays(r1, r2, M), ComultRule(rng.randint(1, 4)), rng.randint(1, 4)
+            report = verify_comultiplication(region, rule, box)
+            assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+            escaped += not report.checks[0].passed
+        assert escaped >= 50
 
 
 class TestNoncommutativityWitness:
