@@ -27,6 +27,8 @@ from .lattice import (
     M,
     N,
     Cone2,
+    _check_ambient,
+    _quoted,
     hilbert_basis,
     int_xy,
     parse_rational,
@@ -71,15 +73,16 @@ MAX_POWER_BITS = 1 << 20
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.04 s at this box), and every check costs one closed-form
-# comparison per distinct box monomial, leg of their expansions or sum of two;
-# a check's own loop, such as one ``TensorElement`` product per pair, runs only
-# when an expansion differs from the rule's.  At 2,500 expansion terms a
-# passing run takes about 0.02 s for ``Y(1,6,25) --box 68`` (490 monomials)
-# and about 0.05 s for the slowest found, ``X(1,2,55) --box 197`` (812
-# monomials, 70% of it the box scan); past the cap, ``Group(1) --box 16``
-# (5,049 terms) takes about 0.03 s and ``X(3,5,7) --box 60`` (20,253) about
-# 0.12 s (in-process, minimum of 5, Python 3.11.7).
+# tests (about 0.04 s at this box), and all four checks rest on one closed-form
+# comparison per distinct box monomial, leg of their expansions or sum of two,
+# walked once as merged column runs; the checks' own loops, such as one
+# ``TensorElement`` product per pair, run only when an expansion differs from
+# the rule's.  At 2,500 expansion terms a passing run takes about 0.02 s for
+# ``Y(1,6,25) --box 68`` (490 monomials) and about 0.05 s for the slowest
+# found, ``X(1,2,55) --box 197`` (812 monomials, 70% of it the box scan); past
+# the cap, ``Group(1) --box 16`` (5,049 terms) takes about 0.03 s and
+# ``X(3,5,7) --box 60`` (20,253) about 0.12 s (in-process, minimum of 5,
+# Python 3.11.7).
 MAX_VERIFY_BOX = 200
 MAX_VERIFY_TERMS = 2500
 
@@ -158,7 +161,7 @@ def _region_of_json(data: dict) -> Cone2 | HalfPlane:
         raise ValueError(f"halfplane must be true or false, got {json.dumps(flag)}")
     if flag and "rays" in data:
         raise ValueError("a half plane has no rays")
-    return HalfPlane(data.get("ambient", M)) if flag else Cone2.from_json(data)
+    return HalfPlane(_check_ambient(data.get("ambient", M), _quoted)) if flag else Cone2.from_json(data)
 
 
 def _payload_cone(args) -> Cone2 | HalfPlane:

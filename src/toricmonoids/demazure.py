@@ -20,6 +20,7 @@ from .lattice import (
     N,
     RationalPoint,
     _Record,
+    _json_int,
     _quoted,
     _setattr,
     as_int,
@@ -96,7 +97,7 @@ class DemazureRoot(_Record):
         e = data["e"]
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ValueError(f"root e {_quoted(e)} is not a pair of integers")
-        return cls(LatticePoint.from_json(e, M), as_int(data["ray_index"]))
+        return cls(LatticePoint.from_json(e, M), _json_int(data, "ray_index"))
 
 
 class RootPair(_Record):

@@ -33,9 +33,10 @@ class DegenerateConeError(ValueError):
     """Raised when ray data does not span a strongly convex 2D cone."""
 
 
-def _check_ambient(ambient: str) -> str:
+def _check_ambient(ambient: str, show=repr) -> str:
+    """``ambient`` if it names a lattice; ``show`` writes the refusal's values."""
     if ambient not in _AMBIENTS:
-        raise ValueError(f"ambient must be {M!r} or {N!r}, got {ambient!r}")
+        raise ValueError(f"ambient must be {show(M)} or {show(N)}, got {show(ambient)}")
     return ambient
 
 
@@ -45,6 +46,15 @@ def _quoted(value) -> str:
         return json.dumps(value)
     except (TypeError, ValueError):
         return repr(value)
+
+
+def _json_int(data: dict, key: str) -> int:
+    """``data[key]`` read by :func:`as_int`, refused in the payload's words."""
+    value = data[key]
+    try:
+        return as_int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {_quoted(value)}") from None
 
 
 def other_ambient(ambient: str) -> str:
@@ -375,7 +385,7 @@ class Cone2(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Cone2":
-        ambient = _check_ambient(data.get("ambient", M))
+        ambient = _check_ambient(data.get("ambient", M), _quoted)
         rays = data["rays"]
         if not isinstance(rays, (list, tuple)) or len(rays) != 2:
             raise ValueError("a cone is given by exactly two rays")

@@ -41,6 +41,8 @@ from .lattice import (
     M,
     N,
     _check_ambient,
+    _json_int,
+    _quoted,
     _Record,
     _setattr,
     as_int,
@@ -121,10 +123,14 @@ class MonoidSpec(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "MonoidSpec":
-        family = Family(data["family"])
+        try:
+            family = Family(data["family"])
+        except ValueError:
+            shown = _quoted(data["family"])
+            raise ValueError(f'family must be "Group", "X" or "Y", got {shown}') from None
         if family is Family.GROUP:
-            return cls(family, as_int(data["n"]), data.get("a"), data.get("b"))
-        return cls(family, as_int(data["n"]), as_int(data["a"]), as_int(data["b"]))
+            return cls(family, _json_int(data, "n"), data.get("a"), data.get("b"))
+        return cls(family, _json_int(data, "n"), _json_int(data, "a"), _json_int(data, "b"))
 
     def __str__(self) -> str:
         if self.family is Family.GROUP:
@@ -617,24 +623,22 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     negative x-exponent raises ``ValueError`` before any expansion.  Each
     distinct exponent is expanded once per call.
 
-    Each check is decided by agreement (:func:`_agrees`) with the rule's
-    closed form ``R(u) = (X + Y)^u_x * (y (x) y)^u_y``, ``X = x (x) 1`` and
-    ``Y = y^n (x) x``, on the points its proof needs, enumerated as runs with
-    no pair or term loop.  ``X`` and ``Y`` commute, so ``R`` is an algebra map
-    on ``K[x, y, 1/y]``.  With ``B`` the box monomials and ``L`` the legs of
-    their expansions (:func:`_leg_runs`):
+    One premise decides all four checks: ``expand`` agrees (:func:`_agrees`)
+    with the rule's closed form ``R(u) = (X + Y)^u_x * (y (x) y)^u_y``,
+    ``X = x (x) 1`` and ``Y = y^n (x) x``, on the set ``P`` of the legs of
+    every box expansion and the sums of two box monomials, enumerated as runs
+    (:func:`_premise_runs`) with no pair or term loop.  ``P`` holds the box
+    itself: term ``k = 0`` of ``R(u)`` has ``u`` as its right leg.  ``X`` and
+    ``Y`` commute, so ``R`` is an algebra map on ``K[x, y, 1/y]``; it is
+    counital and coassociative on ``x`` and ``y``, hence on every monomial,
+    and ``R(u) * R(v) = R(u + v)``.  So the premise proves both counits,
+    coassociativity (both sides are then ``(R (x) id) R`` and
+    ``(id (x) R) R`` at ``u``) and multiplicativity.  Closure asks that every
+    leg lie in the region.  The sums do, since the region is a convex cone,
+    and each column of the region is an interval, so closure holds exactly
+    when both ends of every run of ``P`` lie in the region.
 
-    * counits: ``expand = R`` on ``B``.  ``R`` satisfies both counit laws on
-      ``x`` and ``y``, so, being an algebra map, on every monomial.
-    * coassociativity: ``expand = R`` on ``B`` and ``L``.  The two sides are
-      then the algebra maps ``(R (x) id) R`` and ``(id (x) R) R`` at ``u``,
-      equal because they agree on ``x`` and ``y``.
-    * multiplicativity: ``expand = R`` on ``B`` and on ``B + B``
-      (:func:`_sum_runs`), since ``R(u) * R(v) = R(u + v)``.
-    * closure: ``expand = R`` on ``B`` and both ends of every run of ``L`` in
-      the region: the region is convex, so it holds the column between them.
-
-    Only when its premise fails does a check's own loop run, in order, to
+    Only when the premise fails does each check's own loop run, in order, to
     name the first counterexample; the loops are the checks' definitions, so
     every report is theirs.  Coassociativity sums ``(comult (x) id)(comult u)``
     minus ``(id (x) comult)(comult u)`` in one dict; multiplicativity takes
@@ -658,20 +662,18 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
             t = expanded[u] = comult(rule, u)
         return t
 
-    expansions = {u: expand(u) for u in points}
-    runs = _runs(points)
-    box_agrees = _agrees(runs, expand, rule.n)
-    legs = _leg_runs(runs, rule.n) if box_agrees else []
+    premise = _premise_runs(_runs(points), rule.n)
+    holds = _agrees(premise, expand, rule.n)
     checks = []
 
     witness = None
-    ends = (end for x, lo, hi in legs for end in ((x, lo), (x, hi)))
-    if not (box_agrees and all(region.contains(end) for end in ends)):
+    ends = ((x, y) for x, lo, hi in premise for y in (lo, hi))
+    if not (holds and all(region.contains(end) for end in ends)):
         witness = next(
             (
                 {"monomial": list(u), "escaped": list(leg)}
-                for u, t in expansions.items()
-                for key in t.support()
+                for u in points
+                for key in expand(u).support()
                 for leg in key
                 if not region.contains(leg)
             ),
@@ -681,23 +683,24 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
 
     for name, side in (("counit-left", 0), ("counit-right", 1)):
         witness = None
-        if not box_agrees:
+        if not holds:
             witness = next(
                 (
                     {"monomial": list(u)}
-                    for u, t in expansions.items()
-                    if _sum((key[1 - side], c) for key, c in t._terms.items() if key[side][0] == 0) != {u: 1}
+                    for u in points
+                    if _sum((key[1 - side], c) for key, c in expand(u)._terms.items() if key[side][0] == 0)
+                    != {u: 1}
                 ),
                 None,
             )
         checks.append(CheckResult(name, witness))
 
     witness = None
-    if not (box_agrees and _agrees(legs, expand, rule.n)):
-        for u, t in expansions.items():
-            # (comult (x) id - id (x) comult) of t, summed in one dict.
+    if not holds:
+        for u in points:
+            # (comult (x) id - id (x) comult) of comult u, summed in one dict.
             terms = []
-            for (left, right), coef in t._terms.items():
+            for (left, right), coef in expand(u)._terms.items():
                 terms += [((l2, r2, right), coef * c2) for (l2, r2), c2 in expand(left)._terms.items()]
                 terms += [((left, l2, r2), -coef * c2) for (l2, r2), c2 in expand(right)._terms.items()]
             if _sum(terms):
@@ -706,12 +709,12 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     checks.append(CheckResult("coassociativity", witness))
 
     witness = None
-    if not (box_agrees and _agrees(_sum_runs(runs), expand, rule.n)):
+    if not holds:
         witness = next(
             (
                 {"pair": [list(u), list(v)]}
                 for u, v in combinations_with_replacement(points, 2)
-                if expansions[u] * expansions[v] != expand((u[0] + v[0], u[1] + v[1]))
+                if expand(u) * expand(v) != expand((u[0] + v[0], u[1] + v[1]))
             ),
             None,
         )
@@ -736,9 +739,27 @@ def _runs(points) -> list[list[int]]:
     return runs
 
 
-def _column_runs(columns: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
-    """The intervals ``(lo, hi)`` of each column ``x``, merged where they overlap
-    or touch, as disjoint sorted maximal runs ``[x, lo, hi]``."""
+def _premise_runs(runs, n: int) -> list[list[int]]:
+    """The premise set ``P`` of :func:`verify_comultiplication`, as disjoint sorted maximal runs.
+
+    ``P`` holds the legs of ``R(u)`` and the sums ``u + v`` (repeats allowed)
+    for the points ``u``, ``v`` of ``runs``.  Term ``k`` of ``R(x, y)`` has
+    the legs ``(k, y + n*(x - k))`` and ``(x - k, y)``, so for each ``k <= x``
+    a run ``[x, lo, hi]`` gives the runs ``[k, lo + n*(x - k), hi + n*(x - k)]``
+    and ``[x - k, lo, hi]``; two runs at ``x1`` and ``x2`` sum to the one run
+    ``[x1 + x2, lo1 + lo2, hi1 + hi2]``.  Every point of ``P`` has x-exponent
+    ``>= 0`` when the runs have.  All these intervals go into one column
+    table, merged once where they overlap or touch; no point, pair or term is
+    visited.
+    """
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, (x, lo, hi) in enumerate(runs):
+        for k in range(x + 1):
+            shift = n * (x - k)
+            columns.setdefault(k, []).append((lo + shift, hi + shift))
+            columns.setdefault(x - k, []).append((lo, hi))
+        for x2, lo2, hi2 in runs[i:]:
+            columns.setdefault(x + x2, []).append((lo + lo2, hi + hi2))
     merged: list[list[int]] = []
     for x in sorted(columns):
         for lo, hi in sorted(columns[x]):
@@ -747,37 +768,6 @@ def _column_runs(columns: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
             else:
                 merged.append([x, lo, hi])
     return merged
-
-
-def _sum_runs(runs) -> list[list[int]]:
-    """The sums ``u + v`` of two points of ``runs`` (repeats allowed), as disjoint sorted runs.
-
-    Two runs at ``x1`` and ``x2`` sum to the one run ``[lo1 + lo2, hi1 + hi2]``
-    at ``x1 + x2``.  No pair of points is visited: for ``R`` runs this costs
-    O(R^2 log R) plus one step per run of the result.
-    """
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for i, (x1, lo1, hi1) in enumerate(runs):
-        for x2, lo2, hi2 in runs[i:]:
-            columns.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
-    return _column_runs(columns)
-
-
-def _leg_runs(runs, n: int) -> list[list[int]]:
-    """The legs of ``R(u)`` for the points ``u`` of ``runs``, as disjoint sorted runs.
-
-    Term ``k`` of ``R(x, y)`` has the legs ``(k, y + n*(x - k))`` and
-    ``(x - k, y)``, so for each ``k <= x`` a run ``[x, lo, hi]`` gives the runs
-    ``[k, lo + n*(x - k), hi + n*(x - k)]`` and ``[x - k, lo, hi]``; every leg
-    has x-exponent ``>= 0`` when the run has.  No term is visited.
-    """
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for x, lo, hi in runs:
-        for k in range(x + 1):
-            shift = n * (x - k)
-            columns.setdefault(k, []).append((lo + shift, hi + shift))
-            columns.setdefault(x - k, []).append((lo, hi))
-    return _column_runs(columns)
 
 
 def _agrees(runs, expand, n: int) -> bool:

@@ -448,9 +448,39 @@ class TestRejectedInput:
                 ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":{{"x":1}},"ray_index":1}},{ROOT_1}]'),
                 'not a root pair: root e {"x": 1} is not a pair of integers',
             ),
+            (
+                ("opposite", '{"family": null, "n": 1}'),
+                'not a monoid spec payload: family must be "Group", "X" or "Y", got null',
+            ),
+            (
+                ("opposite", '{"family": "Group", "n": true}'),
+                "not a monoid spec payload: n must be an integer, got true",
+            ),
+            (
+                ("opposite", '{"family": "Group", "n": "1"}'),
+                'not a monoid spec payload: n must be an integer, got "1"',
+            ),
+            (
+                ("opposite", '{"family": "X", "n": 1, "a": null, "b": 0}'),
+                "not a monoid spec payload: a must be an integer, got null",
+            ),
+            (
+                ("classify", '{"rays": [[1,0],[0,1]], "ambient": null}', "--n", "1"),
+                'not a cone payload: ambient must be "M" or "N", got null',
+            ),
+            (
+                ("classify", '{"halfplane": true, "ambient": null}', "--n", "1"),
+                'not a cone payload: ambient must be "M" or "N", got null',
+            ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0],"ray_index":"1"}},{ROOT_1}]'),
+                'not a root pair: ray_index must be an integer, got "1"',
+            ),
         ],
         ids=["cone-no-rays", "cone-rays-a-number", "cone-ray-a-number", "spec-a-list", "spec-no-family",
-             "root-no-ray-index", "root-a-number", "root-e-a-number", "root-e-null", "root-e-an-object"],
+             "root-no-ray-index", "root-a-number", "root-e-a-number", "root-e-null", "root-e-an-object",
+             "spec-family-null", "spec-n-true", "spec-n-a-string", "spec-a-null", "cone-ambient-null",
+             "halfplane-ambient-null", "root-ray-index-a-string"],
     )
     def test_shape_errors_in_the_payload_words(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

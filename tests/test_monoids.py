@@ -1061,7 +1061,9 @@ def _key_components(t: TensorElement) -> list[int]:
 
 
 class TestPackedMultiplicativity:
-    """Multiplicativity by Kronecker substitution gives the report of ``TensorElement`` products."""
+    """Multiplicativity decided by the closed-form premise gives the report of
+    ``TensorElement`` products, and a corrupted expansion that the premise
+    rejects gets the pair loop's witness."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1224,9 +1226,10 @@ def _shift_run(terms, keys, bits):
 
 
 class TestKroneckerMultiplicativity:
-    """Corrupted targets and corrupted box expansions fail the closed-form
-    comparison, and the ``TensorElement`` product loop decides them as the
-    oracle does; a real comultiplication takes no product."""
+    """Corrupted expansions at a sum of two box monomials or at a box monomial
+    fail the closed-form comparison on ``P``, and the ``TensorElement``
+    product loop decides them as the oracle does; a real comultiplication
+    takes no product."""
 
     @pytest.mark.parametrize(
         "change",
@@ -1337,17 +1340,35 @@ def _run_points(runs):
     return [(x, y) for x, lo, hi in runs for y in range(lo, hi + 1)]
 
 
-def _sum_run_points(runs):
-    """The points of ``_sum_runs(runs)``, checked to be maximal runs: none touches the next."""
-    sums = monoids._sum_runs(runs)
-    assert all(x1 != x2 or hi1 + 1 < lo2 for (x1, _, hi1), (x2, lo2, _) in zip(sums, sums[1:]))
-    return _run_points(sums)
+def _premise_run_points(runs, n):
+    """The points of ``_premise_runs(runs, n)``, checked to be disjoint maximal runs
+    in order: none touches or overlaps the next."""
+    premise = monoids._premise_runs(runs, n)
+    assert all(x1 < x2 or hi1 + 1 < lo2 for (x1, _, hi1), (x2, lo2, _) in zip(premise, premise[1:]))
+    points = _run_points(premise)
+    assert points == sorted(set(points))
+    return points
+
+
+def _legs_by_terms(points, n):
+    """Both legs of every term of the rule's expansion of every point."""
+    return {leg for x, y in points for k in range(x + 1) for leg in ((k, y + n * (x - k)), (x - k, y))}
+
+
+def _sums_by_pairs(points):
+    return {(u[0] + v[0], u[1] + v[1]) for u in points for v in points}
+
+
+def _premise_by_terms(points, n):
+    """``P``, brute force: the legs of every point's expansion and the sums of two points."""
+    return _legs_by_terms(points, n) | _sums_by_pairs(points)
 
 
 class TestReferencePrecheck:
-    """Multiplicativity first compares every expansion on the box and its sum
-    set with the rule's closed form; the product loop runs only when that
-    fails, and the report is the re-expanding oracle's either way."""
+    """Multiplicativity is decided by comparing every expansion on the premise
+    set ``P`` (the legs of the box expansions and the sums of two box
+    monomials) with the rule's closed form; the product loop runs only when
+    that fails, and the report is the re-expanding oracle's either way."""
 
     @pytest.mark.parametrize("box", range(1, 9))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
@@ -1356,17 +1377,15 @@ class TestReferencePrecheck:
         runs = monoids._runs(points)
         assert len(runs) == len({x for x, _ in points})  # one run per column
         assert _run_points(runs) == points
-        sums = _sum_run_points(runs)
-        assert sums == sorted(set(sums))  # disjoint runs, in order
-        assert set(sums) == {(u[0] + v[0], u[1] + v[1]) for u in points for v in points}
+        assert set(_premise_run_points(runs, spec.n)) == _premise_by_terms(points, spec.n)
 
     def test_sum_runs_of_gapped_columns(self):
         # Random point sets with gaps in their columns: several runs per column.
         rng = random.Random(21)
         for _ in range(200):
             points = sorted({(rng.randint(0, 4), rng.randint(-5, 5)) for _ in range(rng.randint(1, 20))})
-            sums = _sum_run_points(monoids._runs(points))
-            assert sums == sorted({(u[0] + v[0], u[1] + v[1]) for u in points for v in points})
+            n = rng.randint(1, 4)
+            assert _premise_run_points(monoids._runs(points), n) == sorted(_premise_by_terms(points, n))
 
     @pytest.mark.parametrize("weight", [1, 2, 5])
     @pytest.mark.parametrize("box", [1, 3, 5])
@@ -1401,23 +1420,25 @@ class TestReferencePrecheck:
         assert report.checks[-1].witness == {"pair": first}
 
     def test_box_codes_are_compared_before_any_target(self):
-        # A shifted run at a box monomial fails the comparison before any sum
-        # outside the box is expanded.
+        # The walk stops at the first point of P that disagrees: a shifted run
+        # at the box monomial (2, 3) ends it, and no later point of P, such as
+        # the sums outside the box, is expanded.
         spec, box, u0 = MonoidSpec.x(1, 1, 0), 3, (2, 3)
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
-        expansions = {u: comult(rule, u) for u in points}
-        terms = dict(expansions[u0]._terms)
-        _shift_run(terms, sorted(terms), 0)
-        expansions[u0] = TensorElement._of(terms)
+        premise = monoids._premise_runs(monoids._runs(points), rule.n)
+        order = _run_points(premise)
+        walked = order[: order.index(u0) + 1]
+        assert set(order) - set(walked) - set(points)  # the walk stops short of sums outside the box
+        corrupt = _corrupted_at(u0, _shift_run, 0)
+        seen = []
 
         def expand(u):
-            if u not in expansions:
-                raise AssertionError(f"sum {u} expanded")
-            return expansions[u]
+            seen.append(u)
+            return corrupt(rule, u)
 
-        runs = monoids._runs(points)
-        assert not monoids._agrees(runs + monoids._sum_runs(runs), expand, rule.n)
+        assert not monoids._agrees(premise, expand, rule.n)
+        assert seen == walked
 
 
 CORRUPTIONS = [
@@ -1443,17 +1464,17 @@ def _outcome(check, region, rule, box):
 
 
 class TestAgreesWithRule:
-    """The closed-form comparison holds for the real comultiplication and
-    fails for each corrupted expansion, at a box monomial or at a sum outside
-    the box; the report is the oracle's either way."""
+    """The closed-form comparison on ``P`` holds for the real comultiplication
+    and fails for each corrupted expansion, at a box monomial or at a sum
+    outside the box; the report is the oracle's either way."""
 
     @pytest.mark.parametrize("box", range(1, 6))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
     def test_real_comult_agrees(self, spec, box):
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
-        runs = monoids._runs(points)
-        assert monoids._agrees(runs + monoids._sum_runs(runs), lambda u: comult(rule, u), rule.n)
+        premise = monoids._premise_runs(monoids._runs(points), rule.n)
+        assert monoids._agrees(premise, lambda u: comult(rule, u), rule.n)
 
     @pytest.mark.parametrize("change", CORRUPTIONS, ids=lambda change: change.__name__.strip("_"))
     @pytest.mark.parametrize("w", [(2, 3), (6, 6)], ids=["box-monomial", "sum-outside-the-box"])
@@ -1463,8 +1484,8 @@ class TestAgreesWithRule:
         points = box_lattice_points(region, box)
         assert (w in points) == (w == (2, 3))
         corrupt = _corrupted_at(w, change, _box_bits(rule, points))
-        runs = monoids._runs(points)
-        assert not monoids._agrees(runs + monoids._sum_runs(runs), lambda u: corrupt(rule, u), rule.n)
+        premise = monoids._premise_runs(monoids._runs(points), rule.n)
+        assert not monoids._agrees(premise, lambda u: corrupt(rule, u), rule.n)
         monkeypatch.setattr(monoids, "comult", corrupt)
         assert _outcome(verify_comultiplication, region, rule, box) == _outcome(
             verify_by_reexpansion, region, rule, box
@@ -1503,43 +1524,30 @@ class TestOneDictCoassociativity:
             assert coassociativity.witness == {"monomial": list(w)}
 
 
-def _leg_run_points(runs, n):
-    """The points of ``_leg_runs(runs, n)``, checked to be maximal runs: none touches the next."""
-    legs = monoids._leg_runs(runs, n)
-    assert all(x1 != x2 or hi1 + 1 < lo2 for (x1, _, hi1), (x2, lo2, _) in zip(legs, legs[1:]))
-    points = _run_points(legs)
-    assert points == sorted(set(points))  # disjoint runs, in order
-    return points
-
-
-def _legs_by_terms(points, n):
-    """Both legs of every term of the rule's expansion of every point."""
-    return {leg for x, y in points for k in range(x + 1) for leg in ((k, y + n * (x - k)), (x - k, y))}
-
-
 def _refuse(*args):
     raise AssertionError("a check's own loop ran")
 
 
 class TestClosedFormPremises:
-    """Closure, both counits and coassociativity are decided by agreement with
-    the rule's closed form on the box and on the legs of its expansions; a
-    check's own loop runs only when its premise fails, and every report is
-    the re-expanding oracle's."""
+    """All four checks are decided by one agreement with the rule's closed
+    form on ``P``, the legs of the box expansions and the sums of two box
+    monomials, and closure by the ends of the runs of ``P``; the checks' own
+    loops run only when that premise fails, and every report is the
+    re-expanding oracle's."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("box", range(1, 9))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
     def test_leg_runs_are_the_leg_set(self, spec, box, n):
         points = box_lattice_points(cone_of_spec(spec), box)
-        assert set(_leg_run_points(monoids._runs(points), n)) == _legs_by_terms(points, n)
+        assert set(_premise_run_points(monoids._runs(points), n)) == _premise_by_terms(points, n)
 
     def test_leg_runs_of_gapped_columns(self):
         rng = random.Random(23)
         for _ in range(200):
             points = sorted({(rng.randint(0, 4), rng.randint(-5, 5)) for _ in range(rng.randint(1, 20))})
             n = rng.randint(1, 4)
-            assert set(_leg_run_points(monoids._runs(points), n)) == _legs_by_terms(points, n)
+            assert set(_premise_run_points(monoids._runs(points), n)) == _premise_by_terms(points, n)
 
     @pytest.mark.parametrize("box", range(1, 6))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
@@ -1587,6 +1595,20 @@ class TestClosedFormPremises:
         counits = report.checks[1:3]
         assert [c.name for c in counits if not c.passed] == failing
         assert all(c.witness == {"monomial": list(w)} for c in counits if not c.passed)
+
+    def test_leg_run_joined_to_a_sum_run_escapes_at_the_leg(self):
+        # Box 1 of Y(1,1,0) at weight 2: column 0 of P is the one run [-2, 1],
+        # the leg run [-1, 1] joined to the sum run [-2, 0].  Its top (0, 1),
+        # the left leg of term 0 of comult(1, -1) and no sum, leaves the region.
+        region, rule, box = cone_of_spec(MonoidSpec.y(1, 1, 0)), ComultRule(2), 1
+        points = box_lattice_points(region, box)
+        legs, sums = _legs_by_terms(points, rule.n), _sums_by_pairs(points)
+        assert monoids._premise_runs(monoids._runs(points), rule.n)[0] == [0, -2, 1]
+        assert (0, -2) in sums - legs and (0, 1) in legs - sums and not region.contains((0, 1))
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        assert [c.name for c in report.checks if not c.passed] == ["cone-closure"]
+        assert report.checks[0].witness == {"monomial": [1, -1], "escaped": [0, 1]}
 
     def test_seeded_cones_match_the_oracle(self):
         rng = random.Random(23)
