@@ -28,10 +28,10 @@ from .lattice import (
     N,
     Cone2,
     _check_ambient,
+    _json_rational,
+    _json_xy,
     _quoted,
     hilbert_basis,
-    int_xy,
-    parse_rational,
 )
 from .monoids import (
     Family,
@@ -73,16 +73,13 @@ MAX_POWER_BITS = 1 << 20
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.04 s at this box), and all four checks rest on one closed-form
-# comparison per distinct box monomial, leg of their expansions or sum of two,
-# walked once as merged column runs; the checks' own loops, such as one
-# ``TensorElement`` product per pair, run only when an expansion differs from
-# the rule's.  At 2,500 expansion terms a passing run takes about 0.02 s for
-# ``Y(1,6,25) --box 68`` (490 monomials) and about 0.05 s for the slowest
-# found, ``X(1,2,55) --box 197`` (812 monomials, 70% of it the box scan); past
-# the cap, ``Group(1) --box 16`` (5,049 terms) takes about 0.03 s and
-# ``X(3,5,7) --box 60`` (20,253) about 0.12 s (in-process, minimum of 5,
-# Python 3.11.7).
+# tests (about 0.04 s at this box), and the checks are decided as the
+# ``monoids.verify_comultiplication`` docstring says.  At 2,500 expansion
+# terms a passing run takes about 0.02 s for ``Y(1,6,25) --box 68`` (490
+# monomials) and about 0.05 s for the slowest found, ``X(1,2,55) --box 197``
+# (812 monomials, 70% of it the box scan); past the cap, ``Group(1) --box 16``
+# (5,049 terms) takes about 0.03 s and ``X(3,5,7) --box 60`` (20,253) about
+# 0.12 s (in-process, minimum of 5, Python 3.11.7).
 MAX_VERIFY_BOX = 200
 MAX_VERIFY_TERMS = 2500
 
@@ -116,47 +113,47 @@ def _catalog(n_max: int, a_max: int, b_max: int, k_max: int):
                     }
 
 
-def _load_payload(args) -> object:
+def _payload_text(args) -> str:
     if getattr(args, "payload", None) is not None:
         if args.json_in is not None:
             raise UsageError("the payload is given twice: as an argument and by --json-in")
-        text = args.payload
-    elif args.json_in is not None:
-        try:
-            with open(args.json_in, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.json_in}: {exc.strerror}") from None
-        except UnicodeDecodeError:
-            raise UsageError(f"cannot read {args.json_in}: not UTF-8 text") from None
-    else:
-        text = sys.stdin.read()
-    return _parse_obj(text, "payload")
-
-
-def _parse_obj(text: str, what: str) -> object:
+        return args.payload
+    if args.json_in is None:
+        return sys.stdin.read()
     try:
-        return json.loads(text)
+        with open(args.json_in, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.json_in}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {args.json_in}: not UTF-8 text") from None
+
+
+def _read(text: str, name: str, what: str, build):
+    """``build`` of the JSON ``text``: invalid JSON, or an integer past CPython's int-to-str digit
+    limit, is one :class:`UsageError` after ``name``, a shape error of ``build`` one after ``what``."""
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past CPython's int-to-str digit limit
-        raise UsageError(f"{what}: {exc}") from None
-
-
-def _read(what: str, build, *objects):
-    """``build(*objects)`` of JSON objects, its shape errors one :class:`UsageError` after ``what``."""
+        raise UsageError(f"{name} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # the digit limit
+        raise UsageError(f"{name}: {exc}") from None
     try:
-        if not all(isinstance(obj, dict) for obj in objects):
-            raise TypeError("expected a JSON object")
-        return build(*objects)
+        return build(data)
     except (KeyError, TypeError, ValueError) as exc:
         shown = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{what}: {shown}") from None
 
 
-def _region_of_json(data: dict) -> Cone2 | HalfPlane:
+def _object(data) -> dict:
+    if not isinstance(data, dict):
+        raise TypeError("expected a JSON object")
+    return data
+
+
+def _region_of_json(data) -> Cone2 | HalfPlane:
     # Only JSON true selects the half plane; false or no key reads the rays.
-    flag = data.get("halfplane", False)
+    flag = _object(data).get("halfplane", False)
     if type(flag) is not bool:
         raise ValueError(f"halfplane must be true or false, got {json.dumps(flag)}")
     if flag and "rays" in data:
@@ -165,7 +162,7 @@ def _region_of_json(data: dict) -> Cone2 | HalfPlane:
 
 
 def _payload_cone(args) -> Cone2 | HalfPlane:
-    return _read("not a cone payload", _region_of_json, _load_payload(args))
+    return _read(_payload_text(args), "payload", "not a cone payload", _region_of_json)
 
 
 def _payload_n_cone(args, what: str) -> Cone2:
@@ -176,26 +173,30 @@ def _payload_n_cone(args, what: str) -> Cone2:
 
 
 def _payload_spec(args) -> MonoidSpec:
-    return _read("not a monoid spec payload", MonoidSpec.from_json, _load_payload(args))
+    spec = lambda data: MonoidSpec.from_json(_object(data))
+    return _read(_payload_text(args), "payload", "not a monoid spec payload", spec)
 
 
-def _parse_monomial(text: str) -> tuple[int, int]:
-    data = _parse_obj(text, "monomial")
+def _root_pair_of_json(data) -> RootPair:
     if not isinstance(data, list) or len(data) != 2:
-        raise UsageError("a monomial is a JSON pair [a, b]")
-    try:
-        return int_xy(data, M)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise TypeError("expected a JSON list of two roots")
+    return RootPair(*map(DemazureRoot.from_json, [_object(r) for r in data]))
 
-def _parse_point(text: str, what: str) -> tuple:
-    data = _parse_obj(text, what)
+
+def _point_of_json(data) -> tuple:
     if not isinstance(data, list):
-        raise UsageError(f"{what} must be a JSON list of rationals")
-    try:
-        return tuple(parse_rational(v) for v in data)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{what}: {exc}") from None
+        raise TypeError("expected a JSON list of rationals")
+    return tuple(map(_json_rational, data))
+
+
+def _at_most(what: str, value: int, cap: int) -> None:
+    """Refuse ``value`` above ``cap``, naming it as ``what``."""
+    if value > cap:
+        try:
+            shown = str(value)
+        except ValueError:  # past CPython's int-to-str digit limit
+            shown = f"a {value.bit_length()}-bit integer"
+        raise UsageError(f"{what} is at most {cap}, got {shown}")
 
 
 def _positive_int(text: str) -> int:
@@ -254,8 +255,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if args.bound > MAX_ROOT_BOUND:
-        raise UsageError(f"--bound is at most {MAX_ROOT_BOUND}, got {args.bound}")
+    _at_most("--bound", args.bound, MAX_ROOT_BOUND)
     cone = _payload_n_cone(args, "root enumeration")
     roots = roots_up_to(cone, args.ray, args.bound)
     _emit(args, [r.to_json() for r in roots])
@@ -263,40 +263,23 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_comult(args) -> int:
-    monomial = _parse_monomial(args.monomial)
+    monomial = _read(args.monomial, "monomial", "monomial", lambda data: _json_xy(data, "exponent"))
     if args.pair is not None:
         cone = _payload_n_cone(args, "the root-pair mode")
-        pair_data = _parse_obj(args.pair, "root pair")
-        if not isinstance(pair_data, list) or len(pair_data) != 2:
-            raise UsageError("a root pair is a JSON list of two roots")
-        pair = _read("not a root pair", lambda *r: RootPair(*map(DemazureRoot.from_json, r)), *pair_data)
+        pair = _read(args.pair, "root pair", "not a root pair", _root_pair_of_json)
         p = cone.rays[pair.ray_index]
-        _check_degree("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y)
+        _at_most("the root-pair degree <p_i, u>", monomial[0] * p.x + monomial[1] * p.y, MAX_DEGREE)
         tensor = comult_from_root_pair(cone, pair, monomial)
     else:
         spec = _payload_spec(args)
-        _check_degree("the monomial x-exponent", monomial[0])
+        _at_most("the monomial x-exponent", monomial[0], MAX_DEGREE)
         tensor = comult_monomial(spec, monomial)
     _write(args, tensor.to_json_text())
     return EXIT_OK
 
 
-def _check_degree(what: str, d: int) -> None:
-    if d > MAX_DEGREE:
-        try:
-            shown = str(d)
-        except ValueError:  # past CPython's int-to-str digit limit
-            shown = f"a {d.bit_length()}-bit integer"
-        raise UsageError(f"{what} is at most {MAX_DEGREE}, got {shown}")
-
-
-def _check_k_max(k_max: int) -> None:
-    if k_max > MAX_K:
-        raise UsageError(f"--k-max is at most {MAX_K}, got {k_max}")
-
-
 def _cmd_invariants(args) -> int:
-    _check_k_max(args.k_max)
+    _at_most("--k-max", args.k_max, MAX_K)
     spec = _payload_spec(args)
     _emit(args, [image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)])
     return EXIT_OK
@@ -322,10 +305,10 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_multiply(args) -> int:
     spec = _payload_spec(args)
-    p = _parse_point(args.p, "point p")
-    q = _parse_point(args.q, "point q")
+    p = _read(args.p, "point p", "point p", _point_of_json)
+    q = _read(args.q, "point q", "point q", _point_of_json)
     if spec.family is not Family.GROUP:
-        _check_degree("b + n", spec.b + spec.n)
+        _at_most("b + n", spec.b + spec.n, MAX_DEGREE)
         power = spec.b + 2 * spec.n
         bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in p + q), default=0)
         if bits * power > MAX_POWER_BITS:
@@ -364,8 +347,7 @@ def _verify_terms(spec: MonoidSpec, box: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.box > MAX_VERIFY_BOX:
-        raise UsageError(f"--box is at most {MAX_VERIFY_BOX}, got {args.box}")
+    _at_most("--box", args.box, MAX_VERIFY_BOX)
     spec = _payload_spec(args)
     terms = _verify_terms(spec, args.box)
     if terms > MAX_VERIFY_TERMS:
@@ -379,10 +361,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    _check_k_max(args.k_max)
-    bound = max(args.n_max, args.a_max, args.b_max)
-    if bound > MAX_CATALOG_BOUND:
-        raise UsageError(f"catalog bounds are at most {MAX_CATALOG_BOUND}, got {bound}")
+    _at_most("--k-max", args.k_max, MAX_K)
+    for flag, bound in (("--n-max", args.n_max), ("--a-max", args.a_max), ("--b-max", args.b_max)):
+        _at_most(flag, bound, MAX_CATALOG_BOUND)
     if min(args.n_max, args.a_max) < 1 or args.b_max < 0:
         raise UsageError("catalog bounds must be at least 1 (b may reach 0)")
     with _output(args) as out:

@@ -21,7 +21,7 @@ from .lattice import (
     RationalPoint,
     _Record,
     _json_int,
-    _quoted,
+    _json_xy,
     _setattr,
     as_int,
     int_xy,
@@ -94,10 +94,8 @@ class DemazureRoot(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "DemazureRoot":
-        e = data["e"]
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"root e {_quoted(e)} is not a pair of integers")
-        return cls(LatticePoint.from_json(e, M), _json_int(data, "ray_index"))
+        e = _json_xy(data["e"], "root e")
+        return cls(LatticePoint(*e, M), _json_int(data["ray_index"], "ray_index"))
 
 
 class RootPair(_Record):

@@ -48,13 +48,28 @@ def _quoted(value) -> str:
         return repr(value)
 
 
-def _json_int(data: dict, key: str) -> int:
-    """``data[key]`` read by :func:`as_int`, refused in the payload's words."""
-    value = data[key]
+def _json_int(value, name: str | None = None) -> int:
+    """A payload integer read by :func:`as_int`, refused in the payload's words (as ``name`` if given)."""
     try:
         return as_int(value)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {_quoted(value)}") from None
+        what = f"{name} must be an integer" if name else "exact integer required"
+        raise ValueError(f"{what}, got {_quoted(value)}") from None
+
+
+def _json_xy(value, name: str) -> tuple[int, int]:
+    """A payload's integer pair (a ray, a root's ``e``, a monomial), each read by :func:`_json_int`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} {_quoted(value)} is not a pair of integers")
+    return (_json_int(value[0]), _json_int(value[1]))
+
+
+def _json_rational(value) -> int | Fraction:
+    """A payload rational read by :func:`parse_rational`, refused in the payload's words."""
+    try:
+        return parse_rational(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"exact rational required, got {_quoted(value)}") from None
 
 
 def other_ambient(ambient: str) -> str:
@@ -389,10 +404,7 @@ class Cone2(_Record):
         rays = data["rays"]
         if not isinstance(rays, (list, tuple)) or len(rays) != 2:
             raise ValueError("a cone is given by exactly two rays")
-        for r in rays:
-            if not isinstance(r, (list, tuple)) or len(r) != 2:
-                raise ValueError(f"ray {_quoted(r)} is not a pair of integers")
-        return cls.from_rays(rays[0], rays[1], ambient)
+        return cls.from_rays(*(_json_xy(r, "ray") for r in rays), ambient)
 
     def __str__(self) -> str:
         r1, r2 = self.rays

@@ -128,9 +128,10 @@ class MonoidSpec(_Record):
         except ValueError:
             shown = _quoted(data["family"])
             raise ValueError(f'family must be "Group", "X" or "Y", got {shown}') from None
+        n = _json_int(data["n"], "n")
         if family is Family.GROUP:
-            return cls(family, _json_int(data, "n"), data.get("a"), data.get("b"))
-        return cls(family, _json_int(data, "n"), _json_int(data, "a"), _json_int(data, "b"))
+            return cls(family, n, data.get("a"), data.get("b"))
+        return cls(family, n, _json_int(data["a"], "a"), _json_int(data["b"], "b"))
 
     def __str__(self) -> str:
         if self.family is Family.GROUP:

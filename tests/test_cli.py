@@ -476,13 +476,66 @@ class TestRejectedInput:
                 ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,0],"ray_index":"1"}},{ROOT_1}]'),
                 'not a root pair: ray_index must be an integer, got "1"',
             ),
+            (
+                ("classify", '{"rays":[[true,0],[0,1]]}', "--n", "1"),
+                "not a cone payload: exact integer required, got true",
+            ),
+            (
+                ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f'[{{"e":[-1,"0"],"ray_index":1}},{ROOT_1}]'),
+                'not a root pair: exact integer required, got "0"',
+            ),
+            (
+                ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[true,0]"),
+                "monomial: exact integer required, got true",
+            ),
+            (
+                ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", "[true, 2]", "--q", "[1,2]"),
+                "point p: exact rational required, got true",
+            ),
+            (
+                ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '["abc", 2]', "--q", "[1,2]"),
+                'point p: exact rational required, got "abc"',
+            ),
         ],
         ids=["cone-no-rays", "cone-rays-a-number", "cone-ray-a-number", "spec-a-list", "spec-no-family",
              "root-no-ray-index", "root-a-number", "root-e-a-number", "root-e-null", "root-e-an-object",
              "spec-family-null", "spec-n-true", "spec-n-a-string", "spec-a-null", "cone-ambient-null",
-             "halfplane-ambient-null", "root-ray-index-a-string"],
+             "halfplane-ambient-null", "root-ray-index-a-string", "ray-coordinate-true",
+             "root-e-coordinate-a-string", "monomial-coordinate-true", "point-coordinate-true",
+             "point-coordinate-not-a-number"],
     )
     def test_shape_errors_in_the_payload_words(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("roots", QUADRANT_N, "--ray", "1", "--bound", "1001"), "--bound is at most 1000, got 1001"),
+            (("catalog", "--a-max", "101"), "--a-max is at most 100, got 101"),
+            (("catalog", "--n-max", "101", "--b-max", "200"), "--n-max is at most 100, got 101"),
+            (("invariants", '{"family":"X","n":2,"a":3,"b":2}', "--k-max", "1001"), "--k-max is at most 1000, got 1001"),
+            (("catalog", "--k-max", "1001"), "--k-max is at most 1000, got 1001"),
+            (
+                ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[15000,0]"),
+                "the monomial x-exponent is at most 10000, got 15000",
+            ),
+            (
+                ("multiply", '{"family":"X","n":1,"a":1,"b":20000}', "--p", '["2","2"]', "--q", '["1","1"]'),
+                "b + n is at most 10000, got 20001",
+            ),
+            (
+                (
+                    "comult", '{"rays":[[1,1],[0,1]],"ambient":"N"}',
+                    "--monomial", f"[{DIGITS_4300},{DIGITS_4300}]",
+                    "--pair", '[{"e":[-1,0],"ray_index":1},{"e":[-1,1],"ray_index":1}]',
+                ),
+                "the root-pair degree <p_i, u> is at most 10000, got a 14286-bit integer",
+            ),
+        ],
+        ids=["roots-bound", "catalog-a-max", "catalog-first-bound-over", "invariants-k-max", "catalog-k-max",
+             "comult-x-exponent", "multiply-b-plus-n", "pair-degree-over-digit-limit"],
+    )
+    def test_caps_in_one_wording(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -982,6 +1035,10 @@ class TestArgvFuzz:
             assert code in (0, 1, 2), argv
             assert code == 2 or not exited, argv
             assert "Traceback" not in err
+            # The JSON ``true``, ``null``, ``"2"``, ``"1/0"`` and ``"x"`` of the draws are
+            # quoted as the user wrote them, never as Python reprs or Python's words.
+            for word in ("True", "None", "bool ", "Invalid literal"):
+                assert word not in err, (argv, err)
             if code == 2:
                 assert out == ""
             lines = out.splitlines() if argv[0] == "catalog" else [out] if out else []

@@ -21,7 +21,7 @@ from toricmonoids import (
     parse_rational,
     primitive,
 )
-from toricmonoids.lattice import as_int
+from toricmonoids.lattice import _json_int, _json_rational, _json_xy, as_int
 
 from oracles import can_represent, dual_rays_by_scan, hilbert_basis_by_sieve
 
@@ -52,6 +52,25 @@ class TestExactCoercion:
             LatticePoint(True, 0)
         with pytest.raises(ValueError):
             LatticeMap(1, 0, 0, True)
+
+    def test_payload_readers_quote_json_while_the_api_keeps_reprs(self):
+        for call, message in [
+            (lambda: as_int(True), "exact integer required, got True"),
+            (lambda: _json_int(True), "exact integer required, got true"),
+            (lambda: _json_int("1", "n"), 'n must be an integer, got "1"'),
+            (lambda: Cone2.from_rays((True, 0), (0, 1)), "exact integer required, got True"),
+            (lambda: Cone2.from_json({"rays": [[True, 0], [0, 1]]}), "exact integer required, got true"),
+            (lambda: _json_xy([1, None], "ray"), "exact integer required, got null"),
+            (lambda: _json_rational(True), "exact rational required, got true"),
+            (lambda: _json_rational("abc"), 'exact rational required, got "abc"'),
+            (lambda: _json_rational("1/0"), 'exact rational required, got "1/0"'),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+        with pytest.raises(TypeError, match="got bool True"):
+            parse_rational(True)
+        assert _json_xy([3, -2], "ray") == (3, -2) and _json_rational("6/3") == 2
 
     def test_rational_point_coordinates(self):
         p = RationalPoint("3/1", "1/2")
