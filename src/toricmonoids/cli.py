@@ -373,8 +373,15 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses bad arguments in one ``error:`` line, with no usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricmonoids",
         description="Monoid structures on normal affine toric surfaces.",
     )

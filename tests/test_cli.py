@@ -582,6 +582,29 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert "expected a positive integer" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv, ending",
+        [
+            (("verify", '{"family":"Group","n":1}', "--box", "x"), "expected a positive integer, got 'x'\n"),
+            (("catalog", "--n-max", "1.5"), "\n"),
+            (("roots", QUADRANT_N, "--ray", "2"), "\n"),
+            (("classify", "{}"), "\n"),
+            (("verify", "--bogus"), "\n"),
+            (("bogus",), "\n"),
+        ],
+        ids=["bad-type", "bad-int", "bad-choice", "missing-option", "unknown-argument", "unknown-command"],
+    )
+    def test_argparse_refusals_in_one_line(self, capsys, argv, ending):
+        # Only the package's own words are pinned: argparse words choices
+        # differently across Python versions.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith(ending)
+        assert "usage:" not in err
+
 
 
 class TestMultiplyPowerSize:
@@ -1041,6 +1064,7 @@ class TestArgvFuzz:
                 assert word not in err, (argv, err)
             if code == 2:
                 assert out == ""
+                assert len(err.splitlines()) == 1, (argv, err)
             lines = out.splitlines() if argv[0] == "catalog" else [out] if out else []
             for line in lines:
                 json.loads(line)

@@ -2,7 +2,6 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import combinations_with_replacement
 from fractions import Fraction
 from math import comb, gcd
 
@@ -1002,6 +1001,33 @@ def test_loop_size_is_an_exact_int(scan, size):
         scan(size)
 
 
+def _check_against_oracle(report, region, rule, box):
+    """Checks ``report`` against ``verify_by_reexpansion`` and returns the
+    oracle's JSON, or ``None`` when the oracle raised ``ValueError`` (its
+    coassociativity expands a leg of negative x-exponent).
+
+    The closure checks are the same, and closure fails wherever the oracle
+    raised.  The other four checks either pass, and the report is then the
+    oracle's, or all fail with one ``{"disagrees": point}`` witness.  So a
+    report passes only when the oracle's passes.
+    """
+    try:
+        expected = verify_by_reexpansion(region, rule, box).to_json()
+    except ValueError:
+        expected = None
+    closure, *rest = report.to_json()["checks"]
+    if expected is None:
+        assert closure["status"] == "fail"
+    else:
+        assert closure == expected["checks"][0]
+    if all(c["status"] == "pass" for c in rest):
+        assert report.to_json() == expected
+    else:
+        point = rest[0]["witness"]["disagrees"]
+        assert [c["witness"] for c in rest] == [{"disagrees": point}] * 4
+    return expected
+
+
 class TestVerifyExpandsOnce:
     """One ``comult`` call per distinct exponent, and the same report as re-expanding."""
 
@@ -1022,7 +1048,7 @@ class TestVerifyExpandsOnce:
             == verify_by_reexpansion(region, rule, box).to_json()
         )
 
-    def test_wrong_coefficient_gives_pair_witness(self, monkeypatch):
+    def test_wrong_coefficient_gives_the_disagrees_witness(self, monkeypatch):
         exact = monoids.comult
 
         def skewed(rule, u):
@@ -1031,12 +1057,14 @@ class TestVerifyExpandsOnce:
             return t if a < 2 else t + TensorElement.monomial((a - 1, b + rule.n), (1, b))
 
         monkeypatch.setattr(monoids, "comult", skewed)
-        region = cone_of_spec(MonoidSpec.x(1, 1, 0))
-        report = verify_comultiplication(region, ComultRule(1), 3)
-        assert report.to_json() == verify_by_reexpansion(region, ComultRule(1), 3).to_json()
+        region, rule = cone_of_spec(MonoidSpec.x(1, 1, 0)), ComultRule(1)
+        report = verify_comultiplication(region, rule, 3)
+        expected = _check_against_oracle(report, region, rule, 3)
+        assert set(expected["checks"][-1]["witness"]) == {"pair"}
         multiplicativity = report.checks[-1]
-        assert multiplicativity.name == "multiplicativity" and not multiplicativity.passed
-        assert set(multiplicativity.witness) == {"pair"}
+        assert multiplicativity.name == "multiplicativity"
+        # (2, 0) is the least point of P with x-exponent 2, the first that skewed changes.
+        assert multiplicativity.witness == {"disagrees": [2, 0]}
 
     def test_one_comult_call_per_distinct_exponent(self, monkeypatch):
         exact = monoids.comult
@@ -1062,8 +1090,8 @@ def _key_components(t: TensorElement) -> list[int]:
 
 class TestPackedMultiplicativity:
     """Multiplicativity decided by the closed-form premise gives the report of
-    ``TensorElement`` products, and a corrupted expansion that the premise
-    rejects gets the pair loop's witness."""
+    ``TensorElement`` products, and a corrupted expansion that the oracle's
+    pair loop rejects fails the premise too."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1087,15 +1115,15 @@ class TestPackedMultiplicativity:
         )
 
     @staticmethod
-    def _check_against_oracle(monkeypatch, corrupt, spec, box):
+    def _oracle_pair(monkeypatch, corrupt, spec, box):
+        """The oracle's multiplicativity witness, where verify reports ``disagrees``."""
         monkeypatch.setattr(monoids, "comult", corrupt)
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         report = verify_comultiplication(region, rule, box)
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
-        multiplicativity = report.checks[-1]
-        assert multiplicativity.name == "multiplicativity" and not multiplicativity.passed
-        assert set(multiplicativity.witness) == {"pair"}
-        return multiplicativity.witness["pair"]
+        multiplicativity = _check_against_oracle(report, region, rule, box)["checks"][-1]
+        assert not report.checks[-1].passed
+        assert multiplicativity["name"] == "multiplicativity" and set(multiplicativity["witness"]) == {"pair"}
+        return multiplicativity["witness"]["pair"]
 
     def test_zero_coefficient_term(self, monkeypatch):
         # Only the sums drop zeros: a stored zero term makes comult(u0) differ
@@ -1106,7 +1134,7 @@ class TestPackedMultiplicativity:
             t = exact(rule, u)
             return TensorElement._of({**t._terms, ((0, 0), (0, 0)): 0}) if u == u0 else t
 
-        witness = self._check_against_oracle(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
+        witness = self._oracle_pair(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
         assert witness == [[0, 0], list(u0)]
 
     def test_fraction_coefficient(self, monkeypatch):
@@ -1119,7 +1147,7 @@ class TestPackedMultiplicativity:
             (key, c), *rest = t.terms()
             return TensorElement._of({key: Fraction(c, 2), **dict(rest)})
 
-        self._check_against_oracle(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
+        self._oracle_pair(monkeypatch, corrupt, MonoidSpec.x(1, 1, 0), 3)
 
     @pytest.mark.parametrize("spread", [4, 2], ids=["beyond-2m", "inside-2m"])
     def test_key_that_aliases_under_a_smaller_base(self, monkeypatch, spread):
@@ -1146,7 +1174,7 @@ class TestPackedMultiplicativity:
             del terms[(left, (r0, r1))]
             return TensorElement({**terms, moved: c})
 
-        witness = self._check_against_oracle(monkeypatch, corrupt, spec, box)
+        witness = self._oracle_pair(monkeypatch, corrupt, spec, box)
         assert witness == [list(last), list(last)]
 
 
@@ -1173,18 +1201,12 @@ def _verify_and_count(products, region, rule, box):
     products.clear()
     report = verify_comultiplication(region, rule, box)
     taken = len(products)
-    assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+    _check_against_oracle(report, region, rule, box)
     return report, taken
 
 
-def _box_bits(rule, points):
-    """``(S*S).bit_length()`` for the largest coefficient sum ``S`` of a box expansion."""
-    s_max = max(sum(c for _, c in comult(rule, u).terms()) for u in points)
-    return (s_max * s_max).bit_length()
-
-
-def _corrupted_at(w, change, bits):
-    """``comult``, with ``change(terms, sorted keys, bits)`` applied to the expansion at ``w``."""
+def _corrupted_at(w, change):
+    """``comult``, with ``change(terms, sorted keys)`` applied to the expansion at ``w``."""
     exact = monoids.comult
 
     def corrupt(rule, u):
@@ -1192,34 +1214,34 @@ def _corrupted_at(w, change, bits):
         if u != w:
             return t
         terms = dict(t._terms)
-        change(terms, sorted(terms), bits)
+        change(terms, sorted(terms))
         return TensorElement._of(terms)
 
     return corrupt
 
 
-def _drop_middle(terms, keys, bits):
+def _drop_middle(terms, keys):
     del terms[keys[len(keys) // 2]]
 
 
-def _add_off_the_run(terms, keys, bits):
+def _add_off_the_run(terms, keys):
     terms[((7, 0), (0, 0))] = 1
 
 
-def _fold_top_digit(terms, keys, bits):
-    # The top coefficient moves one place down, times 2**bits: packed in base
-    # 2**bits, the coefficients would read the same.
-    terms[keys[-2]] += terms.pop(keys[-1]) << bits
+def _fold_top_digit(terms, keys):
+    # The top term is carried into the one below it as a higher digit: one term
+    # fewer, and a coefficient far above the binomial row's.
+    terms[keys[-2]] += terms.pop(keys[-1]) << 16
 
 
-def _zero_past_the_top(terms, keys, bits):
+def _zero_past_the_top(terms, keys):
     # A stored zero one step past the top term: the values are unchanged.
     (a0, a1), (a2, a3) = keys[-2]
     (b0, b1), (b2, b3) = keys[-1]
     terms[((2 * b0 - a0, 2 * b1 - a1), (2 * b2 - a2, 2 * b3 - a3))] = 0
 
 
-def _shift_run(terms, keys, bits):
+def _shift_run(terms, keys):
     # The same coefficients one step up in the right y-exponent: every key differs.
     for left, (r0, r1) in keys:
         terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
@@ -1227,9 +1249,8 @@ def _shift_run(terms, keys, bits):
 
 class TestKroneckerMultiplicativity:
     """Corrupted expansions at a sum of two box monomials or at a box monomial
-    fail the closed-form comparison on ``P``, and the ``TensorElement``
-    product loop decides them as the oracle does; a real comultiplication
-    takes no product."""
+    fail the closed-form comparison on ``P`` with the ``disagrees`` witness,
+    and verifying takes no ``TensorElement`` product, corrupted or not."""
 
     @pytest.mark.parametrize(
         "change",
@@ -1245,23 +1266,21 @@ class TestKroneckerMultiplicativity:
     def test_corrupted_target_fails_without_products(self, monkeypatch, products, change):
         # (6, 6) is reached only as (3, 3) + (3, 3), the last pair of box 3.
         spec, box = MonoidSpec.x(1, 1, 0), 3
-        rule = ComultRule(spec.n)
-        points = box_lattice_points(cone_of_spec(spec), box)
-        monkeypatch.setattr(monoids, "comult", _corrupted_at((6, 6), change, _box_bits(rule, points)))
-        report, _ = _verify_and_count(products, cone_of_spec(spec), rule, box)
-        assert report.first_failure() is report.checks[-1]
-        assert report.checks[-1].witness == {"pair": [[3, 3], [3, 3]]}
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((6, 6), change))
+        report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), box)
+        assert taken == 0
+        assert [c.witness for c in report.checks] == [None] + [{"disagrees": [6, 6]}] * 4
 
     @pytest.mark.parametrize("stored", [Fraction(2, 1), True], ids=["fraction", "bool"])
     def test_integral_target_coefficient_passes_without_products(
         self, monkeypatch, products, stored
     ):
-        def change(terms, keys, bits):
+        def change(terms, keys):
             terms[next(k for k in keys if terms[k] == stored)] = stored
 
         # comult(2, 6) = y^8 (x) x^2 y^6 + 2 x y^7 (x) x y^6 + x^2 y^6 (x) y^6,
         # reached only as a sum of two box monomials.
-        monkeypatch.setattr(monoids, "comult", _corrupted_at((2, 6), change, 0))
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((2, 6), change))
         spec = MonoidSpec.x(1, 1, 0)
         report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
         assert report.passed and taken == 0
@@ -1269,16 +1288,16 @@ class TestKroneckerMultiplicativity:
     def test_two_term_target_over_one_term_box_fails(self, monkeypatch, products):
         # Box 1 of X(1, 1, 3) holds (0, 0) and (0, 1), whose expansions have
         # one term each, and so has every product of two.
-        def change(terms, keys, bits):
+        def change(terms, keys):
             terms[((1, 2), (0, 0))] = 1
 
-        monkeypatch.setattr(monoids, "comult", _corrupted_at((0, 2), change, 0))
+        monkeypatch.setattr(monoids, "comult", _corrupted_at((0, 2), change))
         spec = MonoidSpec.x(1, 1, 3)
         report, _ = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 1)
-        assert report.first_failure().witness == {"pair": [[0, 1], [0, 1]]}
+        assert report.first_failure().witness == {"disagrees": [0, 2]}
 
     @pytest.mark.parametrize("coef", [-1, Fraction(1, 2)], ids=["negative", "fraction"])
-    def test_corrupted_box_expansion_takes_products(self, monkeypatch, products, coef):
+    def test_corrupted_box_expansion_takes_no_products(self, monkeypatch, products, coef):
         exact, u0 = monoids.comult, (1, 1)
 
         def corrupt(rule, u):
@@ -1291,7 +1310,7 @@ class TestKroneckerMultiplicativity:
         monkeypatch.setattr(monoids, "comult", corrupt)
         spec = MonoidSpec.x(1, 1, 0)
         report, taken = _verify_and_count(products, cone_of_spec(spec), ComultRule(spec.n), 3)
-        assert taken > 0 and not report.checks[-1].passed
+        assert taken == 0 and report.checks[-1].witness == {"disagrees": list(u0)}
 
     @pytest.mark.parametrize(
         "spec, box",
@@ -1309,16 +1328,16 @@ class TestKroneckerMultiplicativity:
         assert taken == 0
 
 
-def _head_not_least(terms, keys, bits):
+def _head_not_least(terms, keys):
     # The least key moves to the end of the dict: same terms, another order.
     terms[keys[0]] = terms.pop(keys[0])
 
 
-def _zero_middle(terms, keys, bits):
+def _zero_middle(terms, keys):
     terms[keys[len(keys) // 2]] = 0
 
 
-def _move_middle_right_y(terms, keys, bits):
+def _move_middle_right_y(terms, keys):
     # One term off the run in the last key component only.
     left, (r0, r1) = keys[len(keys) // 2]
     terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
@@ -1367,8 +1386,9 @@ def _premise_by_terms(points, n):
 class TestReferencePrecheck:
     """Multiplicativity is decided by comparing every expansion on the premise
     set ``P`` (the legs of the box expansions and the sums of two box
-    monomials) with the rule's closed form; the product loop runs only when
-    that fails, and the report is the re-expanding oracle's either way."""
+    monomials) with the rule's closed form, with no product: the report is
+    the re-expanding oracle's when that holds, and fails with the
+    ``disagrees`` witness when it does not."""
 
     @pytest.mark.parametrize("box", range(1, 9))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
@@ -1406,18 +1426,12 @@ class TestReferencePrecheck:
     def test_one_corrupted_sum_outside_the_box(self, monkeypatch, products, change, w):
         spec, box = MonoidSpec.x(1, 1, 0), 3
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
-        points = box_lattice_points(region, box)
-        assert w not in points
-        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, _box_bits(rule, points)))
+        assert w not in box_lattice_points(region, box)
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change))
         report, taken = _verify_and_count(products, region, rule, box)
-        assert taken > 0
-        first = next(
-            [list(u), list(v)]
-            for u, v in combinations_with_replacement(points, 2)
-            if (u[0] + v[0], u[1] + v[1]) == w
-        )
-        assert report.first_failure() is report.checks[-1]
-        assert report.checks[-1].witness == {"pair": first}
+        assert taken == 0
+        assert report.first_failure() is report.checks[1]
+        assert report.checks[1].witness == {"disagrees": list(w)}
 
     def test_box_codes_are_compared_before_any_target(self):
         # The walk stops at the first point of P that disagrees: a shifted run
@@ -1430,14 +1444,14 @@ class TestReferencePrecheck:
         order = _run_points(premise)
         walked = order[: order.index(u0) + 1]
         assert set(order) - set(walked) - set(points)  # the walk stops short of sums outside the box
-        corrupt = _corrupted_at(u0, _shift_run, 0)
+        corrupt = _corrupted_at(u0, _shift_run)
         seen = []
 
         def expand(u):
             seen.append(u)
             return corrupt(rule, u)
 
-        assert not monoids._agrees(premise, expand, rule.n)
+        assert monoids._first_disagreement(premise, expand, rule.n) == u0
         assert seen == walked
 
 
@@ -1453,20 +1467,12 @@ CORRUPTIONS = [
 ]
 
 
-def _outcome(check, region, rule, box):
-    """The report's JSON, or the ``ValueError`` raised: a stored zero past the
-    top term of a box expansion has a leg of negative x-exponent, which
-    coassociativity cannot expand."""
-    try:
-        return check(region, rule, box).to_json()
-    except ValueError as error:
-        return repr(error)
-
-
 class TestAgreesWithRule:
-    """The closed-form comparison on ``P`` holds for the real comultiplication
-    and fails for each corrupted expansion, at a box monomial or at a sum
-    outside the box; the report is the oracle's either way."""
+    """The closed-form comparison on ``P`` holds for the real comultiplication.
+    Each corrupted expansion, at a box monomial, at a sum outside the box or
+    at a leg outside the box, is the first disagreement, and the report is
+    sound against the oracle: the same closure check, and the other four
+    checks failing with that point as their witness."""
 
     @pytest.mark.parametrize("box", range(1, 6))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
@@ -1474,27 +1480,34 @@ class TestAgreesWithRule:
         rule = ComultRule(spec.n)
         points = box_lattice_points(cone_of_spec(spec), box)
         premise = monoids._premise_runs(monoids._runs(points), rule.n)
-        assert monoids._agrees(premise, lambda u: comult(rule, u), rule.n)
+        assert monoids._first_disagreement(premise, lambda u: comult(rule, u), rule.n) is None
 
     @pytest.mark.parametrize("change", CORRUPTIONS, ids=lambda change: change.__name__.strip("_"))
-    @pytest.mark.parametrize("w", [(2, 3), (6, 6)], ids=["box-monomial", "sum-outside-the-box"])
-    def test_corrupted_expansion_disagrees(self, monkeypatch, change, w):
-        spec, box = MonoidSpec.x(1, 1, 0), 3
+    @pytest.mark.parametrize(
+        "spec, w",
+        [(MonoidSpec.x(1, 1, 0), (2, 3)), (MonoidSpec.x(1, 1, 0), (6, 6)), (MonoidSpec.x(2, 1, 0), (1, 7))],
+        ids=["box-monomial", "sum-outside-the-box", "leg-outside-the-box"],
+    )
+    def test_corrupted_expansion_disagrees(self, monkeypatch, change, spec, w):
+        # (1, 7) is the left leg of term k = 1 of comult(3, 3) at weight 2.
+        box = 3
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         points = box_lattice_points(region, box)
         assert (w in points) == (w == (2, 3))
-        corrupt = _corrupted_at(w, change, _box_bits(rule, points))
+        corrupt = _corrupted_at(w, change)
         premise = monoids._premise_runs(monoids._runs(points), rule.n)
-        assert not monoids._agrees(premise, lambda u: corrupt(rule, u), rule.n)
+        assert monoids._first_disagreement(premise, lambda u: corrupt(rule, u), rule.n) == w
         monkeypatch.setattr(monoids, "comult", corrupt)
-        assert _outcome(verify_comultiplication, region, rule, box) == _outcome(
-            verify_by_reexpansion, region, rule, box
-        )
+        report = verify_comultiplication(region, rule, box)
+        _check_against_oracle(report, region, rule, box)
+        assert [c.witness for c in report.checks[1:]] == [{"disagrees": list(w)}] * 4
 
 
 class TestOneDictCoassociativity:
-    """Coassociativity sums both sides into one signed dict; the oracle merges
-    each side and compares, with the same verdict and witness."""
+    """A corrupted leg expansion fails coassociativity with the ``disagrees``
+    witness, also where the oracle's merged sides agree: zero terms that
+    cancel leave the element, so no axiom, unchanged, but not the expansion
+    that the proof reads."""
 
     @pytest.mark.parametrize(
         "extra, passes",
@@ -1516,24 +1529,22 @@ class TestOneDictCoassociativity:
         spec, box = MonoidSpec.x(1, 1, 0), 3
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         report = verify_comultiplication(region, rule, box)
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
+        expected = _check_against_oracle(report, region, rule, box)
+        assert (expected["checks"][3]["status"] == "pass") is passes
         coassociativity = report.checks[3]
         assert coassociativity.name == "coassociativity"
-        assert coassociativity.passed is passes
-        if not passes:
-            assert coassociativity.witness == {"monomial": list(w)}
+        assert coassociativity.witness == {"disagrees": list(w)}
 
 
 def _refuse(*args):
-    raise AssertionError("a check's own loop ran")
+    raise AssertionError("the closure loop ran")
 
 
 class TestClosedFormPremises:
-    """All four checks are decided by one agreement with the rule's closed
-    form on ``P``, the legs of the box expansions and the sums of two box
-    monomials, and closure by the ends of the runs of ``P``; the checks' own
-    loops run only when that premise fails, and every report is the
-    re-expanding oracle's."""
+    """All four algebraic checks are decided by one agreement with the rule's
+    closed form on ``P``, the legs of the box expansions and the sums of two
+    box monomials, and closure by the ends of the runs of ``P``; with the
+    real comultiplication every report is the re-expanding oracle's."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("box", range(1, 9))
@@ -1552,11 +1563,9 @@ class TestClosedFormPremises:
     @pytest.mark.parametrize("box", range(1, 6))
     @pytest.mark.parametrize("spec", PRECHECK_REGIONS, ids=str)
     def test_real_comult_enters_no_check_loop(self, monkeypatch, products, spec, box):
-        # _sum is read only by the counit and coassociativity loops, support()
-        # only by the closure loop, and a product only by the pair loop.
+        # support() is read only by the closure loop, and verify takes no product.
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         expected = verify_by_reexpansion(region, rule, box).to_json()
-        monkeypatch.setattr(monoids, "_sum", _refuse)
         monkeypatch.setattr(TensorElement, "support", _refuse)
         products.clear()
         report = verify_comultiplication(region, rule, box)
@@ -1570,16 +1579,18 @@ class TestClosedFormPremises:
         spec, box, w = MonoidSpec.x(2, 1, 0), 3, (1, 7)
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
         points = box_lattice_points(region, box)
-        sums = {(u[0] + v[0], u[1] + v[1]) for u in points for v in points}
-        assert w in _legs_by_terms([(3, 3)], rule.n) and w not in sums
-        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, _box_bits(rule, points)))
+        assert w in _legs_by_terms([(3, 3)], rule.n) and w not in _sums_by_pairs(points)
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change))
         report = verify_comultiplication(region, rule, box)
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
-        # An order change or a stored zero leaves the element, so the sums, unchanged.
+        expected = _check_against_oracle(report, region, rule, box)
+        assert [c.witness for c in report.checks[1:]] == [{"disagrees": list(w)}] * 4
+        # An order change or a stored zero leaves the element, so the oracle's sums,
+        # unchanged: verify fails where the oracle passes.
         changed = change not in (_head_not_least, _zero_past_the_top)
-        assert [c.name for c in report.checks if not c.passed] == (["coassociativity"] if changed else [])
+        failing = [c["name"] for c in expected["checks"] if c["status"] == "fail"]
+        assert failing == (["coassociativity"] if changed else [])
         if changed:
-            assert report.checks[3].witness == {"monomial": [3, 3]}
+            assert expected["checks"][3]["witness"] == {"monomial": [3, 3]}
 
     @pytest.mark.parametrize(
         "change, failing",
@@ -1587,14 +1598,15 @@ class TestClosedFormPremises:
         ids=["shifted-run", "missing-middle-term", "zero-middle"],
     )
     def test_corrupted_box_monomial_gives_the_counit_witness(self, monkeypatch, change, failing):
+        # ``failing`` is the oracle's verdict; verify fails both counits at w either way.
         spec, box, w = MonoidSpec.x(1, 1, 0), 3, (2, 3)
         region, rule = cone_of_spec(spec), ComultRule(spec.n)
-        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change, 0))
+        monkeypatch.setattr(monoids, "comult", _corrupted_at(w, change))
         report = verify_comultiplication(region, rule, box)
-        assert report.to_json() == verify_by_reexpansion(region, rule, box).to_json()
-        counits = report.checks[1:3]
-        assert [c.name for c in counits if not c.passed] == failing
-        assert all(c.witness == {"monomial": list(w)} for c in counits if not c.passed)
+        counits = _check_against_oracle(report, region, rule, box)["checks"][1:3]
+        assert [c["name"] for c in counits if c["status"] == "fail"] == failing
+        assert all(c["witness"] == {"monomial": list(w)} for c in counits if c["status"] == "fail")
+        assert [c.witness for c in report.checks[1:3]] == [{"disagrees": list(w)}] * 2
 
     def test_leg_run_joined_to_a_sum_run_escapes_at_the_leg(self):
         # Box 1 of Y(1,1,0) at weight 2: column 0 of P is the one run [-2, 1],
