@@ -13,6 +13,7 @@ scaled by a pairing) round out the toolbox.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 
 from .lattice import (
     LatticePoint,
@@ -241,6 +242,7 @@ class TensorElement(_Sparse):
 
     __slots__ = ()
     _UNIT = ((0, 0), (0, 0))
+    _CHUNK_TERMS = 256  # terms per piece of json_chunks
 
     @staticmethod
     def _key(k):
@@ -270,18 +272,26 @@ class TensorElement(_Sparse):
     def coefficient(self, left, right) -> int | Fraction:
         return self._terms.get((int_xy(left, M), int_xy(right, M)), 0)
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json())``, formatted straight from the terms.
+    def json_chunks(self):
+        """``json.dumps(self.to_json())`` in pieces of at most ``_CHUNK_TERMS`` terms.
 
-        One ``%``-format per term and one join: no per-term dict, no encoder
-        pass.  Like ``str``, it raises ``ValueError`` on an int past CPython's
-        int-to-str digit limit.
+        Every coefficient is printed, and every exponent checked, at the call: like ``str``, it
+        raises ``ValueError`` on an int past CPython's int-to-str digit limit before any piece.
         """
         text = self._coef_texts()
+        flat = chain.from_iterable
+        str(max(map(abs, flat(flat(self._terms))), default=0))  # the exponents' digit limit
         row = '{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
-        return "[" + ", ".join(
-            [row % (l0, l1, r0, r1, text[c]) for ((l0, l1), (r0, r1)), c in self._terms.items()]
-        ) + "]"
+        rows = (row % (l0, l1, r0, r1, text[c]) for ((l0, l1), (r0, r1)), c in self._terms.items())
+        n, step = len(self._terms), self._CHUNK_TERMS
+        return (
+            ("[" if i == 0 else ", ") + ", ".join(islice(rows, step)) + ("]" if i + step >= n else "")
+            for i in range(0, max(n, 1), step)
+        )
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json())``: the :meth:`json_chunks` joined."""
+        return "".join(self.json_chunks())
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor legs."""

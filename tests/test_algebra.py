@@ -17,6 +17,8 @@ from oracles import (
 )
 from toricmonoids import (
     Cone2,
+    ComultRule,
+    DemazureRoot,
     DerivationRule,
     HalfPlane,
     LatticePoint,
@@ -24,7 +26,10 @@ from toricmonoids import (
     M,
     N,
     PoleError,
+    RootPair,
     TensorElement,
+    comult,
+    comult_from_root_pair,
     is_locally_nilpotent_on,
 )
 
@@ -194,6 +199,47 @@ class TestTensorJsonText:
             '{"left": [0, 0], "right": [0, 0], "coef": "5"}, '
             '{"left": [2, 0], "right": [1, 1], "coef": "5"}]'
         )
+
+
+def _tensor_of(terms: int, mode: str) -> TensorElement:
+    """A comultiplication with ``terms`` terms: of ``x^(terms-1)`` at weight 2 in spec mode, or
+    through the roots (0, -1) and (1, -1) at the ray (0, 1) of the quadrant in root-pair mode."""
+    if terms == 0:
+        return TensorElement.zero()
+    if mode == "spec":
+        return comult(ComultRule(2), (terms - 1, 3))
+    sigma = Cone2.from_rays((1, 0), (0, 1), N)
+    i = sigma.ray_index((0, 1))
+    pair = RootPair(DemazureRoot(LatticePoint(0, -1), i), DemazureRoot(LatticePoint(1, -1), i))
+    return comult_from_root_pair(sigma, pair, (2, terms - 1))
+
+
+class TestTensorJsonChunks:
+    """``json_chunks`` joins to ``json.dumps(to_json())``, a piece holds at most 256 terms, and an
+    int past the digit limit raises at the call."""
+
+    @pytest.mark.parametrize("mode", ["spec", "root-pair"])
+    @pytest.mark.parametrize("terms", [0, 1, 256, 257, 513])
+    def test_joined_pieces_are_the_json(self, terms, mode):
+        t = _tensor_of(terms, mode)
+        assert len(t.terms()) == terms
+        chunks = list(t.json_chunks())
+        assert "".join(chunks) == json.dumps(t.to_json()) == t.to_json_text()
+        assert max(chunk.count('"left"') for chunk in chunks) <= 256
+        assert len(chunks) == max(1, -(-terms // 256))
+
+    @pytest.mark.parametrize(
+        "left, right, coef",
+        [((0, 0), (1, 0), 10**5000), ((0, 0), (1, 0), Fraction(1, 10**5000)),
+         ((1000, -(10**5000)), (1, 0), 1), ((0, 0), (10**5000, 0), 7)],
+        ids=["coefficient", "denominator", "left-exponent", "right-exponent"],
+    )
+    def test_int_past_the_digit_limit_raises_at_the_call(self, left, right, coef):
+        # The call, not the first piece, raises: the CLI opens no output before it.  The
+        # left-exponent term sorts last, in the third piece.
+        t = TensorElement.monomial(left, right, coef) + _tensor_of(600, "spec")
+        with pytest.raises(ValueError, match="digits"):
+            t.json_chunks()
 
 
 class TestTensor:

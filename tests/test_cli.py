@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -165,6 +166,51 @@ class TestComult:
         )
         assert code == 1
         assert "error" in json.loads(out)
+
+
+class _CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestComultStreaming:
+    """``comult`` writes its JSON in pieces: it never holds the whole text."""
+
+    def test_peak_memory_is_below_two_and_a_half_times_the_output(self):
+        argv = ["comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[2000,0]"]
+        sink = _CountingSink()
+        with contextlib.redirect_stdout(_CountingSink()):
+            main(argv)  # builds the parser outside the measurement
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == 975_098
+        assert peak < 2.5 * sink.chars, peak / sink.chars
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_exponent_past_the_digit_limit_in_the_last_piece_writes_only_the_error(
+        self, capsys, tmp_path, json_out
+    ):
+        # 601 terms at the ray (0, 1), whose left x-exponent steps from 10^4300 - 600 up by one
+        # per term: only the last term's passes the limit, in the third piece.  Nothing of the
+        # expansion is written.
+        pair = '[{"e":[0,-1],"ray_index":0},{"e":[1,-1],"ray_index":0}]'
+        argv = ["comult", QUADRANT_N, "--monomial", f"[{10**4300 - 600},600]", "--pair", pair]
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, *argv, *(["--json-out", str(target)] if json_out else []))
+        written = target.read_text() if json_out else out
+        assert (code, err, out if json_out else "") == (1, "", "")
+        assert list(json.loads(written)) == ["error"] and written.count("\n") == 1
+        assert "4300 digits" in written
 
 
 class TestSpecCommands:
@@ -329,8 +375,10 @@ class TestCatalog:
             assert json.dumps(json.loads(line)) == line
 
     def test_bad_bounds_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "catalog", "--n-max", "0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--n-max", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: argument --n-max: expected a positive integer, got '0'\n")
 
 
 QUADRANT_N = '{"rays":[[1,0],[0,1]],"ambient":"N"}'
@@ -357,8 +405,6 @@ class TestRejectedInput:
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[7,{ROOT_1}]"),
             ("roots", '{"rays":[[0,1],[1,0]],"ambient":"M"}', "--ray", "0"),
             ("classify", '{"rays":[[0,1],[1,0]],"ambient":"N"}', "--n", "1"),
-            ("catalog", "--n-max", "0"),
-            ("catalog", "--b-max", "-1"),
             ("classify", "[1,2]", "--n", "1"),
             ("roots", "5", "--ray", "0"),
             (
@@ -403,7 +449,7 @@ class TestRejectedInput:
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
-             "roots-of-m-cone", "classify-n-cone", "catalog-n-max", "catalog-b-max",
+             "roots-of-m-cone", "classify-n-cone",
              "cone-payload-list", "cone-payload-number", "comult-pair-of-m-cone",
              "roots-bound-1001", "roots-bound-1e8", "comult-x-exponent-15000",
              "comult-pair-degree-15000", "multiply-b-20000", "catalog-k-max-1e8",
@@ -572,8 +618,9 @@ class TestRejectedInput:
             ("quotient", '{"family":"X","n":2,"a":1,"b":2}', "--m", "0"),
             ("catalog", "--k-max", "0"),
             ("verify", '{"family":"X","n":1,"a":1,"b":0}', "--box", "-3"),
+            ("catalog", "--n-max", "0"),
         ],
-        ids=["box", "bound", "n", "invariants-k-max", "m", "catalog-k-max", "negative-box"],
+        ids=["box", "bound", "n", "invariants-k-max", "m", "catalog-k-max", "negative-box", "catalog-n-max"],
     )
     def test_size_below_one_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -591,8 +638,11 @@ class TestRejectedInput:
             (("classify", "{}"), "\n"),
             (("verify", "--bogus"), "\n"),
             (("bogus",), "\n"),
+            (("catalog", "--n-max", "1.5"), "expected a positive integer, got '1.5'\n"),
+            (("catalog", "--b-max", "-1"), "expected a nonnegative integer, got '-1'\n"),
         ],
-        ids=["bad-type", "bad-int", "bad-choice", "missing-option", "unknown-argument", "unknown-command"],
+        ids=["bad-type", "bad-int", "bad-choice", "missing-option", "unknown-argument", "unknown-command",
+             "catalog-bound-not-an-integer", "catalog-b-max"],
     )
     def test_argparse_refusals_in_one_line(self, capsys, argv, ending):
         # Only the package's own words are pinned: argparse words choices
