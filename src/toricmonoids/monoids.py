@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .algebra import TensorElement
@@ -621,7 +622,8 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     a witness, never raised.  The region must lie in the half plane
     ``u_x >= 0``, where ``comult`` is defined (as :func:`restriction_failure`
     demands): a box monomial with negative x-exponent raises ``ValueError``
-    before any expansion.  Each distinct exponent is expanded once per call.
+    before any expansion.  The walk holds one expansion at a time: each point
+    of ``P`` below is expanded once, compared and let go.
 
     One premise decides all four algebraic checks: ``expand`` agrees with the
     rule's closed form ``R(u) = (X + Y)^u_x * (y (x) y)^u_y``,
@@ -641,9 +643,10 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
     When the premise fails, the four algebraic checks fail with the witness
     ``{"disagrees": [x, y]}``: the least point of ``P`` where ``expand`` is
     not ``R`` (:func:`_first_disagreement`), which may be a leg or a sum, not
-    a counterexample to the axiom itself.  Closure then scans the legs of
-    every box expansion and names the first that leaves the region,
-    ``{"monomial": u, "escaped": leg}``.
+    a counterexample to the axiom itself.  When any check fails, closure
+    scans the legs of every box expansion and names the first that leaves the
+    region, ``{"monomial": u, "escaped": leg}``; so a failing run expands box
+    monomials a second time, up to the witness's or, when closure holds, all.
     """
     box = as_int(box)
     if box < 1:
@@ -655,14 +658,7 @@ def verify_comultiplication(region, rule: ComultRule, box: int) -> VerificationR
         raise ValueError(
             f"box monomial {points[0]} has a negative x-exponent: the region must lie in u_x >= 0"
         )
-    expanded: dict[tuple[int, int], TensorElement] = {}
-
-    def expand(u: tuple[int, int]) -> TensorElement:
-        t = expanded.get(u)
-        if t is None:
-            t = expanded[u] = comult(rule, u)
-        return t
-
+    expand = partial(comult, rule)
     premise = _premise_runs(_runs(points), rule.n)
     disagrees = _first_disagreement(premise, expand, rule.n)
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
@@ -1029,7 +1030,8 @@ def _check_against_oracle(report, region, rule, box):
 
 
 class TestVerifyExpandsOnce:
-    """One ``comult`` call per distinct exponent, and the same report as re-expanding."""
+    """One ``comult`` call per distinct exponent on a passing run, one expansion held
+    at a time, and the same report as re-expanding."""
 
     @pytest.mark.parametrize(
         "spec, rule, box",
@@ -1082,6 +1084,38 @@ class TestVerifyExpandsOnce:
         calls.clear()
         verify_comultiplication(region, rule, 4)
         assert calls == Counter(dict.fromkeys(needed, 1))
+
+    @pytest.mark.parametrize(
+        "spec, box", [(MonoidSpec.group(1), 16), (MonoidSpec.y(1, 6, 25), 68)], ids=["group", "y"]
+    )
+    def test_holds_one_expansion_at_a_time(self, spec, box):
+        # With every expansion of P held, the peaks were about 8,900 KB (group) and 5,100 KB (y).
+        tracemalloc.start()
+        try:
+            assert verify_bialgebra(spec, box).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+
+    def test_failing_run_expands_the_box_again_up_to_the_witness(self, monkeypatch):
+        region, rule, box = cone_of_spec(MonoidSpec.y(2, 1, 1)), ComultRule(5), 4
+        expected = verify_by_reexpansion(region, rule, box).to_json()
+        exact = monoids.comult
+        calls = Counter()
+
+        def counting(rule, u):
+            calls[u] += 1
+            return exact(rule, u)
+
+        monkeypatch.setattr(monoids, "comult", counting)
+        report = verify_comultiplication(region, rule, box)
+        assert report.to_json() == expected
+        assert [c.name for c in report.checks if not c.passed] == ["cone-closure"]
+        points = box_lattice_points(region, box)
+        premise = _run_points(monoids._premise_runs(monoids._runs(points), rule.n))
+        witnessed = points[: points.index(tuple(report.checks[0].witness["monomial"])) + 1]
+        assert calls == Counter(premise) + Counter(witnessed)
 
 
 def _key_components(t: TensorElement) -> list[int]:
@@ -1503,7 +1537,7 @@ class TestAgreesWithRule:
         assert [c.witness for c in report.checks[1:]] == [{"disagrees": list(w)}] * 4
 
 
-class TestOneDictCoassociativity:
+class TestCorruptedLegFailsCoassociativity:
     """A corrupted leg expansion fails coassociativity with the ``disagrees``
     witness, also where the oracle's merged sides agree: zero terms that
     cancel leave the element, so no axiom, unchanged, but not the expansion
