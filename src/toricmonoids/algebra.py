@@ -12,6 +12,17 @@ scaled by a pairing) round out the toolbox.
 
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -30,6 +41,48 @@ from .lattice import (
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a Laurent element at a zero of one of its denominators."""
+
+
+# Decimal arithmetic that keeps every digit: a step that would round or overflow raises.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
+
+
+def _binomials(d: int) -> list[int]:
+    """The binomial row ``[C(d, 0), ..., C(d, d)]``.
+
+    Each entry is one exact big-int step from the one before,
+    ``C(d, i+1) = C(d, i) * (d-i) // (i+1)``; the second half mirrors the first.
+    """
+    row = [1] * (d + 1)
+    c = 1
+    for i in range(d // 2):
+        c = c * (d - i) // (i + 1)
+        row[i + 1] = row[d - i - 1] = c
+    return row
+
+
+def _binomial_texts(d: int) -> list[str]:
+    """``[str(c) for c in _binomials(d)]``: the same recurrence run in :mod:`decimal`.
+
+    CPython prints an int in time quadratic in its digits; a ``Decimal`` is
+    stored in base-10 limbs and prints in linear time.  With ``L`` about
+    ``0.3*d`` digits per entry the row costs O(d*L) digit operations, not
+    O(d*L^2).  Each step runs under ``_EXACT``, so a product keeps every digit
+    or raises, and each integer quotient is exact, since
+    ``C(d, i) * (d-i) = C(d, i+1) * (i+1)``; no float is used.  Unlike ``str``
+    of an int, it has no digit limit.
+    """
+    row = ["1"] * (d + 1)
+    c = Decimal(1)
+    mul, div = _EXACT.multiply, _EXACT.divide_int
+    for i in range(d // 2):
+        c = div(mul(c, d - i), i + 1)
+        row[i + 1] = row[d - i - 1] = str(c)
+    return row
 
 
 def _sum(pairs) -> dict:
@@ -240,7 +293,8 @@ class TensorElement(_Sparse):
     the Laurent algebra; houses comultiplication outputs.
     """
 
-    __slots__ = ()
+    # ``_degree``: set only by ``monoids._expand``; see :meth:`json_chunks`.
+    __slots__ = ("_degree",)
     _UNIT = ((0, 0), (0, 0))
     _CHUNK_TERMS = 256  # terms per piece of json_chunks
 
@@ -277,13 +331,25 @@ class TensorElement(_Sparse):
 
         Every coefficient is printed, and every exponent checked, at the call: like ``str``, it
         raises ``ValueError`` on an int past CPython's int-to-str digit limit before any piece.
+        A comultiplication built by ``monoids._expand`` carries its degree ``d``: its
+        coefficients, in term order, are the binomial row of degree ``d``, printed by
+        :func:`_binomial_texts` in O(d*L) digit operations.  Then only the largest coefficient,
+        the central one, is printed as an int for the digit limit, and only the first and last
+        keys are checked, since each exponent is affine in ``j`` and so largest in magnitude at
+        an end.  Every other tensor prints each distinct coefficient with ``str``.
         """
-        text = self._coef_texts()
+        terms, d = self._terms, getattr(self, "_degree", None)
+        if d is None:
+            text = self._coef_texts()
+            coefs, ends = map(text.__getitem__, terms.values()), terms
+        else:
+            str(next(islice(terms.values(), d // 2, None)))  # C(d, d // 2), the largest
+            coefs, ends = _binomial_texts(d), (next(iter(terms)), next(reversed(terms)))
         flat = chain.from_iterable
-        str(max(map(abs, flat(flat(self._terms))), default=0))  # the exponents' digit limit
+        str(max(map(abs, flat(flat(ends))), default=0))  # the exponents' digit limit
         row = '{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
-        rows = (row % (l0, l1, r0, r1, text[c]) for ((l0, l1), (r0, r1)), c in self._terms.items())
-        n, step = len(self._terms), self._CHUNK_TERMS
+        rows = (row % (l0, l1, r0, r1, c) for ((l0, l1), (r0, r1)), c in zip(terms, coefs))
+        n, step = len(terms), self._CHUNK_TERMS
         return (
             ("[" if i == 0 else ", ") + ", ".join(islice(rows, step)) + ("]" if i + step >= n else "")
             for i in range(0, max(n, 1), step)

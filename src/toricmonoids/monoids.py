@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .algebra import TensorElement
+from .algebra import TensorElement, _binomials
 from .demazure import RootPair, _require_root
 from .lattice import (
     Cone2,
@@ -184,20 +184,6 @@ class ComultRule(_Record):
         _setattr(self, "n", n)
 
 
-def _binomials(d: int) -> list[int]:
-    """The binomial row ``[C(d, 0), ..., C(d, d)]``.
-
-    Each entry is one exact big-int step from the one before,
-    ``C(d, i+1) = C(d, i) * (d-i) // (i+1)``; the second half mirrors the first.
-    """
-    row = [1] * (d + 1)
-    c = 1
-    for i in range(d // 2):
-        c = c * (d - i) // (i + 1)
-        row[i + 1] = row[d - i - 1] = c
-    return row
-
-
 def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
     """``sum_j C(d, j) chi^(u + j*e2) (x) chi^(u + (d-j)*e1)``: the one expansion of both routes.
 
@@ -206,6 +192,8 @@ def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
     built in canonical order with no sort: ``j`` ascends when the step is
     above zero (lexicographically), else descends; the row is symmetric.
     Costs O(d) big-int steps: one binomial row, keys stepped by additions.
+    The result carries ``d`` in its ``_degree`` slot, which nothing else
+    sets, so :meth:`TensorElement.json_chunks` prints the row in base 10.
     """
     (e1x, e1y), (e2x, e2y) = e1, e2
     if (e2x, e2y, -e1x, -e1y) > (0, 0, 0, 0):  # from j = 0, stepping by (e2, -e1)
@@ -216,7 +204,9 @@ def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
     for c in _binomials(d):
         terms[(lx, ly), (rx, ry)] = c
         lx, ly, rx, ry = lx + sx, ly + sy, rx + tx, ry + ty
-    return TensorElement._of(terms)
+    out = TensorElement._of(terms)
+    out._degree = d
+    return out
 
 
 def comult(rule: ComultRule, u) -> TensorElement:

@@ -1,7 +1,8 @@
 import json
 import random
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from toricmonoids import (
     comult_from_root_pair,
     is_locally_nilpotent_on,
 )
+from toricmonoids.algebra import _binomial_texts, _binomials
 
 X = LaurentElement.monomial((1, 0))
 Y = LaurentElement.monomial((0, 1))
@@ -208,10 +210,41 @@ def _tensor_of(terms: int, mode: str) -> TensorElement:
         return TensorElement.zero()
     if mode == "spec":
         return comult(ComultRule(2), (terms - 1, 3))
+    return _quadrant_expansion(1, (2, terms - 1))
+
+
+def _quadrant_expansion(k: int, u) -> TensorElement:
+    """The comultiplication of ``u`` through the roots (0, -1) and (k, -1) at the ray (0, 1) of
+    the quadrant: term ``j`` has the left exponent ``(u_x + j*k, u_y - j)``."""
     sigma = Cone2.from_rays((1, 0), (0, 1), N)
     i = sigma.ray_index((0, 1))
-    pair = RootPair(DemazureRoot(LatticePoint(0, -1), i), DemazureRoot(LatticePoint(1, -1), i))
-    return comult_from_root_pair(sigma, pair, (2, terms - 1))
+    pair = RootPair(DemazureRoot(LatticePoint(0, -1), i), DemazureRoot(LatticePoint(k, -1), i))
+    return comult_from_root_pair(sigma, pair, u)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """CPython's int-to-str digit limit lowered to 640 for one test, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestBinomialTexts:
+    """The base-10 binomial row prints the big-int row, entry for entry."""
+
+    def test_rows_up_to_300(self):
+        for d in range(301):
+            assert _binomial_texts(d) == [str(c) for c in _binomials(d)]
+
+    @pytest.mark.parametrize("d", [1999, 2000, 10000])
+    def test_long_rows(self, d):
+        texts = _binomial_texts(d)
+        assert texts == [str(c) for c in _binomials(d)]
+        assert texts[d // 2] == str(comb(d, d // 2))
 
 
 class TestTensorJsonChunks:
@@ -219,7 +252,7 @@ class TestTensorJsonChunks:
     int past the digit limit raises at the call."""
 
     @pytest.mark.parametrize("mode", ["spec", "root-pair"])
-    @pytest.mark.parametrize("terms", [0, 1, 256, 257, 513])
+    @pytest.mark.parametrize("terms", [0, 1, 256, 257, 513, 2001])
     def test_joined_pieces_are_the_json(self, terms, mode):
         t = _tensor_of(terms, mode)
         assert len(t.terms()) == terms
@@ -240,6 +273,53 @@ class TestTensorJsonChunks:
         t = TensorElement.monomial(left, right, coef) + _tensor_of(600, "spec")
         with pytest.raises(ValueError, match="digits"):
             t.json_chunks()
+
+    @pytest.mark.parametrize(
+        "expansion",
+        [
+            lambda: comult(ComultRule(1), (2200, 0)),
+            lambda: comult(ComultRule(1), (3, 10**700)),
+            lambda: comult(ComultRule(1), (3, -(10**700))),
+            lambda: comult(ComultRule(10**700), (3, 0)),
+            lambda: _quadrant_expansion(10**700, (0, 3)),
+        ],
+        ids=["central-coefficient", "exponent", "negative-exponent", "first-key", "last-key"],
+    )
+    def test_binomial_row_past_the_digit_limit_raises_at_the_call(self, digit_limit_640, expansion):
+        # C(2200, 1100) has 661 digits, and the base-10 row prints it with no limit: only the
+        # central coefficient's own ``str`` raises.  In the last two cases only the first key,
+        # then only the last, holds an exponent past the limit.
+        t = expansion()
+        with pytest.raises(ValueError, match="digits"):
+            t.json_chunks()
+
+    @pytest.mark.parametrize("mode", ["spec", "root-pair"])
+    def test_expansions_print_without_str_of_each_coefficient(self, monkeypatch, mode):
+        t = _tensor_of(2001, mode)
+        expected = json.dumps(t.to_json())
+
+        def refuse(self):
+            raise AssertionError("an expansion's coefficients are the binomial row")
+
+        monkeypatch.setattr(TensorElement, "_coef_texts", refuse)
+        assert t.to_json_text() == expected
+
+    def test_only_expansions_carry_their_degree(self):
+        t = _tensor_of(6, "spec")
+        assert t._degree == 5 and _tensor_of(6, "root-pair")._degree == 5
+        built = [
+            TensorElement(t.terms()),
+            TensorElement._of(t._terms),
+            t + TensorElement.zero(),
+            t * TensorElement.one(),
+            t * 1,
+            -t,
+            t**1,
+            t.flip(),
+            t.map_exponents(lambda e: e),
+        ]
+        for other in built:
+            assert not hasattr(other, "_degree")
 
 
 class TestTensor:

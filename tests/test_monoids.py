@@ -53,7 +53,7 @@ from toricmonoids import (
     verify_comultiplication,
 )
 
-from toricmonoids.monoids import _binomials
+from toricmonoids.algebra import _binomials
 
 from oracles import (
     comult_by_comb,
@@ -1122,7 +1122,7 @@ def _key_components(t: TensorElement) -> list[int]:
     return [c for (left, right) in t.support() for c in (*left, *right)]
 
 
-class TestPackedMultiplicativity:
+class TestMultiplicativityAgainstPairLoop:
     """Multiplicativity decided by the closed-form premise gives the report of
     ``TensorElement`` products, and a corrupted expansion that the oracle's
     pair loop rejects fails the premise too."""
