@@ -66,12 +66,16 @@ MAX_ROOT_BOUND = 1000
 # 22 MB of JSON, in pieces of 256 terms, in about 0.2 s of wall time (0.6 s
 # with one ``str`` per coefficient), and peaks at about 36 MB RSS (Python 3.11.7).
 MAX_DEGREE = 10_000
-# ``multiply``: a chart product raises a point coordinate to at most the power
-# b + 2n.  Refused when that largest power term is estimated above this many
-# bits, the coordinate's bit length times b + 2n: about 315,000 digits, 73
-# times the 4,300-digit output limit, so a product whose terms cancel (such as
-# p2 = q2 = 10^1000, q1 = -p1/10^1000 at small b + n) still prints.  The
-# largest product allowed takes about 0.2 s (Python 3.11.7).
+# ``multiply``: the chart is the Hilbert basis of the spec's cone, at most
+# a + 1 monomials, whose expansions have T <= (a + 1)(a + 2)/2 terms in all.
+MAX_CHART_A = 30
+# ``multiply``: a chart product raised a point coordinate to at most the power
+# b + max(a, 2)*n on every X and Y spec with n <= 3 and a, b <= 24.  Refused
+# when the coordinate's bit length times that power is over this many bits
+# (about 315,000 digits, 73 times the 4,300-digit output limit, so a product
+# whose terms cancel, such as p2 = q2 = 10^1000, q1 = -p1/10^1000 at small
+# b + n, still prints), times 6/T past the quadric's T = 6: each term takes
+# such a power and, at rational points, gcds of its size.
 MAX_POWER_BITS = 1 << 20
 # ``--k-max`` of ``invariants`` and ``catalog``, and each catalog bound on n, a and b.
 MAX_K = 1000
@@ -317,13 +321,13 @@ def _cmd_multiply(args) -> int:
     p = _read(args.p, "point p", "point p", _point_of_json)
     q = _read(args.q, "point q", "point q", _point_of_json)
     if spec.family is not Family.GROUP:
+        _at_most("a", spec.a, MAX_CHART_A)
         _at_most("b + n", spec.b + spec.n, MAX_DEGREE)
-        power = spec.b + 2 * spec.n
+        power = spec.b + max(spec.a, 2) * spec.n
+        budget = MAX_POWER_BITS * 6 // max(6, (spec.a + 1) * (spec.a + 2) // 2)
         bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in p + q), default=0)
-        if bits * power > MAX_POWER_BITS:
-            raise UsageError(
-                f"a {bits}-bit coordinate to the power {power} is over {MAX_POWER_BITS} bits"
-            )
+        if bits * power > budget:
+            raise UsageError(f"a {bits}-bit coordinate to the power {power} is over {budget} bits")
     arity = len(_chart(spec, "point multiplication"))
     for what, point in (("point p", p), ("point q", q)):
         if len(point) != arity:
@@ -441,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("boundary", _cmd_boundary, "boundary-divisor data of a spec")
 
     p = add(
-        "multiply", _cmd_multiply, f"multiply two chart points (b + n at most {MAX_DEGREE})"
+        "multiply",
+        _cmd_multiply,
+        f"multiply two chart points (a at most {MAX_CHART_A}, b + n at most {MAX_DEGREE})",
     )
     p.add_argument("--p", required=True, help="first point, JSON list of rationals")
     p.add_argument("--q", required=True, help="second point, JSON list of rationals")

@@ -28,6 +28,7 @@ multiplication, and a machine check of the bialgebra axioms.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -41,12 +42,14 @@ from .lattice import (
     M,
     N,
     _check_ambient,
+    _det,
     _json_int,
     _quoted,
     _Record,
     _setattr,
     as_int,
     box_lattice_points,
+    hilbert_basis,
     int_xy,
     parse_rational,
 )
@@ -67,10 +70,6 @@ class NotAMonoidError(ValueError):
             f"cone point {witness} requires {missing} in the cone "
             f"for the weight-{n} comultiplication to restrict"
         )
-
-
-class UnsupportedChartError(ValueError):
-    """The chart functions know only the plane charts ``a = 1`` and the quadric ``X(n, 2, b)``."""
 
 
 class Family(str, enum.Enum):
@@ -429,88 +428,89 @@ def boundary(spec: MonoidSpec) -> BoundaryInfo:
 
 
 def _chart(spec: MonoidSpec, what: str) -> tuple[tuple[int, int], ...]:
-    """The chart's monomials, one per coordinate: the only family dispatch of the charts.
+    """The chart's monomials, one per coordinate: the Hilbert basis of the spec's cone.
 
-    ``X(n, 1, b)``: ``chi^(1, b), chi^(0, 1)``; ``Y(n, 1, b)``:
-    ``chi^(1, -b-n), chi^(0, -1)``; the quadric ``X(n, 2, b)``:
-    ``chi^(0, 1), chi^(1, (b+1)/2), chi^(2, b)`` (``b`` is odd by coprimality).
+    Sorted order is angular: every generator but the axis ray has ``u_x > 0``,
+    and two with the same ``u_x`` would differ by a multiple of the axis ray.
+    A two-element basis is reversed, so the plane charts ``a = 1`` keep their
+    non-axis monomial first.
     """
     _require_surface_family(spec, what)
-    n, a, b = spec.n, spec.a, spec.b
-    if a == 1:
-        return ((1, b), (0, 1)) if spec.family is Family.X else ((1, -b - n), (0, -1))
-    if spec.family is Family.X and a == 2:
-        return ((0, 1), (1, (b + 1) // 2), (2, b))
-    raise UnsupportedChartError(f"no explicit chart for {spec}")
+    chart = tuple(g.xy for g in hilbert_basis(cone_of_spec(spec)))
+    return chart[::-1] if len(chart) == 2 else chart
 
 
-def _chart_point(spec: MonoidSpec, p, arity: int) -> tuple[int | Fraction, ...]:
-    coords = tuple(parse_rational(v) for v in p)
-    if len(coords) != arity:
-        raise ValueError(f"{spec} chart points have {arity} coordinates, got {len(coords)}")
-    return coords
+def _chart_point(spec: MonoidSpec, chart: tuple, p) -> tuple[int | Fraction, ...]:
+    """The point ``p`` read exactly; ``ValueError`` unless it lies on the surface, in O(s) steps.
 
-
-def _powers(spec: MonoidSpec, chart: tuple, ux: int, uy: int) -> tuple[int, ...]:
-    """The exponents of ``chi^u`` over the chart's monomials; off the cone, ``ValueError``.
-
-    A plane chart ``((1, s), (0, t))``, ``t = +-1``, gives ``u`` uniquely as
-    ``u_x*(1, s) + t*(u_y - u_x*s)*(0, t)``.  The quadric takes ``divmod(u_x, 2)``
-    copies of ``chi^(2, b)`` and ``chi^(1, h)``, the rest on ``chi^(0, 1)``.
+    The nonzero coordinates of a surface point form a face: the origin or a
+    ray, when every coordinate but the first or but the last is zero, or the
+    torus, cut out by the consecutive relations ``z[i-1]*z[i+1] = z[i]^c``,
+    ``c = |det(g[i-1], g[i+1])|``, of the chart monomials ``g``
+    (Riemenschneider 1974): ``(z[0], z[1])`` fixes a torus point, because
+    consecutive monomials form a lattice basis (Cox–Little–Schenck Ch. 10).
     """
-    if len(chart) == 2:
-        (_, s), (_, t) = chart
-        powers = (ux, t * (uy - ux * s))
-    else:
-        _, (_, h), (_, b) = chart
-        g3, g2 = divmod(ux, 2)
-        powers = (uy - g2 * h - g3 * b, g2, g3)
-    if min(powers) < 0:
-        raise ValueError(f"monomial ({ux}, {uy}) is not in the cone of {spec}")
-    return powers
+    z = tuple(parse_rational(v) for v in p)
+    if len(z) != len(chart):
+        raise ValueError(f"{spec} chart points have {len(chart)} coordinates, got {len(z)}")
+    on_torus = all(z) and all(
+        z[i - 1] * z[i + 1] == z[i] ** abs(_det(chart[i - 1], chart[i + 1]))
+        for i in range(1, len(z) - 1)
+    )
+    if not (on_torus or not any(z[1:]) or not any(z[:-1])):
+        raise ValueError(f"({', '.join(map(str, z))}) is not a point of the {spec} surface")
+    return z
 
 
-def _value(point: tuple, powers: tuple[int, ...], factor=1) -> int | Fraction:
-    """``factor`` times the chart coordinates to the given powers; zero powers are skipped."""
-    for c, e in zip(point, powers):
-        if e:
-            factor *= c**e
-    return factor
+def _powers(spec: MonoidSpec, chart: tuple, u: tuple[int, int]) -> tuple[int, int, int]:
+    """``(i, e, f)`` with ``chi^u = g[i]^e * g[i+1]^f`` for the chart monomials ``g``.
+
+    A monomial off the cone raises ``ValueError``.  Bisection on the side of
+    ``u`` each monomial lies on finds the cell of ``u`` in O(log s), and that
+    cell's lattice basis gives the powers as two determinants.
+    """
+    sign = _det(chart[0], chart[1])  # +-1, the orientation of every consecutive pair
+    i = bisect_right(range(1, len(chart) - 1), 0, key=lambda j: sign * _det(u, chart[j]))
+    e, f = sign * _det(u, chart[i + 1]), sign * _det(chart[i], u)
+    if e < 0 or f < 0:
+        raise ValueError(f"monomial {u} is not in the cone of {spec}")
+    return i, e, f
+
+
+def _value(point: tuple, powers: tuple[int, int, int], factor=1) -> int | Fraction:
+    """``factor`` times the chart coordinates to the given powers, an ``int`` when integral."""
+    i, e, f = powers
+    if e:
+        factor *= point[i] ** e
+    if f:
+        factor *= point[i + 1] ** f
+    return factor.numerator if factor.denominator == 1 else factor
 
 
 def _pair_value(spec: MonoidSpec, chart: tuple, terms, p: tuple, q: tuple) -> int | Fraction:
     """``sum(coef * chi^left(p) * chi^right(q))`` over tensor terms, an ``int`` when integral."""
     total = 0
-    for ((lx, ly), (rx, ry)), coef in terms:
-        left = _value(p, _powers(spec, chart, lx, ly), coef)
-        total += _value(q, _powers(spec, chart, rx, ry), left)
+    for (left, right), coef in terms:
+        total += _value(q, _powers(spec, chart, right), _value(p, _powers(spec, chart, left), coef))
     return total.numerator if total.denominator == 1 else total
 
 
 def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
-    """Exact chart-level product of two points, an ``int`` per coordinate when integral.
+    """Exact chart-level product of two surface points, an ``int`` per coordinate when integral.
 
     Coordinate ``i`` is the comultiplication of the chart's ``i``-th monomial
     evaluated at ``(p, q)``: the sum of ``coef * chi^left(p) * chi^right(q)``.
-    Supported charts: the planes ``X(n, 1, b)`` and ``Y(n, 1, b)``, and the
-    quadric cone ``X(n, 2, b)`` whose points ``(x, y, z)`` satisfy ``x*z = y^2``.
+    Every X and Y spec has a chart (:func:`_chart`); a point off the surface
+    raises ``ValueError``.
     """
     chart = _chart(spec, "point multiplication")
-    p = _chart_point(spec, p, len(chart))
-    q = _chart_point(spec, q, len(chart))
-    if len(chart) == 3:
-        for (cx, cy, cz) in (p, q):
-            if cx * cz != cy**2:
-                raise ValueError(f"({cx}, {cy}, {cz}) violates the chart relation x*z = y^2")
+    p, q = _chart_point(spec, chart, p), _chart_point(spec, chart, q)
     rule = ComultRule(spec.n)
-    out = tuple(_pair_value(spec, chart, comult(rule, g)._terms.items(), p, q) for g in chart)
-    if len(chart) == 3:
-        assert out[0] * out[2] == out[1] ** 2
-    return out
+    return tuple(_pair_value(spec, chart, comult(rule, g)._terms.items(), p, q) for g in chart)
 
 
 def chart_unit(spec: MonoidSpec) -> tuple[int, ...]:
-    """The unit element of a supported chart: each chart monomial at its counit, an ``int``."""
+    """The unit element of the chart: each chart monomial at its counit, an ``int``."""
     return tuple(counit(g) for g in _chart(spec, "the chart unit"))
 
 
@@ -520,26 +520,22 @@ def chart_zero(spec: MonoidSpec) -> tuple[int, ...]:
 
 
 def chart_monomial_value(spec: MonoidSpec, u, point) -> int | Fraction:
-    """Value of the cone monomial ``chi^u`` at a chart point.
+    """Value of the cone monomial ``chi^u`` at a surface point, an ``int`` when integral.
 
-    Writes ``u`` as a nonnegative combination of the chart's monomials and
-    evaluates; on the quadric the decomposition is only unique up to the
-    chart relation, which does not affect the value.
+    Writes ``u`` over the two chart monomials of the cell that holds it and
+    evaluates; on the surface every decomposition gives this value.
     """
     chart = _chart(spec, "chart evaluation")
-    ux, uy = int_xy(u, M)
-    point = _chart_point(spec, point, len(chart))
-    return _value(point, _powers(spec, chart, ux, uy))
+    return _value(_chart_point(spec, chart, point), _powers(spec, chart, int_xy(u, M)))
 
 
 def tensor_chart_value(spec: MonoidSpec, t: TensorElement, p, q) -> int | Fraction:
-    """Value of a tensor element at a pair of chart points, an ``int`` when integral.
+    """Value of a tensor element at a pair of surface points, an ``int`` when integral.
 
     A leg off the cone raises ``ValueError``, as in :func:`chart_monomial_value`.
     """
     chart = _chart(spec, "chart evaluation")
-    p = _chart_point(spec, p, len(chart))
-    q = _chart_point(spec, q, len(chart))
+    p, q = _chart_point(spec, chart, p), _chart_point(spec, chart, q)
     return _pair_value(spec, chart, t._terms.items(), p, q)
 
 

@@ -21,16 +21,16 @@ from toricmonoids import (
     LaurentElement,
     RootPair,
     TensorElement,
-    UnsupportedChartError,
     VerificationReport,
     box_lattice_points,
     cone_of_spec,
     monoids,
+    parse_rational,
 )
 from toricmonoids.algebra import _merge
 from toricmonoids.demazure import _check_sigma
 from toricmonoids.lattice import int_xy
-from toricmonoids.monoids import _chart_point, _require_surface_family
+from toricmonoids.monoids import _require_surface_family
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -262,6 +262,13 @@ def _quadric_k(spec: MonoidSpec) -> int:
     return (spec.b - 1) // 2
 
 
+def _formula_point(spec: MonoidSpec, p, arity: int) -> tuple:
+    point = tuple(parse_rational(v) for v in p)
+    if len(point) != arity:
+        raise ValueError(f"{spec} chart points have {arity} coordinates, got {len(point)}")
+    return point
+
+
 def multiply_points_by_formula(spec: MonoidSpec, p, q) -> tuple:
     """Chart-level products by the hand-written formulas of the three charts.
 
@@ -272,15 +279,15 @@ def multiply_points_by_formula(spec: MonoidSpec, p, q) -> tuple:
     _require_surface_family(spec, "point multiplication")
     n, a, b = spec.n, spec.a, spec.b
     if a == 1:
-        p1, p2 = _chart_point(spec, p, 2)
-        q1, q2 = _chart_point(spec, q, 2)
+        p1, p2 = _formula_point(spec, p, 2)
+        q1, q2 = _formula_point(spec, q, 2)
         if spec.family is Family.X:
             return (p1 * q2**b + p2 ** (b + n) * q1, p2 * q2)
         return (p1 * q2 ** (b + n) + p2**b * q1, p2 * q2)
     if spec.family is Family.X and a == 2:
         k = _quadric_k(spec)
-        px, py, pz = _chart_point(spec, p, 3)
-        qx, qy, qz = _chart_point(spec, q, 3)
+        px, py, pz = _formula_point(spec, p, 3)
+        qx, qy, qz = _formula_point(spec, q, 3)
         for (cx, cy, cz) in ((px, py, pz), (qx, qy, qz)):
             if cx * cz != cy**2:
                 raise ValueError(f"({cx}, {cy}, {cz}) violates the chart relation x*z = y^2")
@@ -293,7 +300,34 @@ def multiply_points_by_formula(spec: MonoidSpec, p, q) -> tuple:
         )
         assert out[0] * out[2] == out[1] ** 2
         return out
-    raise UnsupportedChartError(f"no explicit chart multiplication for {spec}")
+    raise ValueError(f"no explicit chart multiplication for {spec}")
+
+
+def on_surface_by_pair_relations(chart, z) -> bool:
+    """Does ``z`` satisfy every pair relation ``z_i * z_j = z(g_i + g_j)`` of the chart monomials ``g``?
+
+    ``z(u)`` is read in the cell of ``u``: the consecutive pair of monomials
+    whose nonnegative integral combination it is, found by solving each
+    pair's 2x2 system with Cramer's rule.  Consecutive monomials form a
+    lattice basis, so every cone point has such a cell, and these binomials,
+    one per pair ``i <= j``, cut out the surface: the torus and its boundary
+    alike.
+    """
+
+    def value(u):
+        for k in range(len(chart) - 1):
+            (gx, gy), (hx, hy) = chart[k], chart[k + 1]
+            det = gx * hy - gy * hx
+            e, f = Fraction(u[0] * hy - u[1] * hx, det), Fraction(gx * u[1] - gy * u[0], det)
+            if e >= 0 and f >= 0 and e.denominator == f.denominator == 1:
+                return z[k] ** int(e) * z[k + 1] ** int(f)
+        raise AssertionError(f"{u} lies in no cell of {chart}")
+
+    return all(
+        z[i] * z[j] == value((gi[0] + gj[0], gi[1] + gj[1]))
+        for i, gi in enumerate(chart)
+        for j, gj in enumerate(chart[i:], i)
+    )
 
 
 def verify_by_reexpansion(region, rule: ComultRule, box: int) -> VerificationReport:

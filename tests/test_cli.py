@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricmonoids
+from toricmonoids import cli, monoids
 from toricmonoids import (
+    ComultRule,
     Family,
     MonoidSpec,
     boundary,
@@ -570,6 +572,10 @@ class TestRejectedInput:
                 "b + n is at most 10000, got 20001",
             ),
             (
+                ("multiply", '{"family":"Y","n":1,"a":31,"b":2}', "--p", "[1]", "--q", "[1]"),
+                "a is at most 30, got 31",
+            ),
+            (
                 (
                     "comult", '{"rays":[[1,1],[0,1]],"ambient":"N"}',
                     "--monomial", f"[{DIGITS_4300},{DIGITS_4300}]",
@@ -579,7 +585,7 @@ class TestRejectedInput:
             ),
         ],
         ids=["roots-bound", "catalog-a-max", "catalog-first-bound-over", "invariants-k-max", "catalog-k-max",
-             "comult-x-exponent", "multiply-b-plus-n", "pair-degree-over-digit-limit"],
+             "comult-x-exponent", "multiply-b-plus-n", "multiply-a", "pair-degree-over-digit-limit"],
     )
     def test_caps_in_one_wording(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -600,9 +606,7 @@ class TestRejectedInput:
     def test_point_of_the_wrong_arity(self, capsys, spec, p, q, message):
         assert run_cli(capsys, "multiply", spec, "--p", p, "--q", q) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "spec", ['{"family":"Group","n":1}', '{"family":"Y","n":1,"a":2,"b":1}'], ids=["group", "no-chart"]
-    )
+    @pytest.mark.parametrize("spec", ['{"family":"Group","n":1}'], ids=["group"])
     def test_spec_without_a_chart_is_refused_before_the_arity(self, capsys, spec):
         code, out, err = run_cli(capsys, "multiply", spec, "--p", "[1,2,3,4]", "--q", "[1]")
         assert (code, err) == (1, "")
@@ -689,6 +693,53 @@ class TestMultiplyPowerSize:
         assert code == 0 and json.loads(out) == [str(2**1023 + 1), "1"]
         code, out, _ = self._multiply(capsys, 1023, p, ["1", "1"])
         assert (code, out) == (2, "")
+
+
+class TestMultiplyEveryChart:
+    """``multiply`` works on every X and Y spec up to the ``a`` cap, on its Hilbert-basis chart."""
+
+    def test_former_spec_without_a_chart_multiplies_and_refuses_a_point_off_the_surface(self, capsys):
+        spec = '{"family":"Y","n":1,"a":2,"b":1}'
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", '["2","8","32"]', "--q", '["1","1","1"]')
+        assert (code, out, err) == (0, '["2", "10", "50"]\n', "")
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", '["1","1","2"]', "--q", '["1","1","1"]')
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "(1, 1, 2) is not a point of the Y(1,2,1) surface"}
+
+    def test_bit_budget_shrinks_with_the_expansion_terms(self, capsys):
+        # X(1,30,1) has the chart (0,1), (1,1), ..., (30,1): 31 * 32 / 2 = 496
+        # expansion terms, so the budget is 2**20 * 6 // 496 = 12,684 bits.
+        spec, zeros = '{"family":"X","n":1,"a":30,"b":1}', ["0"] * 30
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", json.dumps([str(2**408)] + zeros), "--q", '["1"]')
+        assert (code, out) == (2, "") and "chart points have 31 coordinates" in err  # 409 * 31 bits fit
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", json.dumps([str(2**409)] + zeros), "--q", '["1"]')
+        assert (code, out, err) == (2, "", "error: a 410-bit coordinate to the power 31 is over 12684 bits\n")
+
+    def test_power_estimate_bounds_every_exponent_taken(self, capsys, monkeypatch):
+        # With no bit budget the refusal names the estimate for a 1-bit coordinate.
+        monkeypatch.setattr(cli, "MAX_POWER_BITS", 0)
+        for n in range(1, 4):
+            for a in range(1, 13):
+                for b in range(0, 13):
+                    if gcd(a, b) != 1:
+                        continue
+                    for spec in (MonoidSpec.x(n, a, b), MonoidSpec.y(n, a, b)):
+                        code, _, err = run_cli(
+                            capsys, "multiply", json.dumps(spec.to_json()), "--p", "[1]", "--q", "[1]"
+                        )
+                        assert code == 2
+                        estimate = int(err.split("to the power ")[1].split()[0])
+                        chart = monoids._chart(spec, "")
+                        taken = max(
+                            power
+                            for g in chart
+                            for key in monoids.comult(ComultRule(n), g).support()
+                            for leg in key
+                            for power in monoids._powers(spec, chart, leg)[1:]
+                        )
+                        assert taken <= estimate, (spec, taken, estimate)
+                        if a <= 2:
+                            assert estimate == b + 2 * n
 
 
 class TestErrorContract:

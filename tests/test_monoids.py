@@ -25,7 +25,6 @@ from toricmonoids import (
     RationalPoint,
     RootPair,
     TensorElement,
-    UnsupportedChartError,
     boundary,
     box_lattice_points,
     chart_monomial_value,
@@ -60,11 +59,18 @@ from oracles import (
     comult_from_root_pair_by_comb,
     image_ideal_codim_search,
     multiply_points_by_formula,
+    on_surface_by_pair_relations,
     rand_fraction,
     rand_nonzero_fraction,
     restriction_scan,
     verify_by_reexpansion,
 )
+
+
+def chart_of(spec):
+    """The chart monomials in coordinate order: the Hilbert basis, a two-element one reversed."""
+    basis = [g.xy for g in hilbert_basis(cone_of_spec(spec))]
+    return basis[::-1] if len(basis) == 2 else basis
 
 
 def small_xy_specs(n_max, ab_max, b_min=0):
@@ -730,10 +736,13 @@ class TestMultiplyPoints:
                     )
 
     def test_unsupported_chart(self):
-        with pytest.raises(UnsupportedChartError):
-            multiply_points(MonoidSpec.x(1, 3, 1), (1, 1), (1, 1))
-        with pytest.raises(UnsupportedChartError):
-            multiply_points(MonoidSpec.y(1, 2, 1), (1, 1, 1), (1, 1, 1))
+        # The specs the hand-written charts left out multiply on their Hilbert
+        # basis: a torus point (x, y) has the coordinates chi^g(x, y), and the
+        # product of (x1, y1) and (x2, y2) is (x1 + y1^n * x2, y1 * y2).
+        x131 = MonoidSpec.x(1, 3, 1)  # chart (0, 1), (1, 1), (2, 1), (3, 1)
+        assert multiply_points(x131, (1, 2, 4, 8), (1, 1, 1, 1)) == (1, 3, 9, 27)
+        y121 = MonoidSpec.y(1, 2, 1)  # chart (0, -1), (1, -2), (2, -3)
+        assert multiply_points(y121, (2, 8, 32), (1, 1, 1)) == (2, 10, 50)
 
     @pytest.mark.parametrize("chart", ["X1", "Y1", "X2"])
     @pytest.mark.parametrize("kind", ["int", "fraction"])
@@ -843,6 +852,15 @@ class TestChartValues:
         assert all(type(value) is int or value.denominator > 1 for value in values), values
         assert set(counits) == {0, 1}
 
+    @pytest.mark.parametrize(
+        "spec, u, point",
+        [(MonoidSpec.x(1, 1, 1), (1, 2), ("1/2", 2)), (MonoidSpec.x(1, 2, 1), (2, 2), ("1/2", 1, 2))],
+        ids=str,
+    )
+    def test_integral_monomial_value_of_fractions_is_an_int(self, spec, u, point):
+        value = chart_monomial_value(spec, u, point)
+        assert value == 1 and type(value) is int
+
     def test_quadric_chart_zero(self):
         assert chart_zero(MonoidSpec.x(1, 2, 1)) == (0, 0, 0)
 
@@ -852,15 +870,129 @@ class TestChartValues:
         with pytest.raises(ValueError, match=r"^monomial \(.*\) is not in the cone of X\(1,2,1\)$"):
             chart_monomial_value(s, u, (4, 2, 1))
 
-    @pytest.mark.parametrize("spec", [MonoidSpec.x(1, 3, 1), MonoidSpec.y(1, 2, 1)], ids=str)
+    @pytest.mark.parametrize(
+        "spec, size, u",
+        [(MonoidSpec.x(1, 3, 1), 4, (5, 3)), (MonoidSpec.y(1, 2, 1), 3, (5, -8))],
+        ids=["X(1,3,1)", "Y(1,2,1)"],
+    )
     @pytest.mark.parametrize(
         "call",
-        [chart_unit, chart_zero, lambda s: chart_monomial_value(s, (0, 1), (1, 1))],
+        [
+            lambda s, size, u, point: (chart_unit(s), (1,) + (0,) * (size - 1)),
+            lambda s, size, u, point: (chart_zero(s), (0,) * size),
+            lambda s, size, u, point: (chart_monomial_value(s, u, point), 2 ** u[0] * Fraction(1, 2) ** u[1]),
+        ],
         ids=["chart_unit", "chart_zero", "chart_monomial_value"],
     )
-    def test_unsupported_chart(self, spec, call):
-        with pytest.raises(UnsupportedChartError, match=f"^no explicit chart for {re.escape(str(spec))}$"):
-            call(spec)
+    def test_unsupported_chart(self, spec, size, u, call):
+        # The specs the hand-written charts left out get their Hilbert basis as
+        # chart, the axis ray first: a torus point (x, y) has the coordinates
+        # chi^g(x, y), and the unit is (x, y) = (0, 1).
+        point = tuple(2**gx * Fraction(1, 2) ** gy for gx, gy in chart_of(spec))
+        got, expected = call(spec, size, u, point)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: chart_monomial_value(s, (2, 2), (1, 1, 5)),
+            lambda s: tensor_chart_value(s, TensorElement.monomial((2, 2), (0, 1)), (1, 1, 5), (1, 1, 1)),
+            lambda s: tensor_chart_value(s, TensorElement.monomial((0, 1), (2, 2)), (1, 1, 1), (1, 1, 5)),
+            lambda s: multiply_points(s, (1, 1, 1), (1, 1, 5)),
+        ],
+        ids=["chart_monomial_value", "tensor_chart_value-p", "tensor_chart_value-q", "multiply_points"],
+    )
+    def test_point_off_the_surface_refused(self, call):
+        # (2, 2) is (0, 1) + (2, 1) and 2 * (1, 1): off the surface x*z = y^2,
+        # the value would depend on the decomposition (5 or 1).
+        with pytest.raises(ValueError, match=r"^\(1, 1, 5\) is not a point of the X\(1,2,1\) surface$"):
+            call(MonoidSpec.x(1, 2, 1))
+
+
+def _surface_points(spec, rng, count):
+    """Seeded torus points chi^g(x, y), points of both boundary rays, and the origin."""
+    chart = chart_of(spec)
+    values = [Fraction(v) for v in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
+    points = [(0,) * len(chart)]
+    for _ in range(count):
+        x, y = rng.choice(values), rng.choice(values)
+        points.append(tuple(x**gx * y**gy for gx, gy in chart))
+        c = rng.choice(values)
+        points.append((c,) + (0,) * (len(chart) - 1))
+        points.append((0,) * (len(chart) - 1) + (c,))
+    return points
+
+
+def _accepted(spec, z) -> bool:
+    try:
+        chart_monomial_value(spec, chart_of(spec)[0], z)
+    except ValueError:
+        return False
+    return True
+
+
+class TestHilbertBasisChart:
+    """Every X and Y spec multiplies on its Hilbert-basis chart, checked against
+    the monoid laws and the pair relations on n <= 3, a <= 7 and b <= 11."""
+
+    SPECS = list(small_xy_specs(3, 7)) + [
+        s for s in small_xy_specs(3, 11) if s.a <= 7 and s.b > 7
+    ]
+
+    def test_grid(self):
+        assert len(self.SPECS) == len({str(s) for s in self.SPECS}) > 300
+        assert {len(chart_of(s)) for s in self.SPECS} >= {2, 3, 4, 5, 6, 7, 8}
+
+    def test_plane_and_quadric_charts_are_the_hand_written_ones(self):
+        for s in self.SPECS:
+            if s.a == 1 and s.family is Family.X:
+                assert chart_of(s) == [(1, s.b), (0, 1)]
+            elif s.a == 1:
+                assert chart_of(s) == [(1, -s.b - s.n), (0, -1)]
+            elif s.a == 2 and s.family is Family.X:
+                assert chart_of(s) == [(0, 1), (1, (s.b + 1) // 2), (2, s.b)]
+
+    def test_two_sided_unit_and_products_on_the_surface(self):
+        rng = random.Random("hilbert-unit")
+        for s in self.SPECS:
+            unit, chart = chart_unit(s), chart_of(s)
+            assert on_surface_by_pair_relations(chart, unit)
+            for p in _surface_points(s, rng, 2):
+                assert multiply_points(s, unit, p) == p == multiply_points(s, p, unit), (s, p)
+                assert on_surface_by_pair_relations(chart, multiply_points(s, p, p)), (s, p)
+
+    def test_associative(self):
+        rng = random.Random("hilbert-associative")
+        for s in self.SPECS:
+            points = _surface_points(s, rng, 1)
+            for _ in range(3):
+                p, q, r = (rng.choice(points) for _ in range(3))
+                left = multiply_points(s, multiply_points(s, p, q), r)
+                assert left == multiply_points(s, p, multiply_points(s, q, r)), (s, p, q, r)
+
+    def test_origin_absorbs_exactly_when_the_boundary_has_a_zero(self):
+        rng = random.Random("hilbert-zero")
+        for s in self.SPECS:
+            zero = chart_zero(s)
+            absorbs = all(
+                multiply_points(s, zero, p) == zero == multiply_points(s, p, zero)
+                for p in _surface_points(s, rng, 2)
+            )
+            assert absorbs is boundary(s).has_zero, s
+
+    def test_surface_test_agrees_with_the_pair_relations(self):
+        rng = random.Random("hilbert-surface")
+        outcomes = Counter()
+        for s in self.SPECS:
+            chart = chart_of(s)
+            for z in _surface_points(s, rng, 2):
+                z = list(z)
+                i = rng.randrange(len(z))
+                z[i] = rng.choice([z[i], z[i] + 1, 0, 2 * z[i], Fraction(1, 3)])
+                on_surface = on_surface_by_pair_relations(chart, z)
+                assert _accepted(s, z) is on_surface, (s, z)
+                outcomes[on_surface] += 1
+        assert min(outcomes[True], outcomes[False]) > 300, outcomes
 
 
 class TestTorusWeights:
@@ -1281,7 +1413,7 @@ def _shift_run(terms, keys):
         terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
 
 
-class TestKroneckerMultiplicativity:
+class TestMultiplicativityWithoutProducts:
     """Corrupted expansions at a sum of two box monomials or at a box monomial
     fail the closed-form comparison on ``P`` with the ``disagrees`` witness,
     and verifying takes no ``TensorElement`` product, corrupted or not."""
