@@ -369,27 +369,23 @@ class TensorElement(_Sparse):
 
 
 class DerivationRule(_Record):
-    """A homogeneous derivation ``chi^u -> scale * <u, ray> * chi^(u + root)``.
+    """A homogeneous derivation ``chi^u -> <u, ray> * chi^(u + root)``.
 
     ``root`` is the degree of the derivation (a point of M), ``ray`` the
     distinguished one-parameter direction it pairs against (a point of N).
-    The scale accounts for the choice of parametrization of the additive
-    flow; every exported invariant is independent of it.
+    Another parametrization of the additive flow is a rational multiple,
+    ``c * rule.apply(f)``; every exported invariant is independent of it.
     """
 
-    _fields = ("root", "ray", "scale")
+    _fields = ("root", "ray")
 
-    def __init__(self, root: LatticePoint, ray: LatticePoint, scale: int | Fraction = 1):
+    def __init__(self, root: LatticePoint, ray: LatticePoint):
         if root.ambient != M:
             raise ValueError("derivation degree must live in M")
         if ray.ambient != N:
             raise ValueError("derivation ray must live in N")
-        scale = parse_rational(scale)
-        if scale == 0:
-            raise ValueError("derivation scale must be nonzero")
         _setattr(self, "root", root)
         _setattr(self, "ray", ray)
-        _setattr(self, "scale", scale)
 
     def apply(self, f: LaurentElement) -> LaurentElement:
         """Linear extension of the monomial rule; satisfies the Leibniz identity."""
@@ -399,11 +395,8 @@ class DerivationRule(_Record):
         for (a, b), coef in f.terms():
             weight = a * px + b * py
             if weight:
-                pairs.append(((a + rx, b + ry), coef * self.scale * weight))
+                pairs.append(((a + rx, b + ry), coef * weight))
         return LaurentElement(pairs)
-
-    def __call__(self, f: LaurentElement) -> LaurentElement:
-        return self.apply(f)
 
 
 def is_locally_nilpotent_on(rule: DerivationRule, region) -> bool:

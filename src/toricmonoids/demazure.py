@@ -18,7 +18,6 @@ from .lattice import (
     LatticePoint,
     M,
     N,
-    RationalPoint,
     _Record,
     _json_int,
     _json_xy,
@@ -30,7 +29,7 @@ from .lattice import (
 
 def _root_point(e) -> LatticePoint:
     """``e`` read by :func:`int_xy` as a point of M, with the root's own ambient message."""
-    if isinstance(e, (LatticePoint, RationalPoint)) and e.ambient != M:
+    if isinstance(e, LatticePoint) and e.ambient != M:
         raise ValueError("a Demazure root is a character, i.e. a point of M")
     return LatticePoint(*int_xy(e, M), M)
 
@@ -149,10 +148,10 @@ def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticeP
     return (-root.e, LatticePoint(*sigma._normals[root.ray_index], M))
 
 
-def derivation_for(sigma: Cone2, root: DemazureRoot, scale=1) -> DerivationRule:
+def derivation_for(sigma: Cone2, root: DemazureRoot) -> DerivationRule:
     """The homogeneous locally nilpotent derivation indexed by a root."""
     _check_sigma(sigma)
-    return DerivationRule(root=root.e, ray=sigma.rays[root.ray_index], scale=scale)
+    return DerivationRule(root=root.e, ray=sigma.rays[root.ray_index])
 
 
 def _pair_key(sigma: Cone2, pair: RootPair) -> tuple[str, int, int, int]:

@@ -80,14 +80,13 @@ def int_xy(p: PointLike, ambient: str | None) -> tuple[int, int]:
     """Integer coordinates of a lattice point argument.
 
     A ``tuple`` of two ``int`` is returned as it is.  A :class:`LatticePoint`
-    or :class:`RationalPoint` must lie in ``ambient`` (``None`` accepts
-    either lattice).  Every other coordinate goes through :func:`as_int`, so
-    a ``bool``, ``float``, ``str`` or non-integral coordinate raises
-    ``ValueError``.
+    must lie in ``ambient`` (``None`` accepts either lattice).  Every other
+    coordinate goes through :func:`as_int`, so a ``bool``, ``float``, ``str``
+    or non-integral coordinate raises ``ValueError``.
     """
     if type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int:
         return p
-    if isinstance(p, (LatticePoint, RationalPoint)):
+    if isinstance(p, LatticePoint):
         if ambient is not None and p.ambient != ambient:
             raise ValueError(f"expected a point of {ambient}, got one of {p.ambient}")
         x, y = p.x, p.y
@@ -99,11 +98,12 @@ def int_xy(p: PointLike, ambient: str | None) -> tuple[int, int]:
 def exact_xy(q: PointLike, ambient: str) -> tuple:
     """Coordinates of a point tested against a region of ``ambient``.
 
-    A :class:`LatticePoint` or :class:`RationalPoint` must lie in ``ambient``;
-    a coordinate pair must hold exact rationals (``int`` or ``Fraction``), so
-    a ``bool``, ``float`` or ``str`` coordinate raises ``ValueError``.
+    A :class:`LatticePoint` must lie in ``ambient``; a coordinate pair, the
+    form of a rational point, must hold exact rationals (``int`` or
+    ``Fraction``), so a ``bool``, ``float`` or ``str`` coordinate raises
+    ``ValueError``.
     """
-    if isinstance(q, (LatticePoint, RationalPoint)):
+    if isinstance(q, LatticePoint):
         if q.ambient != ambient:
             raise ValueError(f"point of {q.ambient} tested against a cone in {ambient}")
         return (q.x, q.y)
@@ -249,25 +249,9 @@ class LatticePoint(_Record):
         return f"({self.x}, {self.y})"
 
 
-class RationalPoint(_Record):
-    """An exact rational point of ``M_Q`` or ``N_Q``."""
-
-    _fields = ("x", "y", "ambient")
-
-    def __init__(self, x: int | Fraction, y: int | Fraction, ambient: str = M):
-        _setattr(self, "x", parse_rational(x))
-        _setattr(self, "y", parse_rational(y))
-        _check_ambient(ambient)
-        _setattr(self, "ambient", ambient)
-
-    @property
-    def xy(self) -> tuple[int | Fraction, int | Fraction]:
-        return (self.x, self.y)
-
-
-# A point argument: a point of either kind, or a coordinate pair.  A
+# A point argument: a lattice point, or a coordinate pair.  A
 # ``types.UnionType``, so building it imports nothing.
-PointLike = LatticePoint | RationalPoint | Sequence
+PointLike = LatticePoint | Sequence
 
 
 def pairing(u: LatticePoint, p: LatticePoint) -> int:
@@ -335,7 +319,7 @@ class Cone2(_Record):
     def from_rays(cls, r1: PointLike, r2: PointLike, ambient: str | None = None) -> "Cone2":
         """Build the cone spanned by two rays, primitivizing and normalizing."""
         if ambient is None:
-            tagged = [v.ambient for v in (r1, r2) if isinstance(v, (LatticePoint, RationalPoint))]
+            tagged = [v.ambient for v in (r1, r2) if isinstance(v, LatticePoint)]
             ambient = tagged[0] if tagged else M
         points = []
         for r in (r1, r2):

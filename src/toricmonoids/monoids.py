@@ -315,8 +315,7 @@ def image_ideal_codim(spec: MonoidSpec, k: int) -> int:
     """Codimension of the k-th image ideal of the left additive action.
 
     Closed form: ``ceil(k*b/a)`` for the X family and ``ceil(k*b/a) + n*k``
-    for the Y family.  Independent of the derivation's scale; separates
-    non-isomorphic structures.
+    for the Y family.  Separates non-isomorphic structures.
     """
     _require_surface_family(spec, "the image-ideal codimension")
     if type(k) is not int or k < 1:

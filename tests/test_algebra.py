@@ -398,14 +398,6 @@ class TestDerivation:
     def test_kernel(self):
         assert not d_left().apply(LaurentElement.monomial((0, 5)))
 
-    def test_scale(self):
-        rule = DerivationRule(LatticePoint(-1, 0, M), LatticePoint(1, 0, N), Fraction(1, 2))
-        assert rule.apply(X * X) == LaurentElement.monomial((1, 0), 1)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            DerivationRule(LatticePoint(-1, 0, M), LatticePoint(1, 0, N), 0)
-
     def test_ambients_enforced(self):
         with pytest.raises(ValueError):
             DerivationRule(LatticePoint(-1, 0, N), LatticePoint(1, 0, N))

@@ -14,7 +14,6 @@ from toricmonoids import (
     LatticePoint,
     M,
     N,
-    RationalPoint,
     box_lattice_points,
     hilbert_basis,
     pairing,
@@ -73,10 +72,12 @@ class TestExactCoercion:
         assert _json_xy([3, -2], "ray") == (3, -2) and _json_rational("6/3") == 2
 
     def test_rational_point_coordinates(self):
-        p = RationalPoint("3/1", "1/2")
-        assert type(p.x) is int and p.y == Fraction(1, 2)
+        # A rational point is a pair of exact rationals, each read by parse_rational.
+        p = (parse_rational("3/1"), parse_rational("1/2"))
+        assert type(p[0]) is int and p[1] == Fraction(1, 2)
+        assert Cone2.from_rays((0, 1), (1, 0), M).ray_coefficients(p) == (Fraction(1, 2), 3)
         with pytest.raises(TypeError):
-            RationalPoint(0.5, 1)
+            parse_rational(0.5)
 
 
 class TestPairing:
@@ -236,7 +237,7 @@ class TestContains:
 
     def test_rational_points(self):
         c = Cone2.from_rays((0, 1), (2, 3), M)
-        assert c.contains(RationalPoint(Fraction(1), Fraction(3, 2), M))
+        assert c.contains((Fraction(1), Fraction(3, 2)))
         assert not c.contains((Fraction(1), Fraction(1, 2)))
 
     def test_ambient_mismatch(self):
@@ -271,7 +272,7 @@ class TestContains:
         assert c.contains(q) is inside
         assert c.contains(list(q)) is inside
         assert c.contains(LatticePoint(*q, ambient)) is inside
-        r = RationalPoint(Fraction(q[0], den), Fraction(q[1], den), ambient)
+        r = (Fraction(q[0], den), Fraction(q[1], den))
         assert c.contains(r) is (min(c.ray_coefficients(r)) >= 0) is inside
 
     def test_membership_matches_dual_pairings(self):

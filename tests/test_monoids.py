@@ -22,7 +22,6 @@ from toricmonoids import (
     MonoidSpec,
     N,
     NotAMonoidError,
-    RationalPoint,
     RootPair,
     TensorElement,
     boundary,
@@ -153,9 +152,9 @@ class TestConeOfSpec:
         assert str(from_half_plane.value) == str(from_cone.value)
         assert str(from_half_plane.value) == "point of N tested against a cone in M"
         with pytest.raises(ValueError, match="point of M tested against a cone in N"):
-            HalfPlane(N).contains(RationalPoint(1, 0, M))
+            HalfPlane(N).contains(LatticePoint(1, 0, M))
         assert HalfPlane().contains(LatticePoint(1, 0, M))
-        assert HalfPlane().contains(RationalPoint("1/2", -3, M))
+        assert HalfPlane().contains((Fraction(1, 2), -3))
         assert HalfPlane(N).contains((0, 5)) and not HalfPlane(N).contains((-1, 5))
 
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from toricmonoids import (
     M,
     MonoidSpec,
     N,
-    RationalPoint,
     RootPair,
     TensorElement,
     chart_monomial_value,
@@ -80,10 +79,7 @@ def _bad_points(good, ambient, rational):
         spoilt.append(("fraction", (Fraction(2 * x + 1, 2), y)))
     if ambient is not None:
         other = N if ambient == M else M
-        spoilt += [
-            ("other-lattice-point", LatticePoint(x, y, other)),
-            ("other-rational-point", RationalPoint(x, y, other)),
-        ]
+        spoilt.append(("other-lattice-point", LatticePoint(x, y, other)))
     return spoilt
 
 
@@ -112,7 +108,7 @@ def test_inexact_or_foreign_point_refused(call, bad):
 )
 def test_every_form_of_a_good_point_agrees(call, good, ambient):
     x, y = good
-    forms = [(x, y), [x, y], LatticePoint(x, y, ambient or M), RationalPoint(x, y, ambient or M)]
+    forms = [(x, y), [x, y], LatticePoint(x, y, ambient or M)]
     expected = call(forms[0])
     for p in forms[1:]:
         assert call(p) == expected
@@ -168,7 +164,7 @@ def test_evaluate_reads_a_torus_point():
 def test_int_xy_reads_every_form_alike(x, y, ambient):
     pair = (x, y)
     assert int_xy(pair, ambient) is pair
-    for p in ([x, y], LatticePoint(x, y, ambient), RationalPoint(x, y, ambient)):
+    for p in ([x, y], LatticePoint(x, y, ambient)):
         assert int_xy(p, ambient) == pair
         assert int_xy(p, None) == pair
         assert all(type(v) is int for v in int_xy(p, ambient))
