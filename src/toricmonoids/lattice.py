@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
@@ -64,12 +65,31 @@ def _json_xy(value, name: str) -> tuple[int, int]:
     return (_json_int(value[0]), _json_int(value[1]))
 
 
+def _written_digits(text: str) -> int:
+    """Digits of the larger of the numerator and denominator that ``Fraction(text)`` builds
+    before it reduces them: the digits written, moved by the exponent, for which ``Fraction``
+    computes a power of 10.  An exponent that is no integer raises ``ValueError``."""
+    mantissa, _, exponent = text.lower().partition("e")
+    e = int(exponent or 0)
+    fraction_digits = sum(map(str.isdigit, mantissa.partition(".")[2]))
+    return max(sum(map(str.isdigit, mantissa)) + e, fraction_digits - e + 1)
+
+
 def _json_rational(value) -> int | Fraction:
-    """A payload rational read by :func:`parse_rational`, refused in the payload's words."""
+    """A payload rational read by :func:`parse_rational`, refused in the payload's words.
+
+    ``Fraction("1e10000000")`` spends seconds on ``10**10000000``, so a string whose numerator
+    or denominator as written would have more digits than CPython's int-to-str limit, the limit
+    ``json`` holds a payload integer to, is refused before any power is taken.
+    """
+    # The limit CPython has set since 3.10.7; its default where it is off or missing.
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
     try:
-        return parse_rational(value)
+        if not (isinstance(value, str) and _written_digits(value) > limit):
+            return parse_rational(value)
     except (TypeError, ValueError):
         raise ValueError(f"exact rational required, got {_quoted(value)}") from None
+    raise ValueError(f"{_quoted(value)} has more than {limit} digits in its numerator or denominator")
 
 
 def other_ambient(ambient: str) -> str:

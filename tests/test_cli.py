@@ -444,6 +444,7 @@ class TestRejectedInput:
             ("classify", '{"halfplane": true, "rays": [[1,0],[0,1]], "ambient": "M"}', "--n", "1"),
             ("comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[1,2,3]"),
             ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '{"a":1}', "--q", "[1,2]"),
+            ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '["1e10000","1"]', "--q", '["1","1"]'),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[{ROOT_1}]"),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", ROOT_1),
             ("classify", '{"halfplane": true}', "--n", "1", "--json-in", __file__),
@@ -459,7 +460,7 @@ class TestRejectedInput:
              "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit",
              "pair-roots-on-different-rays", "halfplane-string-false", "halfplane-one",
              "halfplane-string-no", "halfplane-list", "halfplane-with-rays", "monomial-triple",
-             "point-object", "pair-of-one-root", "pair-not-a-list", "payload-and-json-in",
+             "point-object", "point-exponent-over-digit-limit", "pair-of-one-root", "pair-not-a-list", "payload-and-json-in",
              "payload-and-missing-json-in"],
     )
     def test_payload_exit_2(self, capsys, argv):
@@ -695,6 +696,18 @@ class TestMultiplyPowerSize:
         assert (code, out) == (2, "")
 
 
+def test_exponent_past_the_digit_limit_refused_at_once():
+    # Fraction would spend hours on 10**1000000000; the timeout ends a child that tries.
+    spec = '{"family":"X","n":1,"a":1,"b":1}'
+    start = time.perf_counter()
+    proc = _run_script(["multiply", spec, "--p", '["1e1000000000","1"]', "--q", '["1","1"]'], timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        'error: point p: "1e1000000000" has more than 4300 digits in its numerator or denominator\n'
+    )
+
+
 class TestMultiplyEveryChart:
     """``multiply`` works on every X and Y spec up to the ``a`` cap, on its Hilbert-basis chart."""
 
@@ -829,9 +842,8 @@ def _run_script(argv, **kwargs):
     src = str(Path(toricmonoids.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "from toricmonoids.cli import run; run()"
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], stderr=subprocess.PIPE, env=env, timeout=60, **kwargs
-    )
+    kwargs = {"timeout": 60, **kwargs}
+    return subprocess.run([sys.executable, "-c", code, *argv], stderr=subprocess.PIPE, env=env, **kwargs)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

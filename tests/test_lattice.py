@@ -71,6 +71,17 @@ class TestExactCoercion:
             parse_rational(True)
         assert _json_xy([3, -2], "ray") == (3, -2) and _json_rational("6/3") == 2
 
+    def test_payload_rational_past_the_digit_limit_refused_before_fraction(self):
+        # As written, 1e4299 has 4,300 digits and 1e-4299 a 4,300-digit denominator.
+        for text, value in [("1e3", 1000), ("-2.5e-4", Fraction(-1, 4000)), ("1e4299", 10**4299),
+                            ("1e-4299", Fraction(1, 10**4299)), ("0.5", Fraction(1, 2)), ("3/4", Fraction(3, 4))]:
+            assert _json_rational(text) == value
+        for text in ["1e4300", "1e-4300", "0e1000000000", "1.5e1000000000", "0." + "0" * 4300 + "1"]:
+            with pytest.raises(ValueError, match=r"has more than 4300 digits"):
+                _json_rational(text)
+        with pytest.raises(ValueError, match="exact rational required"):
+            _json_rational("1e5/2")
+
     def test_rational_point_coordinates(self):
         # A rational point is a pair of exact rationals, each read by parse_rational.
         p = (parse_rational("3/1"), parse_rational("1/2"))
