@@ -58,8 +58,10 @@ EXIT_USAGE = 2
 
 # ``roots`` tests every point of the (2*bound+1)^2 box: about 4 million tests at this bound.
 MAX_ROOT_BOUND = 1000
-# The largest expansion degree: the x-exponent in spec mode, ``<p_i, u>`` in
-# root-pair mode, and ``b + n`` for ``multiply``.  The central binomial
+# The largest expansion degree: the x-exponent in spec mode and ``<p_i, u>`` in
+# root-pair mode.  ``multiply`` caps ``b + n`` at it too, a bound on the
+# exponents a chart product takes beside ``MAX_POWER_BITS``; its expansions
+# have degree at most ``a``, which ``MAX_CHART_A`` caps.  The central binomial
 # C(d, d/2) stays under CPython's 4,300-digit int-to-str limit up to
 # d = 14,290 or so; ``json_chunks`` still prints it with ``str`` for that
 # check, and prints the whole row in base 10.  At the cap, ``comult`` writes

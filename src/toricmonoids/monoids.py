@@ -385,11 +385,14 @@ class BoundaryInfo(_Record):
     """Shape of the divisor of non-invertible elements.
 
     The divisor is an affine line.  When ``b > 0`` it carries an absorbing
-    zero and the unit group scales it with the recorded left/right weights
-    (weights measured against the chart's own torus coordinate).  When
-    ``b = 0`` (which forces ``a = 1``) the line consists of idempotents
-    instead; the weights then differ by ``a*n`` but only one side acts by
-    scaling.  So ``idempotent_line`` is not stored: it is ``not has_zero``.
+    zero and the unit group scales it with the recorded left/right weights:
+    a torus point ``(x, y)`` times a point of the divisor, on that side,
+    multiplies its coordinate by ``y**weight`` for X and by ``y**-weight``
+    for Y, whose chart reads ``1/y``.  When ``b = 0`` (which forces
+    ``a = 1``) the line consists of idempotents instead; the weights then
+    differ by ``a*n`` but only one side acts by scaling, and the side of
+    weight 0 fixes the line.  So ``idempotent_line`` is not stored: it is
+    ``not has_zero``.
     """
 
     _fields = ("left_weight", "right_weight", "has_zero")
