@@ -10,7 +10,6 @@ import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
