@@ -2,10 +2,11 @@
 expansion, invariants, quotients, opposites, boundary data, point products,
 bialgebra verification, and catalog generation.
 
-All payloads are JSON; the main payload of a subcommand may be given as a
-positional argument, via ``--json-in FILE``, or on standard input.  Output is
-JSON on standard output (or ``--json-out FILE``); the catalog is
-newline-delimited JSON, one entry per spec, in a canonical order.
+All payloads are JSON; the main payload of a subcommand is the positional
+argument, or else the bytes of standard input read as UTF-8 (a standard input
+that is closed, not UTF-8 or unreadable is a usage error).  Output is JSON on
+standard output; the catalog is newline-delimited JSON, one entry per spec, in
+a canonical order.
 
 Exit codes: 0 success, 1 domain failure (a cone that is not a monoid, a
 failed verification), 2 usage or malformed input.  :func:`main` maps every
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from functools import partial
 from math import gcd
 
@@ -72,7 +72,8 @@ MAX_DEGREE = 10_000
 # a + 1 monomials, whose expansions have T <= (a + 1)(a + 2)/2 terms in all.
 MAX_CHART_A = 30
 # ``multiply``: a chart product raised a point coordinate to at most the power
-# b + max(a, 2)*n on every X and Y spec with n <= 3 and a, b <= 24.  Refused
+# b + max(a, 2)*n on every X and Y spec with a <= 30 and b <= 40, at n = 1, 2
+# and at a seeded n up to 200 for each (a, b) and family.  Refused
 # when the coordinate's bit length times that power is over this many bits
 # (about 315,000 digits, 73 times the 4,300-digit output limit, so a product
 # whose terms cancel, such as p2 = q2 = 10^1000, q1 = -p1/10^1000 at small
@@ -125,19 +126,17 @@ def _catalog(n_max: int, a_max: int, b_max: int, k_max: int):
 
 
 def _payload_text(args) -> str:
-    if getattr(args, "payload", None) is not None:
-        if args.json_in is not None:
-            raise UsageError("the payload is given twice: as an argument and by --json-in")
+    """The positional payload, else standard input decoded as strict UTF-8 whatever the locale."""
+    if args.payload is not None:
         return args.payload
-    if args.json_in is None:
-        return sys.stdin.read()
+    if sys.stdin is None:  # started with fd 0 closed
+        raise UsageError("cannot read standard input: it is closed")
     try:
-        with open(args.json_in, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {args.json_in}: {exc.strerror}") from None
+        raise UsageError(f"cannot read standard input: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise UsageError(f"cannot read {args.json_in}: not UTF-8 text") from None
+        raise UsageError("cannot read standard input: not UTF-8 text") from None
 
 
 def _read(text: str, name: str, what: str, build):
@@ -226,25 +225,8 @@ _positive_int = partial(_int_at_least, 1)
 _nonnegative_int = partial(_int_at_least, 0)
 
 
-@contextmanager
-def _output(args):
-    """The output stream: standard output, or the ``--json-out`` file.
-
-    Failing to open, write or close the file is a :class:`UsageError`.
-    """
-    if args.json_out is None:
-        yield sys.stdout
-        return
-    try:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.json_out}: {exc.strerror}") from None
-
-
-def _emit(args, obj) -> None:
-    with _output(args) as out:
-        out.write(json.dumps(obj) + "\n")
+def _emit(obj) -> None:
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _domain_error(exc: Exception) -> dict:
@@ -262,7 +244,7 @@ def _cmd_classify(args) -> int:
     cone = _payload_cone(args)
     if cone.ambient != M:
         raise UsageError("classification needs an exponent cone in M")
-    _emit(args, classify_cone(cone, args.n).to_json())
+    _emit(classify_cone(cone, args.n).to_json())
     return EXIT_OK
 
 
@@ -270,7 +252,7 @@ def _cmd_roots(args) -> int:
     _at_most("--bound", args.bound, MAX_ROOT_BOUND)
     cone = _payload_n_cone(args, "root enumeration")
     roots = roots_up_to(cone, args.ray, args.bound)
-    _emit(args, [r.to_json() for r in roots])
+    _emit([r.to_json() for r in roots])
     return EXIT_OK
 
 
@@ -287,34 +269,33 @@ def _cmd_comult(args) -> int:
         _at_most("the monomial x-exponent", monomial[0], MAX_DEGREE)
         tensor = comult_monomial(spec, monomial)
     chunks = tensor.json_chunks()  # an int past the digit limit raises here, before any output
-    with _output(args) as out:
-        out.writelines(chunks)
-        out.write("\n")
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
     _at_most("--k-max", args.k_max, MAX_K)
     spec = _payload_spec(args)
-    _emit(args, [image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)])
+    _emit([image_ideal_codim(spec, k) for k in range(1, args.k_max + 1)])
     return EXIT_OK
 
 
 def _cmd_quotient(args) -> int:
     spec = _payload_spec(args)
-    _emit(args, quotient_by_center(spec, args.m).to_json())
+    _emit(quotient_by_center(spec, args.m).to_json())
     return EXIT_OK
 
 
 def _cmd_opposite(args) -> int:
     spec = _payload_spec(args)
-    _emit(args, opposite(spec).to_json())
+    _emit(opposite(spec).to_json())
     return EXIT_OK
 
 
 def _cmd_boundary(args) -> int:
     spec = _payload_spec(args)
-    _emit(args, boundary(spec).to_json())
+    _emit(boundary(spec).to_json())
     return EXIT_OK
 
 
@@ -334,7 +315,7 @@ def _cmd_multiply(args) -> int:
     for what, point in (("point p", p), ("point q", q)):
         if len(point) != arity:
             raise UsageError(f"{what}: {spec} chart points have {arity} coordinates, got {len(point)}")
-    _emit(args, [str(c) for c in multiply_points(spec, p, q)])
+    _emit([str(c) for c in multiply_points(spec, p, q)])
     return EXIT_OK
 
 
@@ -371,7 +352,7 @@ def _cmd_verify(args) -> int:
             f"at most {MAX_VERIFY_TERMS}"
         )
     report = verify_bialgebra(spec, args.box)
-    _emit(args, report.to_json())
+    _emit(report.to_json())
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
@@ -379,10 +360,9 @@ def _cmd_catalog(args) -> int:
     _at_most("--k-max", args.k_max, MAX_K)
     for flag, bound in (("--n-max", args.n_max), ("--a-max", args.a_max), ("--b-max", args.b_max)):
         _at_most(flag, bound, MAX_CATALOG_BOUND)
-    with _output(args) as out:
-        for entry in _catalog(args.n_max, args.a_max, args.b_max, args.k_max):
-            out.write(json.dumps(entry) + "\n")
-            out.flush()
+    for entry in _catalog(args.n_max, args.a_max, args.b_max, args.k_max):
+        sys.stdout.write(json.dumps(entry) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -404,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if payload:
-            p.add_argument("payload", nargs="?", help="JSON payload (default: --json-in or stdin)")
-            p.add_argument("--json-in", metavar="FILE", help="read the payload from a file")
-        p.add_argument("--json-out", metavar="FILE", help="write the output to a file")
+            p.add_argument("payload", nargs="?", help="JSON payload (default: standard input)")
         return p
 
     p = add("classify", _cmd_classify, "classify an exponent cone as a monoid spec")
@@ -469,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=_positive_int, default=2, help=bound_help)
     p.add_argument("--b-max", type=_nonnegative_int, default=2, help=bound_help)
     p.add_argument("--k-max", type=_positive_int, default=4, help=f"at most {MAX_K} (default 4)")
-    p.set_defaults(json_in=None)
 
     return parser
 
@@ -479,23 +456,25 @@ _parser = None
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; output goes to ``sys.stdout`` as it is at the call.
+
+    A :class:`UsageError` is one ``error:`` line on stderr (exit 2).  Domain
+    errors, and an output int past CPython's int-to-str digit limit (a
+    ``ValueError`` too, raised before anything is written), are one
+    ``{"error": ...}`` object on stdout (exit 1).
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    # The outer ``try`` also covers writing the error object, whose
-    # ``--json-out`` file may not open.
     try:
-        try:
-            return args.handler(args)
-        # Domain errors, and an output int past CPython's int-to-str digit
-        # limit (a ``ValueError`` too, raised before anything is written).
-        except ValueError as exc:
-            _emit(args, _domain_error(exc))
-            return EXIT_DOMAIN
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        _emit(_domain_error(exc))
+        return EXIT_DOMAIN
 
 
 def run() -> None:
@@ -503,9 +482,11 @@ def run() -> None:
         code = main()
         sys.stdout.flush()
     except OSError as exc:
-        # The reader closed the pipe early (``catalog | head``), or standard
-        # output cannot be written (``>/dev/full``).  Point stdout at devnull
-        # so the interpreter's final flush cannot fail again.
+        # Only a write can fail here, since ``main`` turns a failed read of
+        # standard input into a ``UsageError``: the reader closed the pipe
+        # early (``catalog | head``), or standard output cannot be written
+        # (``>/dev/full``).  Point stdout at devnull so the interpreter's
+        # final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             code = EXIT_DOMAIN

@@ -65,31 +65,33 @@ def _json_xy(value, name: str) -> tuple[int, int]:
     return (_json_int(value[0]), _json_int(value[1]))
 
 
-def _written_digits(text: str) -> int:
-    """Digits of the larger of the numerator and denominator that ``Fraction(text)`` builds
-    before it reduces them: the digits written, moved by the exponent, for which ``Fraction``
-    computes a power of 10.  An exponent that is no integer raises ``ValueError``."""
+def _check_digits(text: str, show=repr) -> None:
+    """Refuse ``text`` if the numerator or denominator that ``Fraction(text)`` builds before it
+    reduces them would have more digits than CPython's int-to-str limit, the limit ``json`` holds
+    a payload integer to: the digits written, moved by the exponent, for which ``Fraction``
+    computes a power of 10.  ``Fraction("1e10000000")`` spends seconds on ``10**10000000``, so
+    the refusal comes before any power is taken.  ``show`` writes the refused text."""
     mantissa, _, exponent = text.lower().partition("e")
-    e = int(exponent or 0)
+    try:
+        e = int(exponent or 0)
+    except ValueError:  # no exponent ``Fraction`` reads, so it refuses the text itself
+        return
     fraction_digits = sum(map(str.isdigit, mantissa.partition(".")[2]))
-    return max(sum(map(str.isdigit, mantissa)) + e, fraction_digits - e + 1)
+    written = max(sum(map(str.isdigit, mantissa)) + e, fraction_digits - e + 1)
+    # The limit CPython has set since 3.10.7; its default where it is off or missing.
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    if written > limit:
+        raise ValueError(f"{show(text)} has more than {limit} digits in its numerator or denominator")
 
 
 def _json_rational(value) -> int | Fraction:
-    """A payload rational read by :func:`parse_rational`, refused in the payload's words.
-
-    ``Fraction("1e10000000")`` spends seconds on ``10**10000000``, so a string whose numerator
-    or denominator as written would have more digits than CPython's int-to-str limit, the limit
-    ``json`` holds a payload integer to, is refused before any power is taken.
-    """
-    # The limit CPython has set since 3.10.7; its default where it is off or missing.
-    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    """A payload rational read by :func:`parse_rational`, refused in the payload's words."""
+    if isinstance(value, str):
+        _check_digits(value, _quoted)
     try:
-        if not (isinstance(value, str) and _written_digits(value) > limit):
-            return parse_rational(value)
+        return parse_rational(value)
     except (TypeError, ValueError):
         raise ValueError(f"exact rational required, got {_quoted(value)}") from None
-    raise ValueError(f"{_quoted(value)} has more than {limit} digits in its numerator or denominator")
 
 
 def other_ambient(ambient: str) -> str:
@@ -150,11 +152,16 @@ def parse_rational(v) -> int | Fraction:
     """Exact rational from an int, string, or Fraction: an int when integral.
 
     Floats and bools are refused, so no rounding or truth value can sneak in.
+    A string whose numerator or denominator as written, its digits moved by an
+    exponent, has more digits than CPython's int-to-str limit raises
+    ``ValueError`` before any power of 10 is taken.
     """
     if type(v) is int:
         return v
     if isinstance(v, (bool, float)):
         raise TypeError(f"exact rational required, got {type(v).__name__} {v!r}")
+    if isinstance(v, str):
+        _check_digits(v)
     try:
         q = Fraction(v)
     except ZeroDivisionError:

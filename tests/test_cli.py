@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,10 +28,15 @@ from toricmonoids import (
 from toricmonoids.cli import MAX_POWER_BITS, MAX_VERIFY_BOX, MAX_VERIFY_TERMS, _verify_terms, main
 
 
+def stdin_of(text):
+    """A standard input that holds ``text`` as UTF-8 bytes, which the CLI reads through ``buffer``."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -90,16 +96,16 @@ class TestClassify:
         assert code == 0
         assert json.loads(out) == {"family": "Y", "n": 2, "a": 1, "b": 1}
 
-    def test_json_in_and_out_files(self, capsys, tmp_path):
-        src = tmp_path / "cone.json"
-        dst = tmp_path / "spec.json"
-        src.write_text('{"rays":[[0,1],[1,0]],"ambient":"M"}')
-        code, out, _ = run_cli(
-            capsys, "classify", "--n", "3", "--json-in", str(src), "--json-out", str(dst)
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(dst.read_text()) == {"family": "X", "n": 3, "a": 1, "b": 0}
+    def test_stdin_file_and_stdout_file(self, tmp_path):
+        # ``< FILE`` and ``> FILE``: the script writes the bytes the payload argument prints.
+        payload = '{"rays":[[0,1],[1,0]],"ambient":"M"}'
+        src, dst = tmp_path / "cone.json", tmp_path / "spec.json"
+        src.write_text(payload)
+        with open(src, "rb") as fin, open(dst, "wb") as fout:
+            proc = _run_script(["classify", "--n", "3"], stdin=fin, stdout=fout)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        given = _run_script(["classify", payload, "--n", "3"], stdout=subprocess.PIPE)
+        assert dst.read_bytes() == given.stdout == b'{"family": "X", "n": 3, "a": 1, "b": 0}\n'
 
 
 class TestRoots:
@@ -198,21 +204,16 @@ class TestComultStreaming:
         assert sink.chars == 975_098
         assert peak < 2.5 * sink.chars, peak / sink.chars
 
-    @pytest.mark.parametrize("json_out", [False, True])
-    def test_exponent_past_the_digit_limit_in_the_last_piece_writes_only_the_error(
-        self, capsys, tmp_path, json_out
-    ):
+    def test_exponent_past_the_digit_limit_in_the_last_piece_writes_only_the_error(self, capsys):
         # 601 terms at the ray (0, 1), whose left x-exponent steps from 10^4300 - 600 up by one
         # per term: only the last term's passes the limit, in the third piece.  Nothing of the
         # expansion is written.
         pair = '[{"e":[0,-1],"ray_index":0},{"e":[1,-1],"ray_index":0}]'
         argv = ["comult", QUADRANT_N, "--monomial", f"[{10**4300 - 600},600]", "--pair", pair]
-        target = tmp_path / "out.json"
-        code, out, err = run_cli(capsys, *argv, *(["--json-out", str(target)] if json_out else []))
-        written = target.read_text() if json_out else out
-        assert (code, err, out if json_out else "") == (1, "", "")
-        assert list(json.loads(written)) == ["error"] and written.count("\n") == 1
-        assert "4300 digits" in written
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert list(json.loads(out)) == ["error"] and out.count("\n") == 1
+        assert "4300 digits" in out
 
 
 class TestSpecCommands:
@@ -447,8 +448,6 @@ class TestRejectedInput:
             ("multiply", '{"family":"X","n":1,"a":1,"b":1}', "--p", '["1e10000","1"]', "--q", '["1","1"]'),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", f"[{ROOT_1}]"),
             ("comult", QUADRANT_N, "--monomial", "[1,0]", "--pair", ROOT_1),
-            ("classify", '{"halfplane": true}', "--n", "1", "--json-in", __file__),
-            ("classify", '{"halfplane": true}', "--n", "1", "--json-in", "no-such-file.json"),
         ],
         ids=["bool-n", "bool-exponent", "bool-point", "zero-denominator", "root-without-ray-index",
              "root-without-e", "root-e-not-a-pair", "root-ray-index-string", "root-not-an-object",
@@ -460,8 +459,7 @@ class TestRejectedInput:
              "monomial-over-digit-limit", "payload-over-digit-limit", "pair-degree-over-digit-limit",
              "pair-roots-on-different-rays", "halfplane-string-false", "halfplane-one",
              "halfplane-string-no", "halfplane-list", "halfplane-with-rays", "monomial-triple",
-             "point-object", "point-exponent-over-digit-limit", "pair-of-one-root", "pair-not-a-list", "payload-and-json-in",
-             "payload-and-missing-json-in"],
+             "point-object", "point-exponent-over-digit-limit", "pair-of-one-root", "pair-not-a-list"],
     )
     def test_payload_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -729,14 +727,17 @@ class TestMultiplyEveryChart:
         assert (code, out, err) == (2, "", "error: a 410-bit coordinate to the power 31 is over 12684 bits\n")
 
     def test_power_estimate_bounds_every_exponent_taken(self, capsys, monkeypatch):
-        # With no bit budget the refusal names the estimate for a 1-bit coordinate.
+        # With no bit budget the refusal names the estimate for a 1-bit coordinate.  Every
+        # accepted a, every b up to 40, both families, n = 1, 2 and one seeded n up to 200.
         monkeypatch.setattr(cli, "MAX_POWER_BITS", 0)
-        for n in range(1, 4):
-            for a in range(1, 13):
-                for b in range(0, 13):
-                    if gcd(a, b) != 1:
-                        continue
-                    for spec in (MonoidSpec.x(n, a, b), MonoidSpec.y(n, a, b)):
+        rng = random.Random(0)
+        for a in range(1, cli.MAX_CHART_A + 1):
+            for b in range(0, 41):
+                if gcd(a, b) != 1:
+                    continue
+                for make in (MonoidSpec.x, MonoidSpec.y):
+                    for n in (1, 2, rng.randint(3, 200)):
+                        spec = make(n, a, b)
                         code, _, err = run_cli(
                             capsys, "multiply", json.dumps(spec.to_json()), "--p", "[1]", "--q", "[1]"
                         )
@@ -756,7 +757,7 @@ class TestMultiplyEveryChart:
 
 
 class TestErrorContract:
-    """Domain failures exit 1 with JSON; unusable files exit 2 with one stderr line."""
+    """Domain failures exit 1 with JSON; unusable input exits 2 with one stderr line."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -806,28 +807,22 @@ class TestErrorContract:
              "multiply", "verify", "catalog", "domain-failure"],
     )
     def test_unwritable_json_out_exit_2(self, capsys, tmp_path, argv):
+        # ``--json-out`` is gone (``> FILE`` replaces it): refused in one line, nothing written.
         target = tmp_path / "missing" / "x.json"
-        code, out, err = run_cli(capsys, *argv, "--json-out", str(target))
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--json-out", str(target)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: --json-out")
         assert not target.parent.exists()
 
     def test_unreadable_json_in_exit_2(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "classify", "--n", "1", "--json-in", str(tmp_path / "missing.json")
-        )
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
-
-
-def test_non_utf8_json_in_exit_2(capsys, tmp_path):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"halfplane": true, "note": "\xe9"}')
-    code, out, err = run_cli(capsys, "classify", "--n", "1", "--json-in", str(path))
-    assert (code, out) == (2, "")
-    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+        # ``--json-in`` is gone (``< FILE`` replaces it): refused in one line, before any read.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "1", "--json-in", str(tmp_path / "missing.json")])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: --json-in")
 
 
 def test_group_spec_with_a_exit_2(capsys):
@@ -849,7 +844,10 @@ def _run_script(argv, **kwargs):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestFullDevice:
-    """A write that fails (no space left) exits 2 with one stderr line, never a traceback."""
+    """A write that fails (no space left) exits 2 with one stderr line, never a traceback.
+
+    So does ``--json-out /dev/full``, refused as an option that is gone.
+    """
 
     ARGVS = [
         pytest.param(("opposite", '{"family":"X","n":1,"a":1,"b":0}'), id="opposite"),
@@ -859,11 +857,11 @@ class TestFullDevice:
 
     @pytest.mark.parametrize("argv", ARGVS)
     def test_json_out(self, argv):
+        # ``--json-out`` is gone: the script refuses it in one line, before any write.
         proc = _run_script([*argv, "--json-out", "/dev/full"], stdout=subprocess.PIPE)
         assert proc.returncode == 2
         assert proc.stdout == b""
-        assert proc.stderr.decode().startswith("error: cannot write /dev/full: ")
-        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.decode() == "error: unrecognized arguments: --json-out /dev/full\n"
 
     @pytest.mark.parametrize("argv", ARGVS)
     def test_stdout(self, argv):
@@ -872,6 +870,30 @@ class TestFullDevice:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error: cannot write standard output: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestStdinRoute:
+    """The script decodes standard input as strict UTF-8 whatever the locale; a standard
+    input that is closed, not UTF-8 or cannot be read exits 2 in one line."""
+
+    ARGV = ["classify", "--n", "1"]
+
+    def _refusal(self, proc):
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        return proc.stderr.decode()
+
+    def test_closed(self):
+        proc = _run_script(self.ARGV, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(0))
+        assert self._refusal(proc) == "error: cannot read standard input: it is closed\n"
+
+    def test_not_utf8(self):
+        proc = _run_script(self.ARGV, input=b'{"halfplane": true, "note": "\xe9"}', stdout=subprocess.PIPE)
+        assert self._refusal(proc) == "error: cannot read standard input: not UTF-8 text\n"
+
+    def test_open_for_writing_only(self):
+        with open(os.devnull, "wb") as write_only:
+            proc = _run_script(self.ARGV, stdin=write_only, stdout=subprocess.PIPE)
+        assert self._refusal(proc) == "error: cannot read standard input: Bad file descriptor\n"
 
 
 class TestGoldenBytes:
@@ -943,15 +965,6 @@ class TestCatalogStreaming:
         assert len(lines) == 1
         assert json.loads(lines[0])["spec"] == {"family": "X", "n": 1, "a": 1, "b": 0}
 
-    def test_json_out_file_equals_stdout(self, capsys, tmp_path):
-        argv = ["catalog", "--n-max", "2", "--a-max", "3", "--b-max", "2", "--k-max", "3"]
-        code, out, _ = run_cli(capsys, *argv)
-        dst = tmp_path / "catalog.ndjson"
-        code_file, out_file, _ = run_cli(capsys, *argv, "--json-out", str(dst))
-        assert code == code_file == 0
-        assert out_file == ""
-        assert dst.read_text() == out
-
     def test_reader_closing_early_is_quiet(self):
         """``catalog | head -1``: no traceback once the reader is gone."""
         src = str(Path(toricmonoids.__file__).resolve().parent.parent)
@@ -985,7 +998,7 @@ def run_captured(argv, stdin=""):
     """``main(argv)`` in-process: exit code, stdout, stderr, and whether it raised ``SystemExit``."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = stdin_of(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

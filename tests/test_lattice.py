@@ -12,10 +12,13 @@ from toricmonoids import (
     DegenerateConeError,
     LatticeMap,
     LatticePoint,
+    LaurentElement,
     M,
+    MonoidSpec,
     N,
     box_lattice_points,
     hilbert_basis,
+    multiply_points,
     pairing,
     parse_rational,
     primitive,
@@ -81,6 +84,18 @@ class TestExactCoercion:
                 _json_rational(text)
         with pytest.raises(ValueError, match="exact rational required"):
             _json_rational("1e5/2")
+
+    def test_library_rational_past_the_digit_limit_refused_before_fraction(self):
+        # parse_rational applies the payload reader's digit rule, in the API's repr wording.
+        assert parse_rational("1e4299") == 10**4299 and parse_rational("-2.5e-4") == Fraction(-1, 4000)
+        with pytest.raises(ValueError, match=r"^'1e1000000' has more than 4300 digits"):
+            parse_rational("1e1000000")
+        with pytest.raises(ValueError, match="digits"):
+            multiply_points(MonoidSpec.x(1, 1, 1), ("1e10000", "1"), (1, 1))
+        with pytest.raises(ValueError, match="digits"):
+            LaurentElement([((1, 0), "1e-10000")])
+        with pytest.raises(ValueError, match="Invalid literal"):
+            parse_rational("1ex")
 
     def test_rational_point_coordinates(self):
         # A rational point is a pair of exact rationals, each read by parse_rational.
