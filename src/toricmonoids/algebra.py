@@ -185,13 +185,24 @@ class _Sparse:
             k >>= 1
         return result
 
-    def _coef_texts(self) -> dict:
-        # Coefficients repeat (C(d, j) = C(d, d - j)), so each distinct one is printed once.
-        return {c: str(c) for c in set(self._terms.values())}
+    def _coef_texts(self) -> list[str]:
+        """The coefficients printed in term order, for :meth:`to_json` and ``json_chunks``.
+
+        Like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit limit.
+        A comultiplication built by ``monoids._expand`` carries its degree ``d``: its row is
+        printed by :func:`_binomial_texts` in O(d*L) digit operations, and only its largest
+        coefficient, the central one, by ``str`` for the digit limit.  Every other element
+        prints each distinct coefficient once with ``str``.
+        """
+        terms, d = self._terms, getattr(self, "_degree", None)
+        if d is not None:
+            str(next(islice(terms.values(), d // 2, None)))  # C(d, d // 2), the largest
+            return _binomial_texts(d)
+        text = {c: str(c) for c in set(terms.values())}
+        return [text[c] for c in terms.values()]
 
     def to_json(self) -> list[dict]:
-        text = self._coef_texts()
-        return [{**self._key_json(k), "coef": text[c]} for k, c in self._terms.items()]
+        return [{**self._key_json(k), "coef": c} for k, c in zip(self._terms, self._coef_texts())]
 
     @classmethod
     def from_json(cls, data):
@@ -293,7 +304,7 @@ class TensorElement(_Sparse):
     the Laurent algebra; houses comultiplication outputs.
     """
 
-    # ``_degree``: set only by ``monoids._expand``; see :meth:`json_chunks`.
+    # ``_degree``: set only by ``monoids._expand``; see ``_Sparse._coef_texts``.
     __slots__ = ("_degree",)
     _UNIT = ((0, 0), (0, 0))
     _CHUNK_TERMS = 256  # terms per piece of json_chunks
@@ -329,22 +340,13 @@ class TensorElement(_Sparse):
     def json_chunks(self):
         """``json.dumps(self.to_json())`` in pieces of at most ``_CHUNK_TERMS`` terms.
 
-        Every coefficient is printed, and every exponent checked, at the call: like ``str``, it
-        raises ``ValueError`` on an int past CPython's int-to-str digit limit before any piece.
-        A comultiplication built by ``monoids._expand`` carries its degree ``d``: its
-        coefficients, in term order, are the binomial row of degree ``d``, printed by
-        :func:`_binomial_texts` in O(d*L) digit operations.  Then only the largest coefficient,
-        the central one, is printed as an int for the digit limit, and only the first and last
-        keys are checked, since each exponent is affine in ``j`` and so largest in magnitude at
-        an end.  Every other tensor prints each distinct coefficient with ``str``.
+        Its coefficients are those of :meth:`to_json`, and every exponent is checked at the
+        call: like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit
+        limit before any piece.  A comultiplication built by ``monoids._expand`` has only its
+        first and last keys checked: each exponent is affine in ``j``, so largest at an end.
         """
-        terms, d = self._terms, getattr(self, "_degree", None)
-        if d is None:
-            text = self._coef_texts()
-            coefs, ends = map(text.__getitem__, terms.values()), terms
-        else:
-            str(next(islice(terms.values(), d // 2, None)))  # C(d, d // 2), the largest
-            coefs, ends = _binomial_texts(d), (next(iter(terms)), next(reversed(terms)))
+        terms, coefs = self._terms, self._coef_texts()
+        ends = (next(iter(terms)), next(reversed(terms))) if hasattr(self, "_degree") else terms
         flat = chain.from_iterable
         str(max(map(abs, flat(flat(ends))), default=0))  # the exponents' digit limit
         row = '{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
@@ -354,10 +356,6 @@ class TensorElement(_Sparse):
             ("[" if i == 0 else ", ") + ", ".join(islice(rows, step)) + ("]" if i + step >= n else "")
             for i in range(0, max(n, 1), step)
         )
-
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json())``: the :meth:`json_chunks` joined."""
-        return "".join(self.json_chunks())
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor legs."""

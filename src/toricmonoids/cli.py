@@ -40,13 +40,13 @@ from .monoids import (
     MonoidSpec,
     NotAMonoidError,
     _chart,
+    _multiply_on_chart,
     boundary,
     classify_cone,
     comult_from_root_pair,
     comult_monomial,
     cone_of_spec,
     image_ideal_codim,
-    multiply_points,
     opposite,
     quotient_by_center,
     verify_bialgebra,
@@ -229,6 +229,18 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _error(message: str) -> None:
+    """One ``error:`` line on stderr.  A stderr that is closed or cannot be written (``2>&-``,
+    ``2>/dev/full``) is left silent, since there is nowhere left to report it."""
+    if sys.stderr is None:  # started with fd 2 closed
+        return
+    try:
+        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _domain_error(exc: Exception) -> dict:
     if isinstance(exc, NotAMonoidError):
         return {
@@ -311,11 +323,12 @@ def _cmd_multiply(args) -> int:
         bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in p + q), default=0)
         if bits * power > budget:
             raise UsageError(f"a {bits}-bit coordinate to the power {power} is over {budget} bits")
-    arity = len(_chart(spec, "point multiplication"))
+    chart = _chart(spec, "point multiplication")
+    arity = len(chart)
     for what, point in (("point p", p), ("point q", q)):
         if len(point) != arity:
             raise UsageError(f"{what}: {spec} chart points have {arity} coordinates, got {len(point)}")
-    _emit([str(c) for c in multiply_points(spec, p, q)])
+    _emit([str(c) for c in _multiply_on_chart(spec, chart, p, q)])
     return EXIT_OK
 
 
@@ -470,7 +483,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
     except ValueError as exc:
         _emit(_domain_error(exc))
@@ -478,20 +491,24 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if sys.stdout is None:  # started with fd 1 closed
+        _error("cannot write standard output: it is closed")
+        sys.exit(EXIT_USAGE)
     try:
         code = main()
         sys.stdout.flush()
     except OSError as exc:
-        # Only a write can fail here, since ``main`` turns a failed read of
-        # standard input into a ``UsageError``: the reader closed the pipe
-        # early (``catalog | head``), or standard output cannot be written
+        # Only a write to standard output can fail here, since ``main`` turns
+        # a failed read of standard input into a ``UsageError`` and ``_error``
+        # drops a failed write to stderr: the reader closed the pipe early
+        # (``catalog | head``), or standard output cannot be written
         # (``>/dev/full``).  Point stdout at devnull so the interpreter's
         # final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             code = EXIT_DOMAIN
         else:
-            print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+            _error(f"cannot write standard output: {exc.strerror}")
             code = EXIT_USAGE
     sys.exit(code)
 

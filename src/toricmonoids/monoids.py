@@ -40,7 +40,6 @@ from .lattice import (
     LatticeMap,
     LatticePoint,
     M,
-    N,
     _check_ambient,
     _det,
     _json_int,
@@ -190,9 +189,8 @@ def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
     key moves by the nonzero step ``(e2, -e1)`` and the keys are distinct and
     built in canonical order with no sort: ``j`` ascends when the step is
     above zero (lexicographically), else descends; the row is symmetric.
-    Costs O(d) big-int steps: one binomial row, keys stepped by additions.
-    The result carries ``d`` in its ``_degree`` slot, which nothing else
-    sets, so :meth:`TensorElement.json_chunks` prints the row in base 10.
+    Costs O(d) big-int steps: one binomial row, keys stepped by additions.  The result
+    carries ``d`` in ``_degree``, which nothing else sets: its JSON prints the row in base 10.
     """
     (e1x, e1y), (e2x, e2y) = e1, e2
     if (e2x, e2y, -e1x, -e1y) > (0, 0, 0, 0):  # from j = 0, stepping by (e2, -e1)
@@ -236,14 +234,11 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     """Comultiplication induced by an ordered pair of Demazure roots.
 
     Expands ``chi^u (x) chi^u (1 (x) chi^e1 + chi^e2 (x) 1)^d``, ``d = <p_i, u>``,
-    by :func:`_expand`, for a cone in N.  Checks, in order: the cone is in N,
-    ``e1`` and then ``e2`` are Demazure roots at ``p_i`` (else ``ValueError``),
-    and ``u`` pairs nonnegatively with both rays.  No term then leaves the
-    cone: ``u + k*e`` pairs to ``d - k >= 0`` with ``p_i`` for ``k <= d`` and
-    nonnegatively with the other ray.
+    by :func:`_expand`.  Checks, in order: ``e1`` and then ``e2`` are Demazure roots at
+    ``p_i`` of a cone in N (else ``ValueError``), and ``u`` pairs nonnegatively with both
+    rays.  No term then leaves the cone: ``u + k*e`` pairs to ``d - k >= 0`` with ``p_i``
+    for ``k <= d`` and nonnegatively with the other ray.
     """
-    if sigma.ambient != N:
-        raise ValueError("the root-pair comultiplication needs a cone in N")
     i, e1, e2 = pair.ray_index, pair.e1.e.xy, pair.e2.e.xy
     _require_root(sigma, i, e1)
     _require_root(sigma, i, e2)
@@ -505,7 +500,11 @@ def multiply_points(spec: MonoidSpec, p, q) -> tuple[int | Fraction, ...]:
     Every X and Y spec has a chart (:func:`_chart`); a point off the surface
     raises ``ValueError``.
     """
-    chart = _chart(spec, "point multiplication")
+    return _multiply_on_chart(spec, _chart(spec, "point multiplication"), p, q)
+
+
+def _multiply_on_chart(spec: MonoidSpec, chart: tuple, p, q) -> tuple[int | Fraction, ...]:
+    """:func:`multiply_points` on the spec's ``chart``, for a caller that has built it."""
     p, q = _chart_point(spec, chart, p), _chart_point(spec, chart, q)
     rule = ComultRule(spec.n)
     return tuple(_pair_value(spec, chart, comult(rule, g)._terms.items(), p, q) for g in chart)

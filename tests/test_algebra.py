@@ -167,7 +167,7 @@ class TestCoreAgainstOracle:
 
 
 class TestTensorJsonText:
-    """``to_json_text`` is ``json.dumps(to_json())``, byte for byte."""
+    """The joined ``json_chunks`` of any tensor are ``json.dumps(to_json())``, byte for byte."""
 
     big = st.integers(-(10**40), 10**40)
 
@@ -187,16 +187,16 @@ class TestTensorJsonText:
     )
     def test_equals_dumps_of_to_json(self, keys, pool, data):
         t = TensorElement([(k, data.draw(st.sampled_from(pool))) for k in keys])
-        assert t.to_json_text() == json.dumps(t.to_json())
+        assert "".join(t.json_chunks()) == json.dumps(t.to_json())
 
     def test_empty(self):
-        assert TensorElement.zero().to_json_text() == "[]" == json.dumps([])
+        assert "".join(TensorElement.zero().json_chunks()) == "[]" == json.dumps([])
 
     def test_fractions_and_repeats(self):
         t = TensorElement(
             [(((-1, 2), (0, -3)), Fraction(-7, 3)), (((0, 0), (0, 0)), 5), (((2, 0), (1, 1)), 5)]
         )
-        assert t.to_json_text() == (
+        assert "".join(t.json_chunks()) == (
             '[{"left": [-1, 2], "right": [0, -3], "coef": "-7/3"}, '
             '{"left": [0, 0], "right": [0, 0], "coef": "5"}, '
             '{"left": [2, 0], "right": [1, 1], "coef": "5"}]'
@@ -247,6 +247,15 @@ class TestBinomialTexts:
         assert texts[d // 2] == str(comb(d, d // 2))
 
 
+class _Unprintable(int):
+    """An int coefficient that refuses to be printed by ``str``."""
+
+    def __str__(self):
+        raise AssertionError("an expansion's coefficients are the binomial row")
+
+    __repr__ = __str__
+
+
 class TestTensorJsonChunks:
     """``json_chunks`` joins to ``json.dumps(to_json())``, a piece holds at most 256 terms, and an
     int past the digit limit raises at the call."""
@@ -257,7 +266,7 @@ class TestTensorJsonChunks:
         t = _tensor_of(terms, mode)
         assert len(t.terms()) == terms
         chunks = list(t.json_chunks())
-        assert "".join(chunks) == json.dumps(t.to_json()) == t.to_json_text()
+        assert "".join(chunks) == json.dumps(t.to_json())
         assert max(chunk.count('"left"') for chunk in chunks) <= 256
         assert len(chunks) == max(1, -(-terms // 256))
 
@@ -294,15 +303,18 @@ class TestTensorJsonChunks:
             t.json_chunks()
 
     @pytest.mark.parametrize("mode", ["spec", "root-pair"])
-    def test_expansions_print_without_str_of_each_coefficient(self, monkeypatch, mode):
+    def test_expansions_print_without_str_of_each_coefficient(self, mode):
+        # Every coefficient but the central one refuses ``str``, so the route that prints each
+        # distinct coefficient fails: both ``to_json`` and ``json_chunks`` print the binomial row.
         t = _tensor_of(2001, mode)
         expected = json.dumps(t.to_json())
+        t._terms = {k: c if j == 1000 else _Unprintable(c) for j, (k, c) in enumerate(t._terms.items())}
+        assert json.dumps(t.to_json()) == "".join(t.json_chunks()) == expected
 
-        def refuse(self):
-            raise AssertionError("an expansion's coefficients are the binomial row")
-
-        monkeypatch.setattr(TensorElement, "_coef_texts", refuse)
-        assert t.to_json_text() == expected
+    def test_expansion_to_json_prints_the_binomial_row(self):
+        d = 2001
+        t = comult(ComultRule(1), (d, 0))
+        assert [item["coef"] for item in t.to_json()] == [str(comb(d, j)) for j in range(d + 1)]
 
     def test_only_expansions_carry_their_degree(self):
         t = _tensor_of(6, "spec")

@@ -726,6 +726,16 @@ class TestMultiplyEveryChart:
         code, out, err = run_cli(capsys, "multiply", spec, "--p", json.dumps([str(2**409)] + zeros), "--q", '["1"]')
         assert (code, out, err) == (2, "", "error: a 410-bit coordinate to the power 31 is over 12684 bits\n")
 
+    def test_builds_the_chart_once(self, capsys, monkeypatch):
+        # The arity check and the product share one chart: one Hilbert basis per command.
+        calls = []
+        basis = monoids.hilbert_basis
+        monkeypatch.setattr(monoids, "hilbert_basis", lambda cone: calls.append(cone) or basis(cone))
+        spec = '{"family":"Y","n":1,"a":2,"b":1}'
+        code, out, err = run_cli(capsys, "multiply", spec, "--p", '["2","8","32"]', "--q", '["1","1","1"]')
+        assert (code, out, err) == (0, '["2", "10", "50"]\n', "")
+        assert len(calls) == 1
+
     def test_power_estimate_bounds_every_exponent_taken(self, capsys, monkeypatch):
         # With no bit budget the refusal names the estimate for a 1-bit coordinate.  Every
         # accepted a, every b up to 40, both families, n = 1, 2 and one seeded n up to 200.
@@ -837,9 +847,8 @@ def _run_script(argv, **kwargs):
     src = str(Path(toricmonoids.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "from toricmonoids.cli import run; run()"
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], stderr=subprocess.PIPE, env=env, timeout=60, **kwargs
-    )
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60, **kwargs)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -894,6 +903,42 @@ class TestStdinRoute:
         with open(os.devnull, "wb") as write_only:
             proc = _run_script(self.ARGV, stdin=write_only, stdout=subprocess.PIPE)
         assert self._refusal(proc) == "error: cannot read standard input: Bad file descriptor\n"
+
+
+class TestUnwritableOutput:
+    """A closed stdout exits 2 with one stderr line.  A stderr that is closed, open for reading
+    only (as when fd 2 was closed and then reused) or full leaves a usage error at exit 2, with
+    nothing on stdout and no traceback anywhere."""
+
+    OPPOSITE = ["opposite", '{"family":"X","n":1,"a":1,"b":0}']
+    BAD_PAYLOAD = ["classify", "{", "--n", "1"]
+
+    def test_closed_stdout(self):
+        proc = _run_script(self.OPPOSITE, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == "error: cannot write standard output: it is closed\n"
+
+    STDERR_FILES = {"read-only": (os.devnull, "r"), "full": ("/dev/full", "w")}
+
+    def _run_with_stderr(self, kind, argv, stdout):
+        if kind == "closed":
+            return _run_script(argv, stdout=stdout, preexec_fn=lambda: os.close(2))
+        path, mode = self.STDERR_FILES[kind]
+        if not os.path.exists(path):
+            pytest.skip(f"needs {path}")
+        with open(path, mode) as stderr:
+            return _run_script(argv, stdout=stdout, stderr=stderr)
+
+    @pytest.mark.parametrize("kind", ["closed", "read-only", "full"])
+    def test_usage_error(self, kind):
+        proc = self._run_with_stderr(kind, self.BAD_PAYLOAD, subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("kind", ["closed", "read-only"])
+    def test_full_stdout(self, kind):
+        with open("/dev/full", "w") as full:
+            assert self._run_with_stderr(kind, self.OPPOSITE, full).returncode == 2
 
 
 class TestGoldenBytes:

@@ -20,7 +20,7 @@ def test_library_tour_runs():
 
 def test_removed_names_are_gone():
     # A dotted name is a method or field of a class that stays: no class on its
-    # MRO defines it, and it is not one of the class's fields.
+    # MRO defines it, and it is not one of the class's fields, if it has any.
     section = re.search(r"^### Removed names\n(.*?)^#", README.read_text(encoding="utf-8"), re.M | re.S)
     names = re.findall(r"^\* `([^`]+)`", section.group(1), re.M)
     assert {"dual_ray_swap", "RationalPoint", "DerivationRule.__call__", "DerivationRule.scale"} <= set(names)
@@ -29,7 +29,7 @@ def test_removed_names_are_gone():
         if owner:
             cls = getattr(toricmonoids, owner)
             assert all(attr not in vars(k) for k in cls.__mro__)
-            assert attr not in cls._fields
+            assert attr not in getattr(cls, "_fields", ())
             continue
         assert name not in toricmonoids.__all__
         assert not hasattr(toricmonoids, name)
