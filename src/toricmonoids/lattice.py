@@ -344,16 +344,21 @@ class Cone2(_Record):
 
     @classmethod
     def from_rays(cls, r1: PointLike, r2: PointLike, ambient: str | None = None) -> "Cone2":
-        """Build the cone spanned by two rays, primitivizing and normalizing."""
+        """Build the cone spanned by two rays, primitivizing and normalizing.
+
+        Each ray is divided by the gcd of its coordinates as ints, so one
+        :class:`LatticePoint` is built per ray.
+        """
         if ambient is None:
             tagged = [v.ambient for v in (r1, r2) if isinstance(v, LatticePoint)]
             ambient = tagged[0] if tagged else M
         points = []
         for r in (r1, r2):
             x, y = int_xy(r, ambient)
-            if x == 0 and y == 0:
+            d = gcd(x, y)
+            if d == 0:
                 raise DegenerateConeError("zero vector is not a ray generator")
-            points.append(primitive(LatticePoint(x, y, ambient)))
+            points.append(LatticePoint(x // d, y // d, ambient))
         lo, hi = sorted(points)
         return cls((lo, hi), ambient)
 

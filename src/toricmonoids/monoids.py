@@ -312,13 +312,19 @@ def image_ideal_codim(spec: MonoidSpec, k: int) -> int:
     Closed form: ``ceil(k*b/a)`` for the X family and ``ceil(k*b/a) + n*k``
     for the Y family.  Separates non-isomorphic structures.
     """
+    if type(k) is int and k >= 1:
+        return _image_ideal_codims(spec, (k,))[0]
     _require_surface_family(spec, "the image-ideal codimension")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    base = -((-k * spec.b) // spec.a)  # exact ceiling of k*b/a
-    if spec.family is Family.X:
-        return base
-    return base + spec.n * k
+    raise ValueError(f"k must be a positive integer, got {k!r}")
+
+
+def _image_ideal_codims(spec: MonoidSpec, ks) -> list[int]:
+    """:func:`image_ideal_codim` at each of ``ks``, positive ints the caller has
+    checked, with one family check: the lists of ``invariants`` and ``catalog``."""
+    _require_surface_family(spec, "the image-ideal codimension")
+    a, b = spec.a, spec.b
+    n = spec.n if spec.family is Family.Y else 0
+    return [n * k - (-k * b // a) for k in ks]  # the ceiling of k*b/a, exact
 
 
 def distinguish(s1: MonoidSpec, s2: MonoidSpec) -> bool:

@@ -13,6 +13,7 @@ from toricmonoids import (
     CheckResult,
     ComultRule,
     Cone2,
+    DegenerateConeError,
     Family,
     LatticeMap,
     LatticePoint,
@@ -26,6 +27,7 @@ from toricmonoids import (
     cone_of_spec,
     monoids,
     parse_rational,
+    primitive,
 )
 from toricmonoids.algebra import _merge
 from toricmonoids.demazure import _check_sigma
@@ -55,6 +57,22 @@ def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
             g = gcd(abs(w[0]), abs(w[1]))
             extreme.add((w[0] // g, w[1] // g))
     return extreme
+
+
+def cone_from_rays_by_primitive(r1, r2, ambient=None) -> Cone2:
+    """``Cone2.from_rays`` by its earlier route: each ray read as a
+    ``LatticePoint`` and passed through ``primitive``, then the two sorted."""
+    if ambient is None:
+        tagged = [v.ambient for v in (r1, r2) if isinstance(v, LatticePoint)]
+        ambient = tagged[0] if tagged else M
+    points = []
+    for r in (r1, r2):
+        x, y = int_xy(r, ambient)
+        if x == 0 and y == 0:
+            raise DegenerateConeError("zero vector is not a ray generator")
+        points.append(primitive(LatticePoint(x, y, ambient)))
+    lo, hi = sorted(points)
+    return Cone2((lo, hi), ambient)
 
 
 def can_represent(u, gens, cone, memo=None) -> bool:

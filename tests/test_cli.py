@@ -225,6 +225,14 @@ class TestSpecCommands:
         spec = MonoidSpec.x(2, 3, 2)
         assert json.loads(out) == [image_ideal_codim(spec, k) for k in range(1, 7)]
 
+    @pytest.mark.parametrize("family", ["X", "Y"])
+    def test_invariants_at_the_k_cap(self, capsys, family):
+        payload = f'{{"family":"{family}","n":3,"a":7,"b":5}}'
+        code, out, _ = run_cli(capsys, "invariants", payload, "--k-max", "1000")
+        assert code == 0
+        spec = MonoidSpec.from_json(json.loads(payload))
+        assert json.loads(out) == [image_ideal_codim(spec, k) for k in range(1, 1001)]
+
     def test_invariants_group_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", '{"family":"Group","n":2}')
         assert code == 1

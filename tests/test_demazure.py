@@ -11,12 +11,14 @@ from toricmonoids import (
     Cone2,
     DegenerateConeError,
     DemazureRoot,
+    HalfPlane,
     LatticeMap,
     LatticePoint,
     M,
     MonoidSpec,
     N,
     RootPair,
+    comult_from_root_pair,
     cone_of_spec,
     derivation_for,
     is_demazure_root,
@@ -398,6 +400,40 @@ def test_ray_index_is_an_int(ray_index):
 def test_root_in_n_refused():
     with pytest.raises(ValueError, match="^a Demazure root is a character, i.e. a point of M$"):
         DemazureRoot(LatticePoint(1, 0, N), 0)
+
+
+_ROOT = DemazureRoot(LatticePoint(-1, 0, M), 0)
+_PAIR = RootPair(_ROOT, _ROOT)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda region: is_demazure_root(region, 0, (-1, 0)),
+        lambda region: roots_up_to(region, 0, 3),
+        lambda region: DemazureRoot.validated(region, 0, (-1, 0)),
+        lambda region: root_basis(region, _ROOT),
+        lambda region: derivation_for(region, _ROOT),
+        lambda region: pair_equivalence(region, _PAIR, _PAIR),
+        lambda region: comult_from_root_pair(region, _PAIR, (1, 1)),
+    ],
+    ids=[
+        "is_demazure_root",
+        "roots_up_to",
+        "validated",
+        "root_basis",
+        "derivation_for",
+        "pair_equivalence",
+        "comult_from_root_pair",
+    ],
+)
+def test_only_a_cone_in_n_has_roots(call):
+    # A half plane in N has the right ambient but no rays.
+    for region in (HalfPlane(N), HalfPlane(M), Cone2.from_rays((1, 0), (0, 1), M)):
+        with pytest.raises(ValueError) as exc:
+            call(region)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "Demazure roots are taken for a cone in N"
 
 
 def test_root_json_round_trip():

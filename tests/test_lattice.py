@@ -25,7 +25,7 @@ from toricmonoids import (
 )
 from toricmonoids.lattice import _json_int, _json_rational, _json_xy, as_int
 
-from oracles import can_represent, dual_rays_by_scan, hilbert_basis_by_sieve
+from oracles import can_represent, cone_from_rays_by_primitive, dual_rays_by_scan, hilbert_basis_by_sieve
 
 
 def mk(x, y, ambient=M):
@@ -207,6 +207,37 @@ class TestCone2:
                 assert type(nx) is int and type(ny) is int and gcd(nx, ny) == 1, c
                 assert nx * p.x + ny * p.y == 0, c
                 assert nx * q.x + ny * q.y > 0, c
+
+    def test_from_rays_matches_the_primitive_route(self):
+        # Negative and non-primitive ints, zero vectors, points of either
+        # ambient, lists and ``True``: the same cone, or the same refusal.
+        rng = random.Random("from-rays")
+
+        def ray():
+            g = rng.randint(1, 4)
+            x, y = rng.randint(-6, 6) * g, rng.randint(-6, 6) * g
+            kind = rng.randrange(6)
+            if kind == 0:
+                return LatticePoint(x, y, rng.choice((M, N)))
+            if kind == 1:
+                return [x, y]
+            if kind == 2:
+                return (True, y) if rng.randrange(2) else (x, True)
+            return (x, y)
+
+        def outcome(build, *args):
+            try:
+                return build(*args)
+            except Exception as exc:
+                return (type(exc), str(exc))
+
+        kinds = set()
+        for _ in range(3000):
+            args = (ray(), ray(), rng.choice((None, M, N)))
+            got = outcome(Cone2.from_rays, *args)
+            assert got == outcome(cone_from_rays_by_primitive, *args), args
+            kinds.add(got[0] if isinstance(got, tuple) else Cone2)
+        assert kinds == {Cone2, ValueError, DegenerateConeError}
 
     def test_rays_stored_as_a_tuple(self):
         c = Cone2([mk(0, 1), mk(1, 0)])

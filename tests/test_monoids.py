@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -52,6 +53,7 @@ from toricmonoids import (
 )
 
 from toricmonoids.algebra import _binomials
+from toricmonoids.monoids import _image_ideal_codims
 
 from oracles import (
     comult_by_comb,
@@ -532,6 +534,35 @@ class TestInvariants:
         for s in small_xy_specs(3, 4):
             for k in range(1, 9):
                 assert image_ideal_codim(s, k) == image_ideal_codim_search(s, k)
+
+    def test_list_matches_each_k(self):
+        # The list ``invariants`` and ``catalog`` print, against the checked
+        # per-k function, an exact ceiling and (k <= 6) the cone search.
+        for s in small_xy_specs(3, 7):
+            got = _image_ideal_codims(s, range(1, 41))
+            assert got == [image_ideal_codim(s, k) for k in range(1, 41)], s
+            shift = s.n if s.family is Family.Y else 0
+            assert got == [math.ceil(Fraction(k * s.b, s.a)) + shift * k for k in range(1, 41)], s
+            assert got[:6] == [image_ideal_codim_search(s, k) for k in range(1, 7)], s
+
+    @pytest.mark.parametrize(
+        "spec, k, message",
+        [
+            (MonoidSpec.x(2, 3, 2), 0, "k must be a positive integer, got 0"),
+            (MonoidSpec.y(2, 3, 2), True, "k must be a positive integer, got True"),
+            (MonoidSpec.x(2, 3, 2), 2.0, "k must be a positive integer, got 2.0"),
+            (MonoidSpec.group(2), 1, "the image-ideal codimension is not defined for the group family"),
+            (MonoidSpec.group(2), 0, "the image-ideal codimension is not defined for the group family"),
+        ],
+        ids=["k-0", "k-true", "k-float", "group", "group-k-0"],
+    )
+    def test_refusals_kept(self, spec, k, message):
+        with pytest.raises(ValueError) as exc:
+            image_ideal_codim(spec, k)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+        if spec.family is Family.GROUP:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _image_ideal_codims(spec, range(1, 3))
 
 
 class TestDistinguish:
