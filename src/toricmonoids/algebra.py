@@ -24,7 +24,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 
 from .lattice import (
     LatticePoint,
@@ -188,6 +188,8 @@ class _Sparse:
     def _coef_texts(self) -> list[str]:
         """The coefficients printed in term order, for :meth:`to_json` and ``json_chunks``.
 
+        ``json_chunks`` does not call it on a comultiplication built by ``monoids._expand``.
+
         Like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit limit.
         A comultiplication built by ``monoids._expand`` carries its degree ``d``: its row is
         printed by :func:`_binomial_texts` in O(d*L) digit operations, and only its largest
@@ -304,10 +306,10 @@ class TensorElement(_Sparse):
     the Laurent algebra; houses comultiplication outputs.
     """
 
-    # ``_degree``: set only by ``monoids._expand``; see ``_Sparse._coef_texts``.
+    # ``_degree``: set only by ``monoids._expand``; see ``_Sparse._coef_texts`` and ``json_chunks``.
     __slots__ = ("_degree",)
     _UNIT = ((0, 0), (0, 0))
-    _CHUNK_TERMS = 256  # terms per piece of json_chunks
+    _CHUNK_TERMS = 32  # terms per piece of json_chunks
 
     @staticmethod
     def _key(k):
@@ -342,20 +344,22 @@ class TensorElement(_Sparse):
 
         Its coefficients are those of :meth:`to_json`, and every exponent is checked at the
         call: like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit
-        limit before any piece.  A comultiplication built by ``monoids._expand`` has only its
-        first and last keys checked: each exponent is affine in ``j``, so largest at an end.
+        limit before any piece.  A comultiplication built by ``monoids._expand`` is printed
+        by :func:`_expansion_chunks` from its first key, its step and its degree: each key is
+        affine in ``j``, so the first two keys give the step.
         """
-        terms, coefs = self._terms, self._coef_texts()
-        ends = (next(iter(terms)), next(reversed(terms))) if hasattr(self, "_degree") else terms
+        terms, d = self._terms, getattr(self, "_degree", None)
+        if d is not None:
+            keys = iter(terms)
+            start = ((lx, ly), (rx, ry)) = next(keys)
+            (lx2, ly2), (rx2, ry2) = next(keys, start)
+            return _expansion_chunks(start, ((lx2 - lx, ly2 - ly), (rx2 - rx, ry2 - ry)), d)
+        coefs = self._coef_texts()
         flat = chain.from_iterable
-        str(max(map(abs, flat(flat(ends))), default=0))  # the exponents' digit limit
-        row = '{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
-        rows = (row % (l0, l1, r0, r1, c) for ((l0, l1), (r0, r1)), c in zip(terms, coefs))
-        n, step = len(terms), self._CHUNK_TERMS
-        return (
-            ("[" if i == 0 else ", ") + ", ".join(islice(rows, step)) + ("]" if i + step >= n else "")
-            for i in range(0, max(n, 1), step)
-        )
+        str(max(map(abs, flat(flat(terms))), default=0))  # the exponents' digit limit
+        seps = _separators()
+        rows = ((s, l0, l1, r0, r1, c) for s, ((l0, l1), (r0, r1)), c in zip(seps, terms, coefs))
+        return _pieces(map(_ROW.__mod__, rows), len(terms))
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor legs."""
@@ -364,6 +368,42 @@ class TensorElement(_Sparse):
     def map_exponents(self, fn) -> "TensorElement":
         """Apply an exponent substitution to both legs of every term."""
         return TensorElement([((fn(l), fn(r)), c) for (l, r), c in self._terms.items()])
+
+
+# One term of ``json_chunks`` after its separator: "" for the first term, ", " for the others.
+_ROW = '%s{"left": [%d, %d], "right": [%d, %d], "coef": "%s"}'
+
+
+def _separators():
+    return chain(("",), repeat(", "))
+
+
+def _pieces(rows, n: int):
+    """``"[" + rows + "]"`` for ``n`` ``_ROW`` texts, in pieces of ``TensorElement._CHUNK_TERMS``.
+
+    The first piece also takes the ``"["`` and the last the ``"]"`` (one piece ``"[]"`` when
+    ``n`` is 0), so every piece is one ``join`` of its items, with no copy by ``+``.
+    """
+    step, items = TensorElement._CHUNK_TERMS, chain(("[",), rows, ("]",))
+    sizes = (step + (i == 0) + (i + step >= n) for i in range(0, max(n, 1), step))
+    return ("".join(islice(items, size)) for size in sizes)
+
+
+def _expansion_chunks(start, step, d: int):
+    """``json_chunks`` of ``sum_j C(d, j) chi^l_j (x) chi^r_j`` with keys ``start + j*step``.
+
+    The expansion is printed from this closed form and never built: the exponents are
+    stepped by ``itertools.count`` and the coefficients are :func:`_binomial_texts`.  The
+    digit limit is checked at the call, before any piece, as ``json_chunks`` does: on the
+    central coefficient, the largest, read back by ``int``, and on the first and last keys,
+    since every exponent is affine in ``j``.  ``step`` must be such that the keys ascend.
+    """
+    texts = _binomial_texts(d)
+    int(texts[d // 2])  # past the digit limit, ValueError
+    ((l0, l1), (r0, r1)), ((s0, s1), (t0, t1)) = start, step
+    str(max(map(abs, (l0, l1, r0, r1, l0 + d * s0, l1 + d * s1, r0 + d * t0, r1 + d * t1))))
+    rows = zip(_separators(), count(l0, s0), count(l1, s1), count(r0, t0), count(r1, t1), texts)
+    return _pieces(map(_ROW.__mod__, rows), d + 1)
 
 
 class DerivationRule(_Record):

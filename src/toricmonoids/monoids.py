@@ -182,21 +182,30 @@ class ComultRule(_Record):
         _setattr(self, "n", n)
 
 
-def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
-    """``sum_j C(d, j) chi^(u + j*e2) (x) chi^(u + (d-j)*e1)``: the one expansion of both routes.
+def _progression(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> tuple:
+    """The keys of ``sum_j C(d, j) chi^(u + j*e2) (x) chi^(u + (d-j)*e1)`` as ``(start, step, d)``.
 
     ``e1`` and ``e2`` are not both zero (no Demazure root is), so term ``j``'s
-    key moves by the nonzero step ``(e2, -e1)`` and the keys are distinct and
-    built in canonical order with no sort: ``j`` ascends when the step is
-    above zero (lexicographically), else descends; the row is symmetric.
-    Costs O(d) big-int steps: one binomial row, keys stepped by additions.  The result
-    carries ``d`` in ``_degree``, which nothing else sets: its JSON prints the row in base 10.
+    key moves by the nonzero step ``(e2, -e1)`` and the keys ``start + k*step``,
+    ``k = 0..d``, are distinct and in canonical order with no sort: ``j``
+    ascends when the step is above zero (lexicographically), else descends; the
+    row is symmetric.  :func:`_expand` builds the expansion from it, and the
+    CLI's ``comult`` prints it with ``algebra._expansion_chunks``.
     """
     (e1x, e1y), (e2x, e2y) = e1, e2
     if (e2x, e2y, -e1x, -e1y) > (0, 0, 0, 0):  # from j = 0, stepping by (e2, -e1)
-        lx, ly, rx, ry, sx, sy, tx, ty = ux, uy, ux + d * e1x, uy + d * e1y, e2x, e2y, -e1x, -e1y
-    else:  # from j = d, stepping by (-e2, e1)
-        lx, ly, rx, ry, sx, sy, tx, ty = ux + d * e2x, uy + d * e2y, ux, uy, -e2x, -e2y, e1x, e1y
+        return ((ux, uy), (ux + d * e1x, uy + d * e1y)), ((e2x, e2y), (-e1x, -e1y)), d
+    # from j = d, stepping by (-e2, e1)
+    return ((ux + d * e2x, uy + d * e2y), (ux, uy)), ((-e2x, -e2y), (e1x, e1y)), d
+
+
+def _expand(start: tuple, step: tuple, d: int) -> TensorElement:
+    """The expansion whose keys are a :func:`_progression`: term ``k`` is ``start + k*step``.
+
+    Costs O(d) big-int steps: one binomial row, keys stepped by additions.  The result
+    carries ``d`` in ``_degree``, which nothing else sets: its JSON prints the row in base 10.
+    """
+    ((lx, ly), (rx, ry)), ((sx, sy), (tx, ty)) = start, step
     terms = {}
     for c in _binomials(d):
         terms[(lx, ly), (rx, ry)] = c
@@ -209,13 +218,26 @@ def _expand(ux: int, uy: int, d: int, e1: tuple, e2: tuple) -> TensorElement:
 def comult(rule: ComultRule, u) -> TensorElement:
     """Comultiplication of the monomial ``u``: the root-pair route at the ray ``(1, 0)``.
 
-    ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b``:
-    :func:`_expand` at ``d = a``, ``e1 = (-1, 0)`` and ``e2 = (-1, n)``.
+    ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b``: :func:`_progression`
+    at ``d = a``, ``e1 = (-1, 0)`` and ``e2 = (-1, n)``, written out, since ``verify``
+    calls it once per point: the step ``((-1, n), (1, 0))`` is below zero, so ``i``
+    descends from ``a``.
     """
     a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
-    return _expand(a, b, a, (-1, 0), (-1, rule.n))
+    n = rule.n
+    return _expand(((0, b + n * a), (a, b)), ((1, -n), (-1, 0)), a)
+
+
+def _monomial_progression(spec: MonoidSpec, u) -> tuple:
+    """The checks of :func:`comult_monomial`, then the :func:`_progression` of its keys."""
+    region = cone_of_spec(spec)
+    xy = int_xy(u, M)
+    if not region.contains(xy):
+        raise ValueError(f"monomial {xy} is not in the exponent region of {spec}")
+    a, b = xy  # a >= 0: every spec region lies in u_x >= 0
+    return _progression(a, b, a, (-1, 0), (-1, spec.n))
 
 
 def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
@@ -223,11 +245,20 @@ def comult_monomial(spec: MonoidSpec, u) -> TensorElement:
 
     The exponent is in lattice coordinates and must lie in the spec's cone.
     """
-    region = cone_of_spec(spec)
-    xy = int_xy(u, M)
-    if not region.contains(xy):
-        raise ValueError(f"monomial {xy} is not in the exponent region of {spec}")
-    return comult(ComultRule(spec.n), xy)
+    return _expand(*_monomial_progression(spec, u))
+
+
+def _root_pair_progression(sigma: Cone2, pair: RootPair, u) -> tuple:
+    """The checks of :func:`comult_from_root_pair`, in order, then its :func:`_progression`."""
+    i, e1, e2 = pair.ray_index, pair.e1.e.xy, pair.e2.e.xy
+    _require_root(sigma, i, e1)
+    _require_root(sigma, i, e2)
+    ux, uy = int_xy(u, M)
+    p, q = sigma.rays[i], sigma.rays[1 - i]
+    d = ux * p.x + uy * p.y
+    if d < 0 or ux * q.x + uy * q.y < 0:
+        raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
+    return _progression(ux, uy, d, e1, e2)
 
 
 def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
@@ -239,15 +270,7 @@ def comult_from_root_pair(sigma: Cone2, pair: RootPair, u) -> TensorElement:
     rays.  No term then leaves the cone: ``u + k*e`` pairs to ``d - k >= 0`` with ``p_i``
     for ``k <= d`` and nonnegatively with the other ray.
     """
-    i, e1, e2 = pair.ray_index, pair.e1.e.xy, pair.e2.e.xy
-    _require_root(sigma, i, e1)
-    _require_root(sigma, i, e2)
-    ux, uy = int_xy(u, M)
-    p, q = sigma.rays[i], sigma.rays[1 - i]
-    d = ux * p.x + uy * p.y
-    if d < 0 or ux * q.x + uy * q.y < 0:
-        raise ValueError(f"monomial ({ux}, {uy}) is not in the dual cone of {sigma}")
-    return _expand(ux, uy, d, e1, e2)
+    return _expand(*_root_pair_progression(sigma, pair, u))
 
 
 def restriction_failure(

@@ -257,18 +257,20 @@ class _Unprintable(int):
 
 
 class TestTensorJsonChunks:
-    """``json_chunks`` joins to ``json.dumps(to_json())``, a piece holds at most 256 terms, and an
-    int past the digit limit raises at the call."""
+    """``json_chunks`` joins to ``json.dumps(to_json())``, a piece holds at most ``_CHUNK_TERMS``
+    terms, and an int past the digit limit raises at the call."""
 
     @pytest.mark.parametrize("mode", ["spec", "root-pair"])
-    @pytest.mark.parametrize("terms", [0, 1, 256, 257, 513, 2001])
+    @pytest.mark.parametrize("terms", [0, 1, 32, 33, 256, 257, 513, 2001])
     def test_joined_pieces_are_the_json(self, terms, mode):
+        # 32 = _CHUNK_TERMS, and 256 and 513 stay at a piece boundary and one past it.
+        size = TensorElement._CHUNK_TERMS
         t = _tensor_of(terms, mode)
         assert len(t.terms()) == terms
         chunks = list(t.json_chunks())
         assert "".join(chunks) == json.dumps(t.to_json())
-        assert max(chunk.count('"left"') for chunk in chunks) <= 256
-        assert len(chunks) == max(1, -(-terms // 256))
+        assert max(chunk.count('"left"') for chunk in chunks) <= size
+        assert len(chunks) == max(1, -(-terms // size))
 
     @pytest.mark.parametrize(
         "left, right, coef",

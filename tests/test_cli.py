@@ -216,6 +216,108 @@ class TestComultStreaming:
         assert "4300 digits" in out
 
 
+def _spec_draw(rng, d):
+    """A spec and a monomial of its region with x-exponent ``d``; Y and Group give y < 0."""
+    family = rng.choice(["X", "Y", "Group"])
+    n, a = rng.randint(1, 4), rng.randint(1, 5)
+    b = rng.choice([c for c in range(9) if gcd(a, c) == 1])
+    if family == "Group":
+        return {"family": "Group", "n": n}, (d, rng.randint(-9, 9))
+    if family == "X":
+        return {"family": "X", "n": n, "a": a, "b": b}, (d, -(-b * d // a) + rng.randint(0, 4))
+    return {"family": "Y", "n": n, "a": a, "b": b}, (d, -((n * a + b) * d) // a - rng.randint(0, 4))
+
+
+def _root_pair_draw(rng, d):
+    """A cone in N, two roots at its ray ``p`` and a monomial ``u`` of the dual cone with
+    ``<p, u> = d``: the roots ``e0 + j*v`` as in ``_root_pair_parts``, and ``u = -d*e0 + t*v``."""
+    while True:
+        rays = sorted((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
+        (px, py), (qx, qy) = rays
+        if gcd(px, py) == gcd(qx, qy) == 1 and px * qy != py * qx:
+            break
+    i = rng.randint(0, 1)
+    (px, py), (qx, qy) = rays[i], rays[1 - i]
+    vx, vy = _normal(px, py, qx, qy)
+    ex, ey = next((-s, -t) for s in range(-5, 6) for t in range(-5, 6) if s * px + t * py == 1)
+    k = -((ex * qx + ey * qy) // (vx * qx + vy * qy))
+    ex, ey = ex + k * vx, ey + k * vy
+    t = -(-d * (ex * qx + ey * qy) // (vx * qx + vy * qy)) + rng.randint(0, 3)
+    u = (-d * ex + t * vx, -d * ey + t * vy)
+    roots = [(ex + j * vx, ey + j * vy) for j in (rng.randint(0, 3), rng.randint(0, 3))]
+    return {"rays": rays, "ambient": "N"}, u, roots, i
+
+
+@pytest.fixture(scope="module")
+def closed_form_cases():
+    """Seeded ``(argv, expected stdout, ascending)`` of both routes at d = 0, 1, 31, 32 and 33.
+
+    ``ascending`` tells whether the keys step from ``j = 0`` (root pairs only; the spec route
+    always descends from ``j = d``)."""
+    rng, cases = random.Random(35), []
+    for d in (0, 1, 31, 32, 33):
+        for _ in range(4):
+            spec, u = _spec_draw(rng, d)
+            t = monoids.comult_monomial(MonoidSpec.from_json(spec), u)
+            cases.append((["comult", json.dumps(spec), "--monomial", json.dumps(u)], t, False))
+            cone, u, (e1, e2), i = _root_pair_draw(rng, d)
+            pair = [{"e": e, "ray_index": i} for e in (e1, e2)]
+            sigma = toricmonoids.Cone2.from_json(cone)
+            roots = toricmonoids.RootPair(*map(toricmonoids.DemazureRoot.from_json, pair))
+            t = monoids.comult_from_root_pair(sigma, roots, u)
+            argv = ["comult", json.dumps(cone), "--monomial", json.dumps(u), "--pair", json.dumps(pair)]
+            cases.append((argv, t, (*e2, -e1[0], -e1[1]) > (0, 0, 0, 0)))
+    return [(argv, json.dumps(t.to_json()) + "\n", up) for argv, t, up in cases]
+
+
+def _no_expand(*args):
+    raise AssertionError("the CLI's comult builds no TensorElement")
+
+
+class TestComultClosedForm:
+    """``comult`` prints ``json.dumps(comult(...).to_json())`` from the closed form, never through
+    ``monoids._expand``, and refuses an int past the digit limit before any output."""
+
+    def test_draws_cover_both_orientations_and_negative_exponents(self, closed_form_cases):
+        cases = closed_form_cases
+        assert {up for argv, _, up in cases if "--pair" in argv} == {False, True}
+        assert any(e < 0 for _, out, _ in cases for t in json.loads(out) for e in t["left"])
+        assert {len(json.loads(out)) for _, out, _ in cases} == {1, 2, 32, 33, 34}
+
+    def test_output_is_the_expansion_json_without_building_it(
+        self, capsys, monkeypatch, closed_form_cases
+    ):
+        monkeypatch.setattr(monoids, "_expand", _no_expand)
+        for argv, expected, _ in closed_form_cases:
+            assert run_cli(capsys, *argv) == (0, expected, ""), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["comult", '{"family":"X","n":1,"a":1,"b":0}', "--monomial", "[2200, 0]"],
+            ["comult", '{"family":"Group","n":%d}' % (9 * 10**639), "--monomial", "[2, 0]"],
+            ["comult", '{"rays":[[1,0],[0,1]],"ambient":"N"}', "--monomial", "[0, 3]", "--pair",
+             '[{"e":[0,-1],"ray_index":0},{"e":[%d,-1],"ray_index":0}]' % (4 * 10**639)],
+        ],
+        ids=["central-coefficient", "first-key", "last-key"],
+    )
+    def test_int_past_the_digit_limit_is_refused_before_any_output(self, capsys, monkeypatch, argv):
+        # Under a 640-digit limit: C(2200, 1100) has 661 digits; the first key's y-exponent
+        # 2n and the last key's x-exponent 3e have 641 each, while every input has at most 640.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        monkeypatch.setattr(monoids, "_expand", _no_expand)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (1, "")
+        assert list(json.loads(out)) == ["error"] and out.count("\n") == 1
+        assert "640 digits" in out
+
+
 class TestSpecCommands:
     def test_invariants(self, capsys):
         code, out, _ = run_cli(
