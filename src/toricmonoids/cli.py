@@ -29,6 +29,7 @@ from .lattice import (
     M,
     N,
     Cone2,
+    LatticePoint,
     _check_ambient,
     _json_rational,
     _json_xy,
@@ -102,29 +103,49 @@ class UsageError(Exception):
     """Malformed payloads and other recoverable input problems (exit code 2)."""
 
 
+# One catalog line with its newline: ``json.dumps`` of the entry that the library's values make,
+# ``{"spec": spec.to_json(), "cone": cone.to_json(), "hilbert_basis": [...], "invariants": [...],
+# "boundary": boundary(spec).to_json()}``, written out so that no line builds a dict.
+_CATALOG_LINE = (
+    '{"spec": {"family": "%s", "n": %d, "a": %d, "b": %d}, '
+    '"cone": {"rays": [[0, %d], [%d, %d]], "ambient": "M"}, '
+    '"hilbert_basis": [%s], "invariants": [%s], '
+    '"boundary": {"left_weight": %d, "right_weight": %d, "has_zero": %s, "idempotent_line": %s}}\n'
+)
+
+
 def _catalog(n_max: int, a_max: int, b_max: int, k_max: int):
-    """The catalog's JSON objects: each X/Y spec with coprime (a, b) within the bounds, once.
+    """The catalog's lines: each X/Y spec with coprime (a, b) within the bounds, once.
 
     Canonical order: n, then a, then b, then family (X before Y); the specs
-    are pairwise non-isomorphic.  Each object holds the spec, its cone, the
-    cone's Hilbert basis, the invariants for k = 1..k_max and the boundary
-    data, and is computed only when the generator reaches it.
+    are pairwise non-isomorphic.  Each line is ``_CATALOG_LINE`` filled from
+    closed forms in (n, a, b), as ``cone_of_spec``, ``image_ideal_codim`` and
+    ``boundary`` state them: the rays (0, 1) and (a, b) for X and (0, -1) and
+    (a, -n*a - b) for Y, primitive and in sorted order; the invariants
+    ceil(k*b/a) for X and that plus n*k for Y, k = 1..k_max; the boundary
+    weights (b + a*n, b) for X, swapped for Y, with a zero exactly when b > 0.
+    Only the Hilbert basis is computed, by ``hilbert_basis`` on the line's
+    cone.  ``json.loads`` of a line equals the library's values, and each
+    line is made only when the generator reaches it.
     """
+    ks = range(1, k_max + 1)
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):
             for b in range(0, b_max + 1):
                 if gcd(a, b) != 1:
                     continue
-                for family in (Family.X, Family.Y):
-                    spec = MonoidSpec(family, n, a, b)
-                    cone = cone_of_spec(spec)
-                    yield {
-                        "spec": spec.to_json(),
-                        "cone": cone.to_json(),
-                        "hilbert_basis": [g.to_json() for g in hilbert_basis(cone)],
-                        "invariants": _image_ideal_codims(spec, range(1, k_max + 1)),
-                        "boundary": boundary(spec).to_json(),
-                    }
+                heavy = b + a * n
+                ceilings = [-(-k * b // a) for k in ks]  # ceil(k*b/a), exact
+                zero = ("true", "false") if b else ("false", "true")  # has_zero, idempotent_line
+                for family, y0, y1, invariants, left, right in (
+                    ("X", 1, b, ceilings, heavy, b),
+                    ("Y", -1, -heavy, [c + n * k for k, c in zip(ks, ceilings)], b, heavy),
+                ):
+                    cone = Cone2((LatticePoint(0, y0, M), LatticePoint(a, y1, M)), M)
+                    basis = ", ".join(["[%d, %d]" % (g.x, g.y) for g in hilbert_basis(cone)])
+                    yield _CATALOG_LINE % (
+                        family, n, a, b, y0, a, y1, basis, ", ".join(map(str, invariants)), left, right, *zero
+                    )
 
 
 def _payload_text(args) -> str:
@@ -377,8 +398,8 @@ def _cmd_catalog(args) -> int:
     _at_most("--k-max", args.k_max, MAX_K)
     for flag, bound in (("--n-max", args.n_max), ("--a-max", args.a_max), ("--b-max", args.b_max)):
         _at_most(flag, bound, MAX_CATALOG_BOUND)
-    for entry in _catalog(args.n_max, args.a_max, args.b_max, args.k_max):
-        sys.stdout.write(json.dumps(entry) + "\n")
+    for line in _catalog(args.n_max, args.a_max, args.b_max, args.k_max):
+        sys.stdout.write(line)
         sys.stdout.flush()
     return EXIT_OK
 

@@ -537,8 +537,9 @@ def hilbert_basis(cone: Cone2) -> list[LatticePoint]:
     ``Fraction``; ``s`` is at most ``D + 1``.  Output is sorted in the fixed
     total order.
     """
-    r1, r2 = (r.xy for r in cone.rays)
-    d = cone._det
+    p, q = cone.rays
+    r1, r2 = (p.x, p.y), (q.x, q.y)
+    d = p.x * q.y - p.y * q.x
     if d < 0:
         r1, r2, d = r2, r1, -d
     _, s, t = _ext_gcd(*r1)

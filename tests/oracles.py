@@ -5,6 +5,7 @@ memoized representability, literal double loops) so the library's fast paths
 are checked against a second, unrelated route.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd
@@ -23,8 +24,10 @@ from toricmonoids import (
     RootPair,
     TensorElement,
     VerificationReport,
+    boundary,
     box_lattice_points,
     cone_of_spec,
+    hilbert_basis,
     monoids,
     parse_rational,
     primitive,
@@ -32,7 +35,7 @@ from toricmonoids import (
 from toricmonoids.algebra import _merge
 from toricmonoids.demazure import _check_sigma
 from toricmonoids.lattice import int_xy
-from toricmonoids.monoids import _require_surface_family
+from toricmonoids.monoids import _image_ideal_codims, _require_surface_family
 
 
 def dual_rays_by_scan(cone: Cone2, bound: int = 12) -> set[tuple[int, int]]:
@@ -113,6 +116,28 @@ def image_ideal_codim_search(spec: MonoidSpec, k: int) -> int:
         if cone.contains((k, sign * t)):
             return t
     raise AssertionError(f"no axis point found for {spec} at k={k}")
+
+
+def catalog_lines_by_records(n_max: int, a_max: int, b_max: int, k_max: int):
+    """The catalog's lines through the library's records: each spec's ``MonoidSpec``, its cone
+    by ``cone_of_spec``, ``hilbert_basis``, the invariants and ``boundary``, as one dict
+    written by ``json.dumps``, in the catalog's order."""
+    for n in range(1, n_max + 1):
+        for a in range(1, a_max + 1):
+            for b in range(0, b_max + 1):
+                if gcd(a, b) != 1:
+                    continue
+                for family in (Family.X, Family.Y):
+                    spec = MonoidSpec(family, n, a, b)
+                    cone = cone_of_spec(spec)
+                    entry = {
+                        "spec": spec.to_json(),
+                        "cone": cone.to_json(),
+                        "hilbert_basis": [g.to_json() for g in hilbert_basis(cone)],
+                        "invariants": _image_ideal_codims(spec, range(1, k_max + 1)),
+                        "boundary": boundary(spec).to_json(),
+                    }
+                    yield json.dumps(entry) + "\n"
 
 
 def restriction_scan(cone: Cone2, n: int, bound: int) -> bool:

@@ -233,6 +233,19 @@ def digit_limit_640():
     sys.set_int_max_str_digits(limit)
 
 
+def _consumed_under_digit_limit_640(consume, chunks):
+    """``consume(chunks)`` for the pieces of ``json_chunks`` under a 640-digit int-to-str limit,
+    set after the call and restored after the pieces are made."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        return consume(chunks)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestBinomialTexts:
     """The base-10 binomial row prints the big-int row, entry for entry."""
 
@@ -303,6 +316,31 @@ class TestTensorJsonChunks:
         t = expansion()
         with pytest.raises(ValueError, match="digits"):
             t.json_chunks()
+
+    @pytest.mark.parametrize(
+        "expansion",
+        [
+            lambda: comult(ComultRule(1), (300, 10**3999 + 12345)),
+            lambda: comult(ComultRule(1), (300, -(10**3999))),
+            lambda: comult(ComultRule(10**3990 + 7), (300, 5)),
+            lambda: _quadrant_expansion(10**3990, (0, 300)),
+        ],
+        ids=["exponent", "negative-exponent", "huge-step", "root-pair-huge-step"],
+    )
+    def test_huge_exponents_print_with_no_int_to_str_per_row(self, expansion):
+        # A column of 4,000-digit exponents printed by ``str`` of an int on every row costs
+        # time quadratic in the digits; under a 640-digit limit, set once the call's checks
+        # are made, any such ``str`` raises, so the pieces are printed from ``Decimal`` digits.
+        t = expansion()
+        expected = json.dumps(t.to_json())
+        assert _consumed_under_digit_limit_640("".join, t.json_chunks()) == expected
+
+    def test_huge_exponent_at_the_degree_cap_prints_with_no_int_to_str_per_row(self):
+        # ``comult '{"family":"Group","n":1}' --monomial '[10000, 10^3999 + 12345]'``: the same
+        # 4,000-digit y-exponent on all 10,001 rows, about 5 s through int-to-str per row.
+        chunks = comult(ComultRule(1), (10000, 10**3999 + 12345)).json_chunks()
+        size = _consumed_under_digit_limit_640(lambda pieces: sum(map(len, pieces)), chunks)
+        assert size == 102_215_928
 
     @pytest.mark.parametrize("mode", ["spec", "root-pair"])
     def test_expansions_print_without_str_of_each_coefficient(self, mode):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricmonoids
+from oracles import catalog_lines_by_records
 from toricmonoids import cli, monoids
 from toricmonoids import (
     ComultRule,
@@ -486,6 +487,19 @@ class TestCatalog:
         )
         for line in out.splitlines():
             assert json.dumps(json.loads(line)) == line
+
+    @pytest.mark.parametrize(
+        "n_max, a_max, b_max, k_max",
+        [(4, 30, 30, 1), (4, 30, 30, 12), (1, 1, 0, 1)],
+        ids=["k-max-1", "k-max-12", "edge-bounds"],
+    )
+    def test_lines_equal_the_record_route(self, capsys, n_max, a_max, b_max, k_max):
+        # The template's closed forms against MonoidSpec, cone_of_spec, the invariants and
+        # boundary, written by json.dumps, byte for byte.
+        bounds = ("--n-max", n_max, "--a-max", a_max, "--b-max", b_max, "--k-max", k_max)
+        code, out, err = run_cli(capsys, "catalog", *map(str, bounds))
+        assert (code, err) == (0, "")
+        assert out == "".join(catalog_lines_by_records(n_max, a_max, b_max, k_max))
 
     def test_bad_bounds_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1104,16 +1118,16 @@ class TestCatalogStreaming:
         """A failure at the second entry leaves the first line already written."""
         import toricmonoids.cli as cli
 
-        real = cli.boundary
+        real = cli.hilbert_basis
         calls = []
 
-        def failing_boundary(spec):
-            calls.append(spec)
+        def failing_hilbert_basis(cone):
+            calls.append(cone)
             if len(calls) == 2:
                 raise RuntimeError("stop after the first entry")
-            return real(spec)
+            return real(cone)
 
-        monkeypatch.setattr(cli, "boundary", failing_boundary)
+        monkeypatch.setattr(cli, "hilbert_basis", failing_hilbert_basis)
         with pytest.raises(RuntimeError):
             main(["catalog", "--n-max", "1", "--a-max", "1", "--b-max", "0"])
         lines = capsys.readouterr().out.splitlines()
