@@ -188,13 +188,14 @@ class _Sparse:
     def _coef_texts(self) -> list[str]:
         """The coefficients printed in term order, for :meth:`to_json` and ``json_chunks``.
 
-        ``json_chunks`` does not call it on a comultiplication built by ``monoids._expand``.
+        ``json_chunks`` does not call it on a comultiplication built by ``monoids.comult`` or
+        ``monoids._expand``.
 
         Like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit limit.
-        A comultiplication built by ``monoids._expand`` carries its degree ``d``: its row is
-        printed by :func:`_binomial_texts` in O(d*L) digit operations, and only its largest
-        coefficient, the central one, by ``str`` for the digit limit.  Every other element
-        prints each distinct coefficient once with ``str``.
+        A comultiplication built by ``monoids.comult`` or ``_expand`` carries its degree ``d``:
+        its row is printed by :func:`_binomial_texts` in O(d*L) digit operations, and only its
+        largest coefficient, the central one, by ``str`` for the digit limit.  Every other
+        element prints each distinct coefficient once with ``str``.
         """
         terms, d = self._terms, getattr(self, "_degree", None)
         if d is not None:
@@ -306,7 +307,8 @@ class TensorElement(_Sparse):
     the Laurent algebra; houses comultiplication outputs.
     """
 
-    # ``_degree``: set only by ``monoids._expand``; see ``_Sparse._coef_texts`` and ``json_chunks``.
+    # ``_degree``: set only by ``monoids.comult`` and ``monoids._expand``; see
+    # ``_Sparse._coef_texts`` and ``json_chunks``.
     __slots__ = ("_degree",)
     _UNIT = ((0, 0), (0, 0))
     _CHUNK_TERMS = 32  # terms per piece of json_chunks
@@ -344,9 +346,9 @@ class TensorElement(_Sparse):
 
         Its coefficients are those of :meth:`to_json`, and every exponent is checked at the
         call: like ``str``, it raises ``ValueError`` on an int past CPython's int-to-str digit
-        limit before any piece.  A comultiplication built by ``monoids._expand`` is printed
-        by :func:`_expansion_chunks` from its first key, its step and its degree: each key is
-        affine in ``j``, so the first two keys give the step.
+        limit before any piece.  A comultiplication built by ``monoids.comult`` or ``_expand``
+        is printed by :func:`_expansion_chunks` from its first key, its step and its degree:
+        each key is affine in ``j``, so the first two keys give the step.
         """
         terms, d = self._terms, getattr(self, "_degree", None)
         if d is not None:

@@ -219,15 +219,25 @@ def comult(rule: ComultRule, u) -> TensorElement:
     """Comultiplication of the monomial ``u``: the root-pair route at the ray ``(1, 0)``.
 
     ``x^a y^b  |->  sum_i C(a, i) x^(a-i) y^(b+n*i) (x) x^i y^b``: :func:`_progression`
-    at ``d = a``, ``e1 = (-1, 0)`` and ``e2 = (-1, n)``, written out, since ``verify``
-    calls it once per point: the step ``((-1, n), (1, 0))`` is below zero, so ``i``
-    descends from ``a``.
+    at ``d = a``, ``e1 = (-1, 0)`` and ``e2 = (-1, n)``.  Its step ``((-1, n), (1, 0))``
+    is below zero, so ``i`` descends from ``a``: term ``k = a - i`` has the key
+    ``((k, b + n*(a - k)), (a - k, b))``.  The dict is filled here, with the three
+    moving exponents stepped by one addition each, not through :func:`_expand`, since
+    ``verify`` calls it once per premise point; the keys, their order and ``_degree``
+    are those :func:`_expand` would build.
     """
     a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     n = rule.n
-    return _expand(((0, b + n * a), (a, b)), ((1, -n), (-1, 0)), a)
+    terms = {}
+    k, ly, rx = 0, b + n * a, a
+    for c in _binomials(a):
+        terms[(k, ly), (rx, b)] = c
+        k, ly, rx = k + 1, ly - n, rx - 1
+    out = TensorElement._of(terms)
+    out._degree = a
+    return out
 
 
 def _monomial_progression(spec: MonoidSpec, u) -> tuple:
@@ -754,7 +764,10 @@ def _first_disagreement(runs, expand, n: int) -> tuple[int, int] | None:
     runs in order and stops at the first point that disagrees, so for the
     sorted runs of :func:`_premise_runs` it returns the least such point in
     ``(x, y)`` order; ``None`` is the premise of the proofs in
-    :func:`verify_comultiplication`.  One binomial row per run.
+    :func:`verify_comultiplication`.  One binomial row per run, compared with
+    each expansion's coefficients in one list comparison; the expected key is
+    stepped term by term, ``k`` up by one, ``y + n*(u_x - k)`` down by ``n``
+    and ``u_x - k`` down by one, with no product per term.
     """
     for x, lo, hi in runs:
         row = _binomials(x)
@@ -762,10 +775,11 @@ def _first_disagreement(runs, expand, n: int) -> tuple[int, int] | None:
             terms = expand((x, y))._terms
             if list(terms.values()) != row:  # the term count and each coefficient
                 return (x, y)
-            top = y + n * x
-            for k, ((lx, ly), (rx, ry)) in enumerate(terms):
-                if lx != k or ly != top - n * k or rx != x - k or ry != y:
+            k, top, rest = 0, y + n * x, x
+            for (lx, ly), (rx, ry) in terms:
+                if lx != k or ly != top or rx != rest or ry != y:
                     return (x, y)
+                k, top, rest = k + 1, top - n, rest - 1
     return None
 
 

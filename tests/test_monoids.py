@@ -53,7 +53,7 @@ from toricmonoids import (
 )
 
 from toricmonoids.algebra import _binomials
-from toricmonoids.monoids import _image_ideal_codims
+from toricmonoids.monoids import _expand, _image_ideal_codims, _progression
 
 from oracles import (
     comult_by_comb,
@@ -346,6 +346,29 @@ class TestExpansionOracles:
     def test_comult(self, a, b, n):
         rule = ComultRule(n)
         assert canonical(comult(rule, (a, b))) == canonical(comult_by_comb(rule, (a, b)))
+
+    @pytest.mark.parametrize(
+        "n, points",
+        [
+            *((n, [(a, b) for a in range(61) for b in range(-50, 51)]) for n in range(1, 7)),
+            (10**30, [(2000, -7), (2000, 0), (2000, 10**30)]),
+        ],
+        ids=[*map(str, range(1, 7)), "n-1e30-a-2000"],
+    )
+    def test_comult_fills_the_keys_of_the_progression(self, n, points):
+        # comult writes the progression at d = a, e1 = (-1, 0), e2 = (-1, n) out; _expand
+        # builds it from _progression, the route of comult_monomial and comult_from_root_pair.
+        # json_chunks reads its step from the first two keys, so their order is checked
+        # against math.comb as printed through to_json, at every fifth b on the grid.
+        rule = ComultRule(n)
+        for a, b in points:
+            got = comult(rule, (a, b))
+            want = _expand(*_progression(a, b, a, (-1, 0), (-1, n)))
+            assert list(got._terms.items()) == list(want._terms.items()), (a, b)
+            assert got._degree == want._degree == a
+            if b % 5 == 0 or a == 2000:
+                expected = json.dumps(comult_by_comb(rule, (a, b)).to_json())
+                assert "".join(got.json_chunks()) == expected, (a, b)
 
     @settings(max_examples=60)
     @given(data=st.data())
