@@ -1466,7 +1466,7 @@ def _shift_run(terms, keys):
         terms[(left, (r0, r1 + 1))] = terms.pop((left, (r0, r1)))
 
 
-class TestKroneckerMultiplicativity:
+class TestMultiplicativeNoProducts:
     """Corrupted expansions at a sum of two box monomials or at a box monomial
     fail the closed-form comparison on ``P`` with the ``disagrees`` witness,
     and verifying takes no ``TensorElement`` product, corrupted or not."""
