@@ -51,8 +51,8 @@ _EXACT = Context(
 )
 
 
-def _binomials(d: int) -> list[int]:
-    """The binomial row ``[C(d, 0), ..., C(d, d)]``.
+def _stepped_binomials(d: int) -> list[int]:
+    """The binomial row ``[C(d, 0), ..., C(d, d)]``, stepped.
 
     Each entry is one exact big-int step from the one before,
     ``C(d, i+1) = C(d, i) * (d-i) // (i+1)``; the second half mirrors the first.
@@ -63,6 +63,24 @@ def _binomials(d: int) -> list[int]:
         c = c * (d - i) // (i + 1)
         row[i + 1] = row[d - i - 1] = c
     return row
+
+
+# The rows of degree below 33, built once at import: 561 entries, each below 2**30.
+# ``verify`` expands one monomial per premise point, nearly all of small degree, and
+# copying a row costs less than stepping it.
+_SMALL_DEGREES = 33
+_SMALL_ROWS = tuple(tuple(_stepped_binomials(d)) for d in range(_SMALL_DEGREES))
+
+
+def _binomials(d: int) -> list[int]:
+    """The binomial row ``[C(d, 0), ..., C(d, d)]``, a new list on every call.
+
+    A row of degree below ``_SMALL_DEGREES`` is copied from ``_SMALL_ROWS``; any other
+    is :func:`_stepped_binomials`.
+    """
+    if 0 <= d < _SMALL_DEGREES:
+        return list(_SMALL_ROWS[d])
+    return _stepped_binomials(d)
 
 
 def _binomial_texts(d: int) -> list[str]:

@@ -338,6 +338,13 @@ class TestExpansionOracles:
         for d in range(301):
             assert _binomials(d) == [comb(d, i) for i in range(d + 1)]
 
+    def test_binomial_rows_from_the_table_are_new_lists(self):
+        # Rows of small degree are copied from a table; changing one changes no later row.
+        for d in (0, 1, 32, 33):
+            row = _binomials(d)
+            row[0] = 0
+            assert _binomials(d)[0] == 1
+
     @given(
         st.integers(0, 60),
         st.integers(-50, 50),
