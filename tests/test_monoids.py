@@ -363,10 +363,10 @@ class TestExpansionOracles:
         ids=[*map(str, range(1, 7)), "n-1e30-a-2000"],
     )
     def test_comult_fills_the_keys_of_the_progression(self, n, points):
-        # comult writes the progression at d = a, e1 = (-1, 0), e2 = (-1, n) out; _expand
-        # builds it from _progression, the route of comult_monomial and comult_from_root_pair.
-        # json_chunks reads its step from the first two keys, so their order is checked
-        # against math.comb as printed through to_json, at every fifth b on the grid.
+        # comult writes out the progression of d = a, e1 = (-1, 0), e2 = (-1, n), which
+        # _expand builds on the route of comult_monomial and comult_from_root_pair.
+        # json_chunks reads its step from the first two keys, so the printed text is also
+        # checked against math.comb through to_json, at every fifth b of the grid.
         rule = ComultRule(n)
         for a, b in points:
             got = comult(rule, (a, b))
