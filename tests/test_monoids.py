@@ -1693,7 +1693,7 @@ CORRUPTIONS = [
 ]
 
 
-class TestFirstMismatch:
+class TestAgreesWithRule:
     """The closed-form comparison on ``P`` holds for the real comultiplication.
     Each corrupted expansion, at a box monomial, at a sum outside the box or
     at a leg outside the box, is the first disagreement, and the report is
