@@ -66,8 +66,10 @@ def _stepped_binomials(d: int) -> list[int]:
 
 
 # The rows of degree below 33, built once at import: 561 entries, each below 2**30.
-# ``verify`` expands one monomial per premise point, nearly all of small degree, and
-# copying a row costs less than stepping it.
+# ``verify`` expands one monomial per premise point, nearly all of small degree:
+# ``monoids.comult`` iterates the shared row with no copy, and ``_first_disagreement``
+# copies one row per run through :func:`_binomials`.  The rows are tuples, so no
+# caller can write to them.
 _SMALL_DEGREES = 33
 _SMALL_ROWS = tuple(tuple(_stepped_binomials(d)) for d in range(_SMALL_DEGREES))
 
@@ -76,7 +78,8 @@ def _binomials(d: int) -> list[int]:
     """The binomial row ``[C(d, 0), ..., C(d, d)]``, a new list on every call.
 
     A row of degree below ``_SMALL_DEGREES`` is copied from ``_SMALL_ROWS``; any other
-    is :func:`_stepped_binomials`.
+    is :func:`_stepped_binomials`.  ``monoids.comult`` reads a small row from
+    ``_SMALL_ROWS`` itself and calls this only from degree ``_SMALL_DEGREES`` on.
     """
     if 0 <= d < _SMALL_DEGREES:
         return list(_SMALL_ROWS[d])

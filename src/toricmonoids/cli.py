@@ -87,14 +87,14 @@ MAX_POWER_BITS = 1 << 20
 MAX_K = 1000
 MAX_CATALOG_BOUND = 100
 # ``verify --box``: the region is scanned point by point, O(box^2) membership
-# tests (about 0.035 s at this box), and the checks are decided as the
+# tests (about 0.028 s at this box), and the checks are decided as the
 # ``monoids.verify_comultiplication`` docstring says, holding one expansion at
-# a time.  At 2,500 expansion terms a passing run takes about 0.016 s for
-# ``Y(1,6,25) --box 68`` (490 monomials) and about 0.05 s for the slowest
-# found, ``X(1,2,55) --box 197`` (812 monomials, 70% of it the box scan), each
-# with a tracemalloc peak of 26 KB; past the cap, ``Group(1) --box 16`` (5,049
-# terms) takes about 0.02 s and ``X(3,5,7) --box 60`` (20,253) about 0.09 s,
-# with peaks of 22 KB and 172 KB (in-process, minimum of 36, Python 3.11.7).
+# a time.  At 2,500 expansion terms a passing run takes about 0.010 s for
+# ``Y(1,6,25) --box 68`` (490 monomials) and about 0.035 s for the slowest
+# found, ``X(1,2,55) --box 197`` (812 monomials, 75% of it the box scan), with
+# tracemalloc peaks of 26 and 27 KB; past the cap, ``Group(1) --box 16`` (5,049
+# terms) takes about 0.012 s and ``X(3,5,7) --box 60`` (20,253) about 0.06 s,
+# with peaks of 22 KB and 173 KB (in-process, minimum of 36, Python 3.11.7).
 MAX_VERIFY_BOX = 200
 MAX_VERIFY_TERMS = 2500
 

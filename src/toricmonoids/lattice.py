@@ -491,18 +491,19 @@ def box_lattice_points(region, bound: int) -> list[tuple[int, int]]:
 
     ``region`` is anything with a ``contains`` method taking a coordinate
     pair (a :class:`Cone2` or the half-plane descriptor).  Every one of the
-    ``(2*bound+1)**2`` box points is one ``contains`` call on an exact-int
-    pair, its fast path, so the cost is O(bound^2) dot products.  The scan
-    is kept because ``perfbench/test_perfbench.py`` pins that count (49
-    tests at bound 3); the column intervals from the two ray inequalities
-    wait on a benchmark change.
+    ``(2*bound+1)**2`` box points, in row order, is one ``contains`` call on
+    an exact-int pair, its fast path, so the cost is O(bound^2) dot products.
+    The loop runs in C: ``filter`` walks one ``product`` iterator and keeps
+    the points in the same order.  The scan is kept because
+    ``perfbench/test_perfbench.py`` pins that count (49 tests at bound 3);
+    the column intervals from the two ray inequalities wait on a benchmark
+    change.
     """
     bound = as_int(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    contains = region.contains
     side = range(-bound, bound + 1)
-    return [q for q in product(side, side) if contains(q)]
+    return list(filter(region.contains, product(side, side)))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .algebra import TensorElement, _binomials
+from .algebra import _SMALL_DEGREES, _SMALL_ROWS, TensorElement, _binomials
 from .demazure import RootPair, _require_root
 from .lattice import (
     Cone2,
@@ -224,18 +224,25 @@ def comult(rule: ComultRule, u) -> TensorElement:
     ``((k, b + n*(a - k)), (a - k, b))``.  The dict is filled here, with the three
     moving exponents stepped by one addition each, not through :func:`_expand`, since
     ``verify`` calls it once per premise point; the keys, their order and ``_degree``
-    are those :func:`_expand` would build.
+    are those :func:`_expand` would build.  For the same reason a ``tuple`` of two
+    ``int`` is read inline (every other ``u`` goes through :func:`int_xy`, with its
+    errors), a row of degree below ``algebra._SMALL_DEGREES`` is iterated in the shared
+    ``_SMALL_ROWS`` with no copy, and the result is built with no classmethod call.
     """
-    a, b = int_xy(u, M)
+    if type(u) is tuple and len(u) == 2 and type(u[0]) is int and type(u[1]) is int:
+        a, b = u
+    else:
+        a, b = int_xy(u, M)
     if a < 0:
         raise ValueError(f"monomial ({a}, {b}) has a negative x-exponent")
     n = rule.n
     terms = {}
     k, ly, rx = 0, b + n * a, a
-    for c in _binomials(a):
+    for c in _SMALL_ROWS[a] if a < _SMALL_DEGREES else _binomials(a):
         terms[(k, ly), (rx, b)] = c
         k, ly, rx = k + 1, ly - n, rx - 1
-    out = TensorElement._of(terms)
+    out = TensorElement.__new__(TensorElement)
+    out._terms = terms
     out._degree = a
     return out
 

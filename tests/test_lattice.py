@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from toricmonoids import (
     Cone2,
     DegenerateConeError,
+    HalfPlane,
     LatticeMap,
     LatticePoint,
     LaurentElement,
@@ -482,6 +483,28 @@ def test_box_lattice_points():
     q = Cone2.from_rays((1, 0), (0, 1), M)
     pts = box_lattice_points(q, 2)
     assert set(pts) == {(x, y) for x in range(3) for y in range(3)}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3, 6])
+@pytest.mark.parametrize(
+    "region",
+    [Cone2.from_rays((0, 1), (2, 1), M), HalfPlane()],
+    ids=["cone-in-M", "half-plane"],
+)
+def test_box_lattice_points_tests_each_box_point_once_in_row_order(monkeypatch, region, bound):
+    # perfbench pins the scan at (2*bound + 1)**2 contains calls; this pins it in tier 1.
+    original = type(region).contains
+    calls = []
+
+    def counting(self, q):
+        calls.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(type(region), "contains", counting)
+    kept = box_lattice_points(region, bound)
+    side = range(-bound, bound + 1)
+    assert calls == [(x, y) for x in side for y in side]
+    assert kept == [q for q in calls if original(region, q)]
 
 
 @pytest.mark.parametrize(

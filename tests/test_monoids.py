@@ -52,7 +52,8 @@ from toricmonoids import (
     verify_comultiplication,
 )
 
-from toricmonoids.algebra import _binomials
+from toricmonoids.algebra import _SMALL_DEGREES, _SMALL_ROWS, _binomials, _stepped_binomials
+from toricmonoids.lattice import int_xy
 from toricmonoids.monoids import _expand, _image_ideal_codims, _progression
 
 from oracles import (
@@ -331,6 +332,10 @@ def canonical(t: TensorElement) -> str:
     return json.dumps(t.to_json())
 
 
+class _TuplePair(tuple):
+    """A ``tuple`` subclass: ``comult`` reads it through ``int_xy``, not inline."""
+
+
 class TestExpansionOracles:
     """The recurrence-built expansions against the per-term ``math.comb`` routes."""
 
@@ -376,6 +381,47 @@ class TestExpansionOracles:
             if b % 5 == 0 or a == 2000:
                 expected = json.dumps(comult_by_comb(rule, (a, b)).to_json())
                 assert "".join(got.json_chunks()) == expected, (a, b)
+
+    @pytest.mark.parametrize(
+        "form",
+        [lambda a, b: [a, b], lambda a, b: LatticePoint(a, b, M), lambda a, b: _TuplePair((a, b))],
+        ids=["list", "lattice-point", "tuple-subclass"],
+    )
+    def test_comult_reads_other_forms_as_the_plain_tuple(self, form):
+        # Only a plain tuple of two ints is read inline; every other form goes through int_xy.
+        for n in (1, 3):
+            rule = ComultRule(n)
+            for a, b in [(0, 0), (1, -2), (5, 7), (32, 1), (33, -4)]:
+                got, want = comult(rule, form(a, b)), comult(rule, (a, b))
+                assert list(got._terms.items()) == list(want._terms.items())
+                assert got._degree == want._degree == a
+
+    @pytest.mark.parametrize(
+        "u",
+        [(True, 0), (1.0, 0), ("1", "0"), LatticePoint(1, 0, N)],
+        ids=["bool", "float", "str", "point-of-N"],
+    )
+    def test_comult_refuses_other_forms_as_int_xy_does(self, u):
+        with pytest.raises(ValueError) as want:
+            int_xy(u, M)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            comult(ComultRule(1), u)
+
+    def test_comult_across_the_shared_rows_edge(self):
+        # Degrees below _SMALL_DEGREES iterate a shared row, degree 33 on steps its own.
+        assert _SMALL_DEGREES == 33
+        for n in (1, 2, 7):
+            rule = ComultRule(n)
+            for a in range(31, 35):
+                for b in (-9, 0, 4):
+                    got, want = comult(rule, (a, b)), comult_by_comb(rule, (a, b))
+                    assert list(got._terms.items()) == list(want._terms.items()), (a, b)
+                    assert got._degree == a
+
+    def test_verify_leaves_the_shared_rows_as_built(self):
+        for spec, box in [(MonoidSpec.group(1), 6), (MonoidSpec.x(2, 3, 1), 8)]:
+            assert verify_bialgebra(spec, box).passed
+        assert _SMALL_ROWS == tuple(tuple(_stepped_binomials(d)) for d in range(_SMALL_DEGREES))
 
     @settings(max_examples=60)
     @given(data=st.data())
